@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .construct import GeneratingFamily, flow_up_family
 from .gkm import GkmMatrix, ReducedSystem
@@ -51,28 +52,27 @@ class SplineSet:
             })
 
 
-def _edge_divisors(graph: EdgeLabeledGraph):
-    """Per-edge divisor d: a residue is in the ideal iff d divides it."""
-    m = graph.ring.modulus
-    out = {}
-    for edge, ideal in graph.labels.items():
-        out[edge] = math.gcd(ideal.canonical.payload, m)
-    return out
+def _brute_force_setup(graph: EdgeLabeledGraph, budget: int, unsupported: str):
+    """Ring and m^n budget checks, then (m, n, divisors, index): a residue
+    is in an edge's ideal iff its divisor divides it; index gives slots."""
+    ring = graph.ring
+    if ring.kind != INTEGERS_MOD:
+        raise UnsupportedRingError(unsupported)
+    m = ring.modulus
+    n = len(graph.vertices)
+    if m ** n > budget:
+        raise BudgetExceededError(f"{m}^{n} tuples exceed the budget of {budget}")
+    divisors = {edge: math.gcd(ideal.canonical.payload, m)
+                for edge, ideal in graph.labels.items()}
+    return m, n, divisors, {v: i for i, v in enumerate(graph.vertices)}
 
 
 def enumerate_splines(graph: EdgeLabeledGraph,
                       budget: int = DEFAULT_BUDGET) -> SplineSet:
     """Depth-first enumeration of all verified residue tuples,
     pruning as soon as an edge condition fails."""
-    ring = graph.ring
-    if ring.kind != INTEGERS_MOD:
-        raise UnsupportedRingError("exhaustive enumeration needs a finite ring (Z/m)")
-    m = ring.modulus
-    n = len(graph.vertices)
-    if m ** n > budget:
-        raise BudgetExceededError(f"{m}^{n} tuples exceed the budget of {budget}")
-    divisors = _edge_divisors(graph)
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    m, n, divisors, index = _brute_force_setup(
+        graph, budget, "exhaustive enumeration needs a finite ring (Z/m)")
     constraints = [[] for _ in range(n)]
     for (u, v), d in divisors.items():
         i, j = index[u], index[v]
@@ -154,13 +154,16 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
     subgraphs = list(subgraphs)
     _check_cover(graph, subgraphs)
     edge_sets = tuple(tuple(sub.edges) for sub in subgraphs)
+    aligned = [spanning_subgraph(graph, sub.edges) for sub in subgraphs]
     if graph.ring.kind == INTEGERS_MOD:
         whole = set(enumerate_splines(graph, budget).members)
         inter = None
-        for sub in subgraphs:
-            aligned = spanning_subgraph(graph, sub.edges)
-            part = set(enumerate_splines(aligned, budget).members)
+        for sub in aligned:
+            part = set(enumerate_splines(sub, budget).members)
             inter = part if inter is None else inter & part
+        if inter is None:
+            # the intersection over no subgraphs is every residue tuple
+            inter = set(product(range(graph.ring.modulus), repeat=len(graph.vertices)))
         if whole == inter:
             return DecompositionReport(claim, edge_sets, True)
         bad = min(whole.symmetric_difference(inter))
@@ -169,19 +172,16 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
     # splines of G restrict into every R_{G_i}
     for _ in range(samples):
         p = random_member(graph, rng)
-        for sub in subgraphs:
-            aligned = spanning_subgraph(graph, sub.edges)
-            if not verify(aligned, p).ok:
+        for sub in aligned:
+            if not verify(sub, p).ok:
                 return DecompositionReport(claim, edge_sets, False,
                                            counterexample=p,
                                            mode="sampled", seed=seed)
     # members of the intersection verify on G
-    for sub in subgraphs:
-        aligned = spanning_subgraph(graph, sub.edges)
+    for sub in aligned:
         for _ in range(samples):
-            p = random_member(aligned, rng)
-            others = [spanning_subgraph(graph, s.edges) for s in subgraphs]
-            if all(verify(o, p).ok for o in others) and not verify(graph, p).ok:
+            p = random_member(sub, rng)
+            if all(verify(o, p).ok for o in aligned) and not verify(graph, p).ok:
                 return DecompositionReport(claim, edge_sets, False,
                                            counterexample=p,
                                            mode="sampled", seed=seed)
@@ -260,19 +260,11 @@ def matrix_solution_set(matrix: GkmMatrix,
     last column.  Row orientation cannot matter: membership of the
     difference is sign-invariant."""
     graph = matrix.graph
-    if graph.ring.kind != INTEGERS_MOD:
-        raise UnsupportedRingError("solution-set enumeration needs Z/m")
-    m = graph.ring.modulus
-    n = len(graph.vertices)
-    if m ** n > budget:
-        raise BudgetExceededError(f"{m}^{n} tuples exceed the budget of {budget}")
-    divisors = _edge_divisors(graph)
+    m, n, divisors, index = _brute_force_setup(
+        graph, budget, "solution-set enumeration needs Z/m")
     out = set()
-    index = {v: i for i, v in enumerate(graph.vertices)}
     rows = [(index[t], index[h], divisors[graph.edge_key(t, h)])
             for t, h in matrix.rows]
-    from itertools import product
-
     for tup in product(range(m), repeat=n):
         if all((tup[t] - tup[h]) % d == 0 for t, h, d in rows):
             out.add(tup)
@@ -284,18 +276,9 @@ def reduced_solution_set(system: ReducedSystem,
     """Honest evaluation of the reduced rows over Z/m: tree rows fix the
     tree slots, cycle rows force the chord slot to the signed tree sum
     and demand membership in the chord's ideal."""
-    graph = system.graph
-    if graph.ring.kind != INTEGERS_MOD:
-        raise UnsupportedRingError("solution-set enumeration needs Z/m")
-    m = graph.ring.modulus
-    n = len(graph.vertices)
-    if m ** n > budget:
-        raise BudgetExceededError(f"{m}^{n} tuples exceed the budget of {budget}")
-    divisors = _edge_divisors(graph)
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    m, n, divisors, _ = _brute_force_setup(
+        system.graph, budget, "solution-set enumeration needs Z/m")
     out = set()
-    from itertools import product
-
     for tup in product(range(m), repeat=n):
         slots = {}
         ok = True

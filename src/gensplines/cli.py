@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import analysis, construct, gkm, serialize
-from .graphs import EdgeLabeledGraph, GraphError, spanning_tree
+from .graphs import EdgeLabeledGraph, GraphError, spanning_subgraph, spanning_tree
 from .rings import UnsupportedRingError
 from .splines import Spline, decompose_at_vertex, verify
 
@@ -172,8 +172,6 @@ def _report_document(report: analysis.DecompositionReport) -> dict:
 
 def cmd_selfcheck(args) -> int:
     graph = _load_graph(args.graph)
-    from .graphs import spanning_subgraph
-
     reports = []
     per_edge = [spanning_subgraph(graph, [e]) for e in graph.edges]
     reports.append(analysis.check_union_decomposition(

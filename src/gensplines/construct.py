@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .graphs import (
     EdgeLabeledGraph,
     GraphError,
-    restrict,
+    path_order,
+    spanning_subgraph,
     spanning_tree,
     tree_path,
 )
@@ -22,6 +23,7 @@ from .rings import (
     RingElement,
     UnsupportedRingError,
     ext_gcd,
+    integers,
     lcm,
 )
 from .splines import Spline, verify
@@ -67,6 +69,18 @@ def _checked_choice(graph, edge, choice):
     return choice
 
 
+def _step_choices(graph, order, choices):
+    """One element per edge order[i]-order[i+1], checked against that
+    edge's ideal; the canonical generators when choices is None."""
+    if choices is None:
+        choices = [graph.labels[graph.edge_key(order[i], order[i + 1])].canonical
+                   for i in range(len(order) - 1)]
+    choices = list(choices)
+    for i, c in enumerate(choices):
+        _checked_choice(graph, graph.edge_key(order[i], order[i + 1]), c)
+    return choices
+
+
 def cycle_spline(graph: EdgeLabeledGraph, base: RingElement,
                  chord_choice: RingElement, step_choices) -> Spline:
     """The cycle construction: vertex k gets
@@ -77,8 +91,7 @@ def cycle_spline(graph: EdgeLabeledGraph, base: RingElement,
     if len(step_choices) != n - 1:
         raise ValueError(f"expected {n - 1} step choices, got {len(step_choices)}")
     _checked_choice(graph, graph.edge_key(order[0], order[-1]), chord_choice)
-    for i, c in enumerate(step_choices):
-        _checked_choice(graph, graph.edge_key(order[i], order[i + 1]), c)
+    _step_choices(graph, order, step_choices)
     values = {order[0]: base}
     acc = graph.ring.zero
     for i in range(1, n):
@@ -97,16 +110,11 @@ def cycle_generating_family(graph: EdgeLabeledGraph,
     order = _cycle_order(graph)
     n = len(order)
     ring = graph.ring
+    chord = graph.edge_key(order[0], order[-1])
     if chord_choice is None:
-        chord_choice = graph.labels[graph.edge_key(order[0], order[-1])].canonical
-    if step_choices is None:
-        step_choices = [graph.labels[graph.edge_key(order[i], order[i + 1])].canonical
-                        for i in range(n - 1)]
-    else:
-        step_choices = list(step_choices)
-    _checked_choice(graph, graph.edge_key(order[0], order[-1]), chord_choice)
-    for i, c in enumerate(step_choices):
-        _checked_choice(graph, graph.edge_key(order[i], order[i + 1]), c)
+        chord_choice = graph.labels[chord].canonical
+    _checked_choice(graph, chord, chord_choice)
+    step_choices = _step_choices(graph, order, step_choices)
     if ring.is_integral_domain and (
         chord_choice.is_zero or any(c.is_zero for c in step_choices)
     ):
@@ -128,18 +136,10 @@ def path_generating_family(graph: EdgeLabeledGraph, choices=None) -> GeneratingF
     supported on the vertices before it, plus the unit spline.  When the
     choices are the canonical generators these generate every path
     spline."""
-    from .gkm import _path_order
-
-    order = _path_order(graph)
+    order = path_order(graph)
     n = len(order)
     ring = graph.ring
-    if choices is None:
-        choices = [graph.labels[graph.edge_key(order[i], order[i + 1])].canonical
-                   for i in range(n - 1)]
-    else:
-        choices = list(choices)
-    for i, c in enumerate(choices):
-        _checked_choice(graph, graph.edge_key(order[i], order[i + 1]), c)
+    choices = _step_choices(graph, order, choices)
     members = []
     factors = []
     for i in range(n - 1):
@@ -198,40 +198,25 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
 
 
 def _path_sum_witness(graph, edges, diff):
-    """Split diff as a sum of per-edge ideal members, or None."""
+    """Split diff as a sum of per-edge ideal members, or None.  Over Z/m
+    the Bezout chain runs on lifts to Z with m as an extra generator."""
     ring = graph.ring
     gens = [graph.labels[e].canonical for e in edges]
+    extra = []
     if ring.kind == INTEGERS_MOD:
-        return _path_sum_witness_mod(graph, edges, diff)
-    if all(g.is_zero for g in gens):
+        z = integers()
+        gens = [z.element(g.payload) for g in gens]
+        extra = [z.element(ring.modulus)]
+        diff = z.element(diff.payload)
+    elif all(g.is_zero for g in gens):
         if diff.is_zero:
             return {e: ring.zero for e in edges}
         return None
-    d, coeffs = _bezout_chain(gens)
+    d, coeffs = _bezout_chain(gens + extra)
     if not d.divides(diff):
         return None
     scale = diff.exact_div(d)
-    return {e: coeffs[i] * gens[i] * scale for i, e in enumerate(edges)}
-
-
-def _path_sum_witness_mod(graph, edges, diff):
-    # Lift to Z, run the Bezout chain with the modulus as an extra
-    # generator, and reduce the summands back.
-    from . import rings
-
-    ring = graph.ring
-    m = ring.modulus
-    z = rings.integers()
-    gens = [z.element(graph.labels[e].canonical.payload) for e in edges]
-    d, coeffs = _bezout_chain(gens + [z.element(m)])
-    lifted = z.element(diff.payload)
-    if not d.divides(lifted):
-        return None
-    scale = lifted.exact_div(d)
-    return {
-        e: ring.element((coeffs[i] * gens[i] * scale).payload)
-        for i, e in enumerate(edges)
-    }
+    return {e: ring.element(coeffs[i] * gens[i] * scale) for i, e in enumerate(edges)}
 
 
 def excluded_edges(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> list:
@@ -256,9 +241,18 @@ def extend_by_zero_with_factor(graph, subgraph, p, element_choices=None):
     report = verify(subgraph, p)
     if not report.ok:
         raise ValueError("input spline fails verification on the subgraph")
-    ring = graph.ring
-    factor = ring.one
-    for edge in excluded_edges(graph, subgraph):
+    factor = _excluded_product(graph, excluded_edges(graph, subgraph), element_choices)
+    inside = set(subgraph.vertices)
+    values = {v: (factor * p[v] if v in inside else graph.ring.zero)
+              for v in graph.vertices}
+    return Spline(graph, values), factor
+
+
+def _excluded_product(graph, edges, element_choices=None):
+    """Product of one chosen element (canonical by default) per excluded
+    edge; the zero-factor warning names the public constructor's caller."""
+    factor = graph.ring.one
+    for edge in edges:
         if element_choices and edge in element_choices:
             choice = _checked_choice(graph, edge, element_choices[edge])
         else:
@@ -267,12 +261,10 @@ def extend_by_zero_with_factor(graph, subgraph, p, element_choices=None):
             warnings.warn(
                 f"edge {edge} contributes a zero factor; the extension is "
                 "the zero spline off its support",
-                stacklevel=2,
+                stacklevel=3,
             )
         factor = factor * choice
-    inside = set(subgraph.vertices)
-    values = {v: (factor * p[v] if v in inside else ring.zero) for v in graph.vertices}
-    return Spline(graph, values), factor
+    return factor
 
 
 def lcm_scaling_factor(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> RingElement:
@@ -290,7 +282,8 @@ def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
     """Flow-up splines along a BFS tree: member i is the unit on the
     root-to-v_i tree path, extended by zero.  Vertices are ordered by
     nondecreasing tree distance (ties by declaration order), which makes
-    the family upper-triangular with diagonal entries N_i."""
+    the family upper-triangular with diagonal entries N_i, the product
+    over every edge off the path."""
     skeleton = spanning_tree(graph, root)
     order = sorted(graph.vertices,
                    key=lambda v: (skeleton.depth[v], graph.index(v)))
@@ -298,11 +291,11 @@ def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
     factors = []
     for v in order:
         path = tree_path(skeleton, skeleton.root, v)
-        path_edges = [graph.edge_key(path[k], path[k + 1]) for k in range(len(path) - 1)]
-        sub = restrict(graph, path, path_edges)
-        unit = trivial_spline(sub, graph.ring.one)
-        member, factor = extend_by_zero_with_factor(graph, sub, unit)
-        members.append(member)
+        on_path = {graph.edge_key(path[k], path[k + 1]) for k in range(len(path) - 1)}
+        factor = _excluded_product(graph, [e for e in graph.edges if e not in on_path])
+        inside = set(path)
+        members.append(Spline(graph, {w: (factor if w in inside else graph.ring.zero)
+                                      for w in graph.vertices}))
         factors.append(factor)
     return GeneratingFamily(graph, tuple(members), tuple(order), tuple(factors))
 
@@ -318,29 +311,17 @@ def is_nontrivial_exists(graph: EdgeLabeledGraph):
         raise UnsupportedRingError("existence argument needs an integral domain")
     if len(graph.vertices) < 2:
         return False, None
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in graph.edges:
-        if graph.labels[(u, v)].is_zero:
-            parent[find(u)] = find(v)
-    anchor = find(graph.vertices[0])
-    support = [v for v in graph.vertices if find(v) == anchor]
+    zero_edges = [e for e in graph.edges if graph.labels[e].is_zero]
+    support = set(spanning_subgraph(graph, zero_edges).components()[0])
     if len(support) == len(graph.vertices):
         return False, None
     ring = graph.ring
     factor = ring.one
     for u, v in graph.edges:
-        inside = (find(u) == anchor) + (find(v) == anchor)
-        if inside == 1:
+        if (u in support) != (v in support):
             factor = factor * graph.labels[(u, v)].canonical
-    inside_set = set(support)
-    witness = Spline(graph, {v: (factor if v in inside_set else ring.zero)
+    witness = Spline(graph, {v: (factor if v in support else ring.zero)
                              for v in graph.vertices})
-    assert verify(graph, witness).ok
+    if not verify(graph, witness).ok:
+        raise AssertionError("extension-by-zero witness fails verification")
     return True, witness

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles
+from .graphs import EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles, path_order
 from .rings import RingElement
 from .splines import Spline
 
@@ -45,14 +45,19 @@ def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -
     return GkmMatrix(graph, tuple(rows))
 
 
-def solves(matrix: GkmMatrix, p: Spline, q: dict) -> bool:
-    """True iff M*p = q row by row; each q_e must lie in its edge ideal."""
-    graph = matrix.graph
+def _check_last_column(graph: EdgeLabeledGraph, q: dict) -> None:
+    """Every edge needs a q entry, and each must lie in its edge ideal."""
     for edge in graph.edges:
         if edge not in q:
             raise ValueError(f"missing q entry for edge {edge}")
         if not graph.labels[edge].contains(q[edge]):
             raise ValueError(f"q entry {q[edge]} is outside the ideal of edge {edge}")
+
+
+def solves(matrix: GkmMatrix, p: Spline, q: dict) -> bool:
+    """True iff M*p = q row by row; each q_e must lie in its edge ideal."""
+    graph = matrix.graph
+    _check_last_column(graph, q)
     for tail, head in matrix.rows:
         edge = graph.edge_key(tail, head)
         if p[tail] - p[head] != q[edge]:
@@ -140,11 +145,7 @@ def syzygy_check(graph: EdgeLabeledGraph, tree: TreeSkeleton, q: dict) -> bool:
     """True iff the signed sum of the q's vanishes around every
     fundamental cycle, i.e. the extended system with this q is
     homogeneous in the cycle rows."""
-    for edge in graph.edges:
-        if edge not in q:
-            raise ValueError(f"missing q entry for edge {edge}")
-        if not graph.labels[edge].contains(q[edge]):
-            raise ValueError(f"q entry {q[edge]} is outside the ideal of edge {edge}")
+    _check_last_column(graph, q)
     for cycle in fundamental_cycles(graph, tree):
         total = graph.ring.zero
         for a, b in cycle.steps():
@@ -156,31 +157,11 @@ def syzygy_check(graph: EdgeLabeledGraph, tree: TreeSkeleton, q: dict) -> bool:
     return True
 
 
-def _path_order(graph: EdgeLabeledGraph) -> list:
-    n = len(graph.vertices)
-    if len(graph.edges) != n - 1 or not graph.is_connected:
-        raise GraphError("graph is not a path")
-    if n == 1:
-        return list(graph.vertices)
-    degrees = {v: len(graph.neighbors(v)) for v in graph.vertices}
-    ends = [v for v in graph.vertices if degrees[v] == 1]
-    if len(ends) != 2 or any(degrees[v] != 2 for v in graph.vertices if v not in ends):
-        raise GraphError("graph is not a path")
-    start = min(ends, key=graph.index)
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nxt = [w for w in graph.neighbors(order[-1]) if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
 def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:
     """The cumulative suffix-sum form of a path's system: row i relates
     p_{v_i} and p_{v_n} through the sum of the edge slots between them."""
     graph = matrix.graph
-    order = _path_order(graph)
+    order = path_order(graph)
     n = len(order)
     orient = {graph.edge_key(t, h): (t, h) for t, h in matrix.rows}
     rows = []

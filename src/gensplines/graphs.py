@@ -23,6 +23,24 @@ class DisconnectedGraphError(GraphError):
         super().__init__(f"graph is disconnected: components {parts}")
 
 
+def _bfs(adj, root):
+    """BFS from root in adjacency-list order: (depth, parent, steps), with
+    depth keyed in visiting order and steps the (v, w) tree steps."""
+    depth = {root: 0}
+    parent = {}
+    steps = []
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                steps.append((v, w))
+                queue.append(w)
+    return depth, parent, steps
+
+
 class EdgeLabeledGraph:
     """A finite simple graph with an ideal attached to every edge."""
 
@@ -91,19 +109,10 @@ class EdgeLabeledGraph:
         seen = set()
         out = []
         for start in self.vertices:
-            if start in seen:
-                continue
-            comp = []
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            out.append(comp)
+            if start not in seen:
+                comp = list(_bfs(self._adj, start)[0])
+                seen.update(comp)
+                out.append(comp)
         return out
 
     @property
@@ -159,19 +168,9 @@ def spanning_tree(graph: EdgeLabeledGraph, root=None) -> TreeSkeleton:
         root = graph.vertices[0]
     elif root not in graph._index:
         raise GraphError(f"root {root!r} is not a vertex")
-    parent = {}
-    depth = {root: 0}
-    tree_edges = []
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in graph.neighbors(v):
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                tree_edges.append(graph.edge_key(v, w))
-                queue.append(w)
-    return TreeSkeleton(graph, root, parent, tuple(tree_edges), depth)
+    depth, parent, steps = _bfs(graph._adj, root)
+    tree_edges = tuple(graph.edge_key(v, w) for v, w in steps)
+    return TreeSkeleton(graph, root, parent, tree_edges, depth)
 
 
 def tree_from_edges(graph: EdgeLabeledGraph, edges, root=None) -> TreeSkeleton:
@@ -183,23 +182,15 @@ def tree_from_edges(graph: EdgeLabeledGraph, edges, root=None) -> TreeSkeleton:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    for v in adj:
+        adj[v].sort(key=graph.index)
     if root is None:
         root = graph.vertices[0]
-    parent = {}
-    depth = {root: 0}
-    order = []
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v], key=graph.index):
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                order.append(graph.edge_key(v, w))
-                queue.append(w)
+    depth, parent, steps = _bfs(adj, root)
     if len(depth) != len(graph.vertices):
         raise GraphError("edge set does not span the graph")
-    return TreeSkeleton(graph, root, parent, tuple(order), depth)
+    tree_edges = tuple(graph.edge_key(v, w) for v, w in steps)
+    return TreeSkeleton(graph, root, parent, tree_edges, depth)
 
 
 def tree_path(tree: TreeSkeleton, u, v) -> list:
@@ -221,6 +212,28 @@ def tree_path(tree: TreeSkeleton, u, v) -> list:
         up_u.append(a)
         up_v.append(b)
     return up_u + up_v[-2::-1]
+
+
+def path_order(graph: EdgeLabeledGraph) -> list:
+    """The vertices of a path graph from end to end, starting at the
+    end declared first; raises GraphError if the graph is not a path."""
+    n = len(graph.vertices)
+    if len(graph.edges) != n - 1 or not graph.is_connected:
+        raise GraphError("graph is not a path")
+    if n == 1:
+        return list(graph.vertices)
+    degrees = {v: len(graph.neighbors(v)) for v in graph.vertices}
+    ends = [v for v in graph.vertices if degrees[v] == 1]
+    if len(ends) != 2 or any(degrees[v] != 2 for v in graph.vertices if v not in ends):
+        raise GraphError("graph is not a path")
+    start = min(ends, key=graph.index)
+    order = [start]
+    prev = None
+    while len(order) < n:
+        nxt = [w for w in graph.neighbors(order[-1]) if w != prev]
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
 
 
 @dataclass(frozen=True)

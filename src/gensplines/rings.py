@@ -301,18 +301,6 @@ class RingElement:
         return f"<{self.ring}: {self}>"
 
 
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def ring_neg(a: RingElement) -> RingElement:
-    return -a
-
-
 def _normalized(a: RingElement) -> RingElement:
     """Nonnegative for integers, monic for polynomials."""
     if a.ring.kind == POLY_RATIONAL:

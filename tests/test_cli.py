@@ -168,6 +168,17 @@ class TestSelfcheck:
             "edge-by-edge", "spanning-trees", "tree-plus-cycles"]
         assert all(r["verdict"] for r in reports)
 
+    def test_edgeless_mod_graph_certifies(self, capsys, tmp_path):
+        doc = {"ring": {"kind": "integers-mod", "modulus": 4},
+               "vertices": ["a", "b"], "edges": []}
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "selfcheck", str(path))
+        assert code == 0 and "Traceback" not in err
+        reports = json.loads(out)
+        assert [r["claim"] for r in reports] == ["edge-by-edge"]
+        assert reports[0]["verdict"] is True
+
     def test_sampled_over_polynomials(self, capsys):
         code, out, _ = run(capsys, "selfcheck", K4, "--samples", "3")
         assert code == 0

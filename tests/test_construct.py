@@ -1,8 +1,10 @@
 """Constructive families: cycles, paths, trees, extension by zero, and
 flow-up splines."""
+import warnings
+
 import pytest
 
-from gensplines import integers, integers_mod, verify
+from gensplines import integers, integers_mod, poly_rational, verify
 from gensplines.construct import (
     cycle_generating_family,
     cycle_spline,
@@ -16,11 +18,17 @@ from gensplines.construct import (
     tree_membership,
     trivial_spline,
 )
-from gensplines.graphs import GraphError, restrict, spanning_subgraph
+from gensplines.graphs import (
+    GraphError,
+    restrict,
+    spanning_subgraph,
+    spanning_tree,
+    tree_path,
+)
 from gensplines.rings import UnsupportedRingError
 from gensplines.splines import Spline, is_nontrivial
 
-from conftest import make_graph, path_z, triangle_z
+from conftest import P, make_graph, path_z, triangle_z
 
 Z = integers()
 
@@ -232,6 +240,64 @@ class TestFlowUp:
         fam = flow_up_family(g, root="v3")
         assert fam.vertex_order == ("v3", "v2", "v1")
         assert fam.members[0]["v3"] == Z.element(6)
+
+
+def reference_flow_up(graph, root=None):
+    """Flow-up by explicit extension by zero: restrict to the root-to-v
+    tree path, take the unit spline there, and extend it."""
+    skeleton = spanning_tree(graph, root)
+    order = sorted(graph.vertices,
+                   key=lambda v: (skeleton.depth[v], graph.index(v)))
+    members, factors = [], []
+    for v in order:
+        path = tree_path(skeleton, skeleton.root, v)
+        path_edges = [(path[k], path[k + 1]) for k in range(len(path) - 1)]
+        sub = restrict(graph, path, path_edges)
+        member, factor = extend_by_zero_with_factor(
+            graph, sub, trivial_spline(sub, graph.ring.one))
+        members.append(member)
+        factors.append(factor)
+    return members, tuple(order), tuple(factors)
+
+
+def recorded_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+class TestFlowUpClosedForm:
+    """flow_up_family builds its members in closed form; they must equal
+    the explicit extension-by-zero construction."""
+
+    CASES = [
+        make_graph(Z, ["a", "b", "c", "d"],
+                   [("a", "b", 2), ("b", "c", 3), ("c", "d", 5),
+                    ("a", "d", 7), ("a", "c", 0)]),
+        make_graph(integers_mod(6), ["a", "b", "c", "d"],
+                   [("a", "b", 2), ("b", "c", 3), ("c", "d", 4), ("b", "d", 1)]),
+        make_graph(poly_rational(), ["a", "b", "c", "d", "e"],
+                   [("a", "b", [P(0, 1)]), ("b", "c", [P(-1, 1)]),
+                    ("c", "d", [P(1, 0, 1)]), ("d", "e", [P(2)]),
+                    ("a", "e", [P(0, 0, 1)]), ("b", "d", [P(3, 1)])]),
+    ]
+
+    @pytest.mark.parametrize("graph", CASES, ids=["Z", "Z/6", "Q[x]"])
+    @pytest.mark.parametrize("root", [None, "c"])
+    def test_matches_extension_by_zero(self, graph, root):
+        fam, fam_warnings = recorded_warnings(flow_up_family, graph, root)
+        (members, order, factors), ref_warnings = recorded_warnings(
+            reference_flow_up, graph, root)
+        assert fam.vertex_order == order
+        assert fam.scaling_factors == factors
+        assert list(fam.members) == members
+        assert fam_warnings == ref_warnings
+
+    def test_zero_edge_warns_per_member(self):
+        _, messages = recorded_warnings(flow_up_family, self.CASES[0])
+        assert messages and all("('a', 'c') contributes a zero factor" in m
+                                for m in messages)
 
 
 class TestNontrivialExistence:
