@@ -121,18 +121,25 @@ def _check_cover(graph: EdgeLabeledGraph, subgraphs):
 def random_member(graph: EdgeLabeledGraph, rng: random.Random) -> Spline:
     """A random verified spline: per component, a random module
     combination of the flow-up family plus a random constant."""
+    return next(_random_members(graph, rng))
+
+
+def _random_members(graph: EdgeLabeledGraph, rng: random.Random):
+    """Endless random_member draws; each component's flow-up family is
+    built once, at the first draw."""
     ring = graph.ring
-    values = {}
-    for comp in graph.components():
-        sub = induced_subgraph(graph, comp)
-        family = flow_up_family(sub)
-        acc = {v: ring.zero for v in comp}
-        for member in family.members:
-            c = _random_element(ring, rng)
-            for v in comp:
-                acc[v] = acc[v] + c * member[v]
-        values.update(acc)
-    return Spline(graph, values)
+    families = [(comp, flow_up_family(induced_subgraph(graph, comp)))
+                for comp in graph.components()]
+    while True:
+        values = {}
+        for comp, family in families:
+            acc = {v: ring.zero for v in comp}
+            for member in family.members:
+                c = _random_element(ring, rng)
+                for v in comp:
+                    acc[v] = acc[v] + c * member[v]
+            values.update(acc)
+        yield Spline(graph, values)
 
 
 def _random_element(ring, rng: random.Random):
@@ -170,8 +177,9 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
         return DecompositionReport(claim, edge_sets, False, counterexample=bad)
     rng = random.Random(seed)
     # splines of G restrict into every R_{G_i}
+    members = _random_members(graph, rng)
     for _ in range(samples):
-        p = random_member(graph, rng)
+        p = next(members)
         for sub in aligned:
             if not verify(sub, p).ok:
                 return DecompositionReport(claim, edge_sets, False,
@@ -179,8 +187,9 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
                                            mode="sampled", seed=seed)
     # members of the intersection verify on G
     for sub in aligned:
+        members = _random_members(sub, rng)
         for _ in range(samples):
-            p = random_member(sub, rng)
+            p = next(members)
             if all(verify(o, p).ok for o in aligned) and not verify(graph, p).ok:
                 return DecompositionReport(claim, edge_sets, False,
                                            counterexample=p,

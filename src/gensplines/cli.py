@@ -7,45 +7,45 @@ input errors (malformed JSON, schema violations, exceeded budgets).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import analysis, construct, gkm, serialize
 from .graphs import EdgeLabeledGraph, GraphError, spanning_subgraph, spanning_tree
-from .rings import UnsupportedRingError
 from .splines import Spline, decompose_at_vertex, verify
 
 ELIDE_THRESHOLD = 1000
 
 
-class InputFailure(Exception):
+class InputFailure(ValueError):
     """Wraps any bad-input condition; maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """Read the JSON document at path and parse it; a missing file,
+    malformed JSON or a schema error becomes an InputFailure naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except FileNotFoundError:
         raise InputFailure(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise InputFailure(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}"
         )
+    try:
+        return parse(data)
+    except serialize.SchemaError as exc:
+        raise InputFailure(f"{path}: {exc}")
 
 
 def _load_graph(path: str) -> EdgeLabeledGraph:
-    try:
-        return serialize.graph_from_json(_load_json(path))
-    except serialize.SchemaError as exc:
-        raise InputFailure(f"{path}: {exc}")
+    return _load(path, serialize.graph_from_json)
 
 
 def _load_spline(path: str, graph: EdgeLabeledGraph) -> Spline:
-    try:
-        return serialize.spline_from_json(graph, _load_json(path))
-    except serialize.SchemaError as exc:
-        raise InputFailure(f"{path}: {exc}")
+    return _load(path, functools.partial(serialize.spline_from_json, graph))
 
 
 def _emit(document) -> None:
@@ -114,11 +114,8 @@ def cmd_matrix(args) -> int:
         system = gkm.reduce_via_tree(matrix, tree)
         rows = list(system.tree_rows) + list(system.cycle_rows)
     else:
-        rows = [
-            gkm.SystemRow(matrix.row_edge(i), matrix.coeff_row(i),
-                          ((1, matrix.row_edge(i)),))
-            for i in range(len(matrix.rows))
-        ]
+        rows = [gkm.SystemRow(edge, row, ((1, edge),))
+                for edge, row in matrix.rows_by_edge().items()]
     if args.format == "text":
         for row in rows:
             coeffs = " ".join(f"{c:>2}" for c in row.coeffs)
@@ -277,11 +274,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (analysis.BudgetExceededError, UnsupportedRingError, GraphError,
-            ValueError) as exc:
+    except ValueError as exc:
+        # every bad-input error, InputFailure included, is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

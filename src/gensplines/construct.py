@@ -108,27 +108,17 @@ def cycle_generating_family(graph: EdgeLabeledGraph,
     increasing support so the family is upper-triangular under the
     reversed vertex order."""
     order = _cycle_order(graph)
-    n = len(order)
-    ring = graph.ring
     chord = graph.edge_key(order[0], order[-1])
     if chord_choice is None:
         chord_choice = graph.labels[chord].canonical
     _checked_choice(graph, chord, chord_choice)
     step_choices = _step_choices(graph, order, step_choices)
-    if ring.is_integral_domain and (
+    if graph.ring.is_integral_domain and (
         chord_choice.is_zero or any(c.is_zero for c in step_choices)
     ):
         raise ValueError("zero choices cannot give a nontrivial independent family")
-    members = []
-    factors = []
-    for t in range(n - 1, 0, -1):
-        factor = chord_choice * step_choices[t - 1]
-        values = {order[j]: (factor if j >= t else ring.zero) for j in range(n)}
-        members.append(Spline(graph, values))
-        factors.append(factor)
-    members.append(trivial_spline(graph, ring.one))
-    factors.append(ring.one)
-    return GeneratingFamily(graph, tuple(members), tuple(reversed(order)), tuple(factors))
+    return _nested_family(graph, order[::-1],
+                          [chord_choice * c for c in reversed(step_choices)])
 
 
 def path_generating_family(graph: EdgeLabeledGraph, choices=None) -> GeneratingFamily:
@@ -137,18 +127,19 @@ def path_generating_family(graph: EdgeLabeledGraph, choices=None) -> GeneratingF
     choices are the canonical generators these generate every path
     spline."""
     order = path_order(graph)
-    n = len(order)
+    return _nested_family(graph, order, _step_choices(graph, order, choices))
+
+
+def _nested_family(graph, order, factors) -> GeneratingFamily:
+    """Member i is factors[i] on order[:i+1] and zero elsewhere, then the
+    unit spline: upper-triangular under order, factors on the diagonal."""
     ring = graph.ring
-    choices = _step_choices(graph, order, choices)
-    members = []
-    factors = []
-    for i in range(n - 1):
-        values = {order[j]: (choices[i] if j <= i else ring.zero) for j in range(n)}
-        members.append(Spline(graph, values))
-        factors.append(choices[i])
+    members = [Spline(graph, {v: (factor if j <= i else ring.zero)
+                              for j, v in enumerate(order)})
+               for i, factor in enumerate(factors)]
     members.append(trivial_spline(graph, ring.one))
-    factors.append(ring.one)
-    return GeneratingFamily(graph, tuple(members), tuple(order), tuple(factors))
+    return GeneratingFamily(graph, tuple(members), tuple(order),
+                            tuple(factors) + (ring.one,))
 
 
 @dataclass(frozen=True)

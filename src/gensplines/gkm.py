@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles, path_order
-from .rings import RingElement
 from .splines import Spline
 
 
@@ -28,6 +27,11 @@ class GkmMatrix:
 
     def row_edge(self, i: int) -> tuple:
         return self.graph.edge_key(*self.rows[i])
+
+    def rows_by_edge(self) -> dict:
+        """Each edge's signed incidence row, in row order.  A step (a, b)
+        along the edge runs tail -> head exactly when the entry at a is +1."""
+        return {self.row_edge(i): self.coeff_row(i) for i in range(len(self.rows))}
 
 
 def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -> GkmMatrix:
@@ -105,32 +109,21 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
     graph = matrix.graph
     if set(tree.depth) != set(graph.vertices):
         raise GraphError("tree does not span the matrix's graph")
-    orient = {graph.edge_key(t, h): (t, h) for t, h in matrix.rows}
+    rows = matrix.rows_by_edge()
     n = len(graph.vertices)
-
-    def unit_row(edge):
-        tail, head = orient[edge]
-        out = [0] * n
-        out[graph.index(tail)] = 1
-        out[graph.index(head)] = -1
-        return out
-
     log = [("reorder", tuple(tree.tree_edges))]
-    tree_rows = tuple(
-        SystemRow(e, tuple(unit_row(e)), ((1, e),)) for e in tree.tree_edges
-    )
+    tree_rows = tuple(SystemRow(e, rows[e], ((1, e),)) for e in tree.tree_edges)
     cycle_rows = []
     for cycle in fundamental_cycles(graph, tree):
         chord = cycle.chord
         steps = cycle.steps()
-        chord_step_sign = 1 if orient[chord] == steps[0] else -1
-        coeffs = unit_row(chord)
+        chord_step_sign = rows[chord][graph.index(steps[0][0])]
+        coeffs = list(rows[chord])
         rhs = [(1, chord)]
         for a, b in steps[1:]:
             edge = graph.edge_key(a, b)
-            step_sign = 1 if orient[edge] == (a, b) else -1
-            c = chord_step_sign * step_sign
-            row = unit_row(edge)
+            row = rows[edge]
+            c = chord_step_sign * row[graph.index(a)]
             for i in range(n):
                 coeffs[i] += c * row[i]
             rhs.append((c, edge))
@@ -163,8 +156,8 @@ def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:
     graph = matrix.graph
     order = path_order(graph)
     n = len(order)
-    orient = {graph.edge_key(t, h): (t, h) for t, h in matrix.rows}
-    rows = []
+    rows = matrix.rows_by_edge()
+    out = []
     for i in range(n - 1):
         coeffs = [0] * n
         coeffs[graph.index(order[i])] = 1
@@ -172,9 +165,8 @@ def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:
         rhs = []
         for k in range(n - 2, i - 1, -1):
             edge = graph.edge_key(order[k], order[k + 1])
-            sign = 1 if orient[edge] == (order[k], order[k + 1]) else -1
-            rhs.append((sign, edge))
-        rows.append(SystemRow(graph.edge_key(order[i], order[i + 1]),
-                              tuple(coeffs), tuple(rhs)))
-    log = tuple(("add-suffix", row.edge) for row in rows)
-    return ReducedSystem(graph, tuple(rows), (), log)
+            rhs.append((rows[edge][graph.index(order[k])], edge))
+        out.append(SystemRow(graph.edge_key(order[i], order[i + 1]),
+                             tuple(coeffs), tuple(rhs)))
+    log = tuple(("add-suffix", row.edge) for row in out)
+    return ReducedSystem(graph, tuple(out), (), log)

@@ -269,15 +269,15 @@ def fundamental_cycles(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> list[Cycl
 
 def restrict(graph: EdgeLabeledGraph, vertex_subset, edge_subset) -> EdgeLabeledGraph:
     """Subgraph on the given vertices and edges, labels restricted."""
-    keep = [v for v in graph.vertices if v in set(vertex_subset)]
-    if len(keep) != len(set(vertex_subset)):
-        missing = set(vertex_subset) - set(graph.vertices)
+    wanted = set(vertex_subset)
+    keep = [v for v in graph.vertices if v in wanted]
+    if len(keep) != len(wanted):
+        missing = wanted - set(graph.vertices)
         raise GraphError(f"unknown vertices {sorted(map(str, missing))}")
-    keep_set = set(keep)
     labeled = []
     for u, v in edge_subset:
         key = graph.edge_key(u, v)
-        if key[0] not in keep_set or key[1] not in keep_set:
+        if key[0] not in wanted or key[1] not in wanted:
             raise GraphError(f"edge {key} has an endpoint outside the vertex subset")
         labeled.append((key[0], key[1], graph.labels[key]))
     return EdgeLabeledGraph(graph.ring, keep, labeled)

@@ -164,17 +164,13 @@ def _poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     return _poly_trim(tuple(quot)), _poly_trim(tuple(rem))
 
 
-def _poly_monic(a: tuple) -> tuple:
-    if not a:
-        return a
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def _poly_gcd(a: tuple, b: tuple) -> tuple:
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return _poly_monic(a)
+def _divmod(ring: RingSpec, a, b) -> tuple:
+    """Euclidean quotient and remainder of two payloads."""
+    if ring.kind == INTEGERS:
+        return divmod(a, b)
+    if ring.kind == POLY_RATIONAL:
+        return _poly_divmod(a, b)
+    raise UnsupportedRingError("exact division is not defined mod m")
 
 
 class RingElement:
@@ -246,17 +242,10 @@ class RingElement:
     def exact_div(self, other: "RingElement") -> "RingElement":
         """Return self / other, which must divide exactly (Euclidean rings)."""
         self._check(other)
-        if self.ring.kind == POLY_RATIONAL:
-            q, r = _poly_divmod(self.payload, other.payload)
-            if r:
-                raise ValueError(f"{other} does not divide {self}")
-            return RingElement(self.ring, q)
-        if self.ring.kind == INTEGERS_MOD:
-            raise UnsupportedRingError("exact division is not defined mod m")
-        q, r = divmod(self.payload, other.payload)
+        q, r = _divmod(self.ring, self.payload, other.payload)
         if r:
             raise ValueError(f"{other} does not divide {self}")
-        return self.ring.element(q)
+        return RingElement(self.ring, q)
 
     def __eq__(self, other) -> bool:
         return (
@@ -301,23 +290,34 @@ class RingElement:
         return f"<{self.ring}: {self}>"
 
 
+def _normalizing_unit(a: RingElement) -> RingElement | None:
+    """The unit u with u * a nonnegative (integers) or monic (nonzero
+    polynomials); None when u is one."""
+    if a.ring.kind == POLY_RATIONAL:
+        if a.payload and a.payload[-1] != 1:
+            return RingElement(a.ring, (1 / a.payload[-1],))
+    elif a.ring.kind == INTEGERS and a.payload < 0:
+        return RingElement(a.ring, -1)
+    return None
+
+
 def _normalized(a: RingElement) -> RingElement:
     """Nonnegative for integers, monic for polynomials."""
-    if a.ring.kind == POLY_RATIONAL:
-        return RingElement(a.ring, _poly_monic(a.payload))
-    if a.ring.kind == INTEGERS:
-        return a.ring.element(abs(a.payload))
-    return a
+    unit = _normalizing_unit(a)
+    return a if unit is None else unit * a
 
 
 def gcd(a: RingElement, b: RingElement) -> RingElement:
     a._check(b)
-    k = a.ring.kind
-    if k == INTEGERS:
-        return a.ring.element(math.gcd(a.payload, b.payload))
-    if k == POLY_RATIONAL:
-        return RingElement(a.ring, _poly_gcd(a.payload, b.payload))
-    raise UnsupportedRingError("gcd is not defined over Z/m")
+    ring = a.ring
+    if ring.kind == INTEGERS:
+        return ring.element(math.gcd(a.payload, b.payload))
+    if ring.kind == INTEGERS_MOD:
+        raise UnsupportedRingError("gcd is not defined over Z/m")
+    x, y = a.payload, b.payload
+    while y:
+        x, y = y, _divmod(ring, x, y)[1]
+    return _normalized(RingElement(ring, x))
 
 
 def lcm(a: RingElement, b: RingElement) -> RingElement:
@@ -339,23 +339,16 @@ def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, R
     x0, x1 = ring.one, ring.zero
     y0, y1 = ring.zero, ring.one
     while not r1.is_zero:
-        if ring.kind == INTEGERS:
-            q = ring.element(r0.payload // r1.payload)
-        else:
-            q = RingElement(ring, _poly_divmod(r0.payload, r1.payload)[0])
+        q = RingElement(ring, _divmod(ring, r0.payload, r1.payload)[0])
         r0, r1 = r1, r0 - q * r1
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
-    norm = _normalized(r0)
-    if not r0.is_zero and norm != r0:
+    unit = _normalizing_unit(r0)
+    if unit is not None:
         # scale the cofactors to keep the Bezout identity for the
         # normalized gcd
-        if ring.kind == INTEGERS:
-            s = ring.element(-1)
-        else:
-            s = ring.element([Fraction(1, r0.payload[-1])])
-        x0, y0 = s * x0, s * y0
-    return norm, x0, y0
+        r0, x0, y0 = unit * r0, unit * x0, unit * y0
+    return r0, x0, y0
 
 
 class Ideal:
@@ -366,7 +359,7 @@ class Ideal:
     Z/m it is gcd(generators, m) reduced mod m.
     """
 
-    __slots__ = ("ring", "generators", "canonical", "_divisor")
+    __slots__ = ("ring", "generators", "canonical")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -378,26 +371,21 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", generators)
         if ring.kind == INTEGERS_MOD:
-            d = math.gcd(ring.modulus, *(g.payload for g in generators))
-            object.__setattr__(self, "_divisor", d)
-            object.__setattr__(self, "canonical", ring.element(d % ring.modulus))
+            canonical = ring.element(math.gcd(ring.modulus, *(g.payload for g in generators)))
         else:
-            acc = ring.zero
-            for g in generators:
-                acc = gcd(acc, g) if not acc.is_zero else _normalized(g)
-            object.__setattr__(self, "_divisor", None)
-            object.__setattr__(self, "canonical", acc)
+            canonical = _normalized(generators[0])
+            for g in generators[1:]:
+                canonical = gcd(canonical, g)
+        object.__setattr__(self, "canonical", canonical)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
     def contains(self, a: RingElement) -> bool:
+        """Over Z/m, divides tests against gcd(canonical, m), the ideal's
+        divisor of m (m itself for a zero canonical generator)."""
         if a.ring != self.ring:
             raise RingMismatchError(f"{a.ring} vs {self.ring}")
-        if self.ring.kind == INTEGERS_MOD:
-            return a.payload % self._divisor == 0
-        if self.canonical.is_zero:
-            return a.is_zero
         return self.canonical.divides(a)
 
     @property

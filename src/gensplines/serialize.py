@@ -12,7 +12,6 @@ from fractions import Fraction
 from .construct import GeneratingFamily
 from .graphs import EdgeLabeledGraph, GraphError
 from .rings import (
-    INTEGERS,
     INTEGERS_MOD,
     POLY_RATIONAL,
     Ideal,
@@ -24,6 +23,11 @@ from .splines import Spline, VerificationReport
 
 class SchemaError(ValueError):
     """Raised when a JSON document does not match the expected shape."""
+
+
+def _is_int(data) -> bool:
+    """A JSON integer: bool is an int subclass in Python, not in JSON."""
+    return isinstance(data, int) and not isinstance(data, bool)
 
 
 def ring_to_json(ring: RingSpec) -> dict:
@@ -38,6 +42,8 @@ def ring_from_json(data) -> RingSpec:
         raise SchemaError("ring: expected an object with a 'kind' field")
     kind = data["kind"]
     modulus = data.get("modulus")
+    if modulus is not None and not _is_int(modulus):
+        raise SchemaError("ring.modulus: expected an integer")
     try:
         return RingSpec(kind, modulus)
     except ValueError as exc:
@@ -62,7 +68,7 @@ def element_from_json(ring: RingSpec, data, where: str = "element") -> RingEleme
             return ring.element([Fraction(str(c)) for c in data])
         if isinstance(data, str):
             data = int(data, 10)
-        if not isinstance(data, int) or isinstance(data, bool):
+        if not _is_int(data):
             raise SchemaError(f"{where}: expected a decimal string")
         if ring.kind == INTEGERS_MOD and not 0 <= data < ring.modulus:
             raise SchemaError(
@@ -101,11 +107,15 @@ def graph_from_json(data) -> EdgeLabeledGraph:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise SchemaError("graph.vertices: expected an array of id strings")
+    if not isinstance(data["edges"], list):
+        raise SchemaError("graph.edges: expected an array")
     labeled = []
     for k, entry in enumerate(data["edges"]):
         where = f"graph.edges[{k}]"
         if not isinstance(entry, dict) or not {"u", "v", "ideal"} <= set(entry):
             raise SchemaError(f"{where}: expected an object with u, v, ideal")
+        if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
+            raise SchemaError(f"{where}: u and v must be id strings")
         gens = entry["ideal"]
         if not isinstance(gens, list) or not gens:
             raise SchemaError(f"{where}.ideal: expected a nonempty array")

@@ -1,7 +1,7 @@
 """Enumeration oracles and the decomposition certifiers."""
 import pytest
 
-from gensplines import integers, integers_mod, spanning_tree, verify
+from gensplines import analysis, integers, integers_mod, spanning_tree, verify
 from gensplines.analysis import (
     BudgetExceededError,
     check_cycle_decomposition,
@@ -183,3 +183,22 @@ class TestRandomMember:
         for _ in range(10):
             p = random_member(g, rng)
             assert verify(g, p).ok
+
+
+class TestSampledFamilies:
+    def test_one_flow_up_build_per_graph_component(self, k4_graph, monkeypatch):
+        built = []
+
+        def counting(graph, root=None):
+            built.append(graph.vertices)
+            return flow_up_family(graph, root)
+
+        monkeypatch.setattr(analysis, "flow_up_family", counting)
+        per_edge = [spanning_subgraph(k4_graph, [e]) for e in k4_graph.edges]
+        for subgraphs in (per_edge, spanning_tree_cover(k4_graph)):
+            built.clear()
+            report = check_union_decomposition(k4_graph, subgraphs, seed=3, samples=20)
+            assert report.verdict
+            pairs = len(k4_graph.components()) + sum(
+                len(sub.components()) for sub in subgraphs)
+            assert len(built) <= pairs

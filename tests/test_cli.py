@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, JSON output, DOT emission."""
 import json
 
+import pytest
+
 from gensplines.cli import main
 
 from conftest import FIXTURES
@@ -52,6 +54,39 @@ class TestCheck:
         bad.write_text(json.dumps({"ring": {"kind": "integers"}}))
         code, _, err = run(capsys, "check", str(bad), K4_SPLINE)
         assert code == 2 and "missing field" in err
+
+
+GOOD_Z4 = {"ring": {"kind": "integers-mod", "modulus": 4}, "vertices": ["a", "b"],
+           "edges": [{"u": "a", "v": "b", "ideal": ["2"]}]}
+
+
+def _with(path, value):
+    """A copy of GOOD_Z4 with the field at path (a key sequence) replaced."""
+    doc = json.loads(json.dumps(GOOD_Z4))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("doc, field", [
+        (_with(["edges"], 5), "graph.edges"),
+        (_with(["edges"], None), "graph.edges"),
+        (_with(["ring", "modulus"], "4"), "ring.modulus"),
+        (_with(["ring", "modulus"], 4.0), "ring.modulus"),
+        (_with(["edges", 0, "u"], ["a"]), "graph.edges[0]"),
+        (_with(["edges", 0, "v"], {"x": 1}), "graph.edges[0]"),
+    ], ids=["edges-int", "edges-null", "modulus-str", "modulus-float",
+            "u-list", "v-object"])
+    def test_wrong_json_type_exits_two(self, capsys, tmp_path, doc, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "flowup", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"{field}: " in err
+        assert "Traceback" not in err
 
 
 class TestFamilies:

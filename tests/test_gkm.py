@@ -10,10 +10,10 @@ from gensplines.gkm import (
     solves,
     syzygy_check,
 )
-from gensplines.graphs import GraphError, tree_from_edges
+from gensplines.graphs import GraphError, fundamental_cycles, path_order, tree_from_edges
 from gensplines.splines import Spline
 
-from conftest import path_z, triangle_z
+from conftest import path_z, random_connected_graph, random_path, seeded, triangle_z
 
 Z = integers()
 
@@ -173,3 +173,89 @@ class TestPathReducedForm:
         g = triangle_z()
         with pytest.raises(GraphError, match="not a path"):
             path_reduced_form(build_gkm_matrix(g))
+
+
+# -- reference: each step's sign read off an explicit orientation map --
+
+def reference_unit_row(graph, orient, edge):
+    tail, head = orient[edge]
+    out = [0] * len(graph.vertices)
+    out[graph.index(tail)] = 1
+    out[graph.index(head)] = -1
+    return out
+
+
+def reference_reduce_via_tree(matrix, tree):
+    graph = matrix.graph
+    orient = {graph.edge_key(t, h): (t, h) for t, h in matrix.rows}
+    log = [("reorder", tuple(tree.tree_edges))]
+    tree_rows = [(e, tuple(reference_unit_row(graph, orient, e)), ((1, e),))
+                 for e in tree.tree_edges]
+    cycle_rows = []
+    for cycle in fundamental_cycles(graph, tree):
+        chord = cycle.chord
+        steps = cycle.steps()
+        chord_step_sign = 1 if orient[chord] == steps[0] else -1
+        coeffs = reference_unit_row(graph, orient, chord)
+        rhs = [(1, chord)]
+        for a, b in steps[1:]:
+            edge = graph.edge_key(a, b)
+            c = chord_step_sign * (1 if orient[edge] == (a, b) else -1)
+            row = reference_unit_row(graph, orient, edge)
+            coeffs = [x + c * y for x, y in zip(coeffs, row)]
+            rhs.append((c, edge))
+            log.append(("add", c, edge, chord))
+        cycle_rows.append((chord, tuple(coeffs), tuple(rhs)))
+    return tree_rows, cycle_rows, log
+
+
+def reference_path_rows(matrix):
+    graph = matrix.graph
+    order = path_order(graph)
+    n = len(order)
+    orient = {graph.edge_key(t, h): (t, h) for t, h in matrix.rows}
+    rows = []
+    for i in range(n - 1):
+        coeffs = [0] * n
+        coeffs[graph.index(order[i])] = 1
+        coeffs[graph.index(order[-1])] = -1
+        rhs = []
+        for k in range(n - 2, i - 1, -1):
+            edge = graph.edge_key(order[k], order[k + 1])
+            sign = 1 if orient[edge] == (order[k], order[k + 1]) else -1
+            rhs.append((sign, edge))
+        rows.append((graph.edge_key(order[i], order[i + 1]), tuple(coeffs), tuple(rhs)))
+    return rows
+
+
+def random_flips(graph, rng):
+    return {(u, v): (v, u) for u, v in graph.edges if rng.random() < 0.5}
+
+
+def as_tuples(rows):
+    return [(r.edge, r.coeffs, r.rhs) for r in rows]
+
+
+class TestReorientedMatrices:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reduce_via_tree_matches_reference(self, seed):
+        rng = seeded(seed)
+        g = random_connected_graph(Z, rng, n_max=7, e_max=12, nonzero=True)
+        matrix = build_gkm_matrix(g, orientation=random_flips(g, rng))
+        tree = spanning_tree(g, rng.choice(g.vertices))
+        system = reduce_via_tree(matrix, tree)
+        tree_rows, cycle_rows, log = reference_reduce_via_tree(matrix, tree)
+        assert as_tuples(system.tree_rows) == tree_rows
+        assert as_tuples(system.cycle_rows) == cycle_rows
+        assert list(system.transform_log) == log
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_path_reduced_form_matches_reference(self, seed):
+        rng = seeded(seed)
+        g = random_path(Z, rng, n_max=8, nonzero=True)
+        matrix = build_gkm_matrix(g, orientation=random_flips(g, rng))
+        system = path_reduced_form(matrix)
+        rows = reference_path_rows(matrix)
+        assert as_tuples(system.tree_rows) == rows
+        assert system.cycle_rows == ()
+        assert list(system.transform_log) == [("add-suffix", r[0]) for r in rows]

@@ -140,6 +140,12 @@ class TestSubgraphs:
         with pytest.raises(GraphError, match="unknown vertices"):
             restrict(k4_graph, ["v1", "zz"], [])
 
+    def test_restrict_accepts_an_iterator(self):
+        g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])
+        sub = restrict(g, (v for v in ["a", "b"]), [("a", "b")])
+        assert sub.vertices == ("a", "b")
+        assert sub.edges == (("a", "b"),)
+
     def test_induced(self, k4_graph):
         sub = induced_subgraph(k4_graph, ["v1", "v2", "v3"])
         assert set(sub.edges) == {("v1", "v2"), ("v1", "v3"), ("v2", "v3")}
