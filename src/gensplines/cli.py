@@ -2,7 +2,8 @@
 constructions and checks, and emit JSON, text, or DOT.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts, 2 for
-input errors (malformed JSON, schema violations, exceeded budgets).
+input errors (unreadable files, malformed JSON, schema violations,
+unsupported rings, exceeded budgets).
 """
 from __future__ import annotations
 
@@ -23,13 +24,16 @@ class InputFailure(ValueError):
 
 
 def _load(path: str, parse):
-    """Read the JSON document at path and parse it; a missing file,
-    malformed JSON or a schema error becomes an InputFailure naming path."""
+    """Read the JSON document at path and parse it; a missing or
+    unreadable file, malformed JSON or a schema error becomes an
+    InputFailure naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except FileNotFoundError:
         raise InputFailure(f"{path}: no such file")
+    except OSError as exc:
+        raise InputFailure(f"{path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise InputFailure(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}"
@@ -140,6 +144,8 @@ def cmd_enumerate(args) -> int:
 def cmd_decompose(args) -> int:
     graph = _load_graph(args.graph)
     spline = _load_spline(args.spline, graph)
+    if not graph.vertices:
+        raise InputFailure("decompose needs a graph with at least one vertex")
     root = args.root if args.root is not None else graph.vertices[0]
     r, part = decompose_at_vertex(graph, spline, root)
     _emit({

@@ -113,9 +113,8 @@ def cycle_generating_family(graph: EdgeLabeledGraph,
         chord_choice = graph.labels[chord].canonical
     _checked_choice(graph, chord, chord_choice)
     step_choices = _step_choices(graph, order, step_choices)
-    if graph.ring.is_integral_domain and (
-        chord_choice.is_zero or any(c.is_zero for c in step_choices)
-    ):
+    zero_choice = chord_choice.is_zero or any(c.is_zero for c in step_choices)
+    if zero_choice and graph.ring.is_integral_domain:
         raise ValueError("zero choices cannot give a nontrivial independent family")
     return _nested_family(graph, order[::-1],
                           [chord_choice * c for c in reversed(step_choices)])

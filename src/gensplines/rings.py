@@ -6,6 +6,13 @@ kept in canonical form, so structural equality decides ring equality:
 residues live in [0, m), polynomial coefficient tuples carry no trailing
 zeros, and ideal generators are collapsed to a single normalized gcd
 generator.
+
+RingElement has one arithmetic path for every ring: it combines payloads
+with +, -, *, divmod and % and hands the result to RingSpec.element for
+canonical form.  int supplies that arithmetic for Z and Z/m, and the
+private _Poly tuple supplies it for Q[x].  The ring kind is read only
+where the rings differ: canonical form, units, divisibility mod m, the
+normalizing unit and the operations Z/m refuses.
 """
 from __future__ import annotations
 
@@ -26,16 +33,27 @@ class UnsupportedRingError(ValueError):
     """Raised when an operation is not defined over the given ring."""
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); at or above it no answer is guessed.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _PRIME_TEST_BOUND:
+        raise UnsupportedRingError(
+            f"cannot decide whether a modulus >= {_PRIME_TEST_BOUND} is prime")
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        # n = 2^s * d + 1 is a strong probable prime to base a if
+        # a^d = 1 or a^(2^r * d) = -1 (mod n) for some 0 <= r < s
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -71,16 +89,13 @@ class RingSpec:
         coefficients in ascending degree (ints, Fractions, or "p/q"
         strings).
         """
-        if self.kind == POLY_RATIONAL:
-            if isinstance(value, RingElement):
-                value = value.payload
-            if isinstance(value, (int, Fraction)):
-                coeffs = (Fraction(value),)
-            else:
-                coeffs = tuple(Fraction(c) for c in value)
-            return RingElement(self, _poly_trim(coeffs))
         if isinstance(value, RingElement):
             value = value.payload
+        if self.kind == POLY_RATIONAL:
+            if not isinstance(value, _Poly):
+                coeffs = (value,) if isinstance(value, (int, Fraction)) else value
+                value = _Poly.trimmed([Fraction(c) for c in coeffs])
+            return RingElement(self, value)
         if not isinstance(value, int):
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")
         if self.kind == INTEGERS_MOD:
@@ -113,64 +128,83 @@ def poly_rational() -> RingSpec:
     return RingSpec(POLY_RATIONAL)
 
 
-# -- polynomial helpers (coefficient tuples, ascending degree) --
+class _Poly(tuple):
+    """A Q[x] payload: Fraction coefficients in ascending degree with no
+    trailing zeros, and the arithmetic that int has for Z and Z/m."""
 
-def _poly_trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
+    __slots__ = ()
 
+    @classmethod
+    def trimmed(cls, coeffs: list) -> "_Poly":
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        del coeffs[n:]
+        return cls(coeffs)
 
-def _poly_add(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(tuple(out))
+    def __add__(self, other: "_Poly") -> "_Poly":
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _Poly.trimmed(out)
 
+    def __neg__(self) -> "_Poly":
+        return _Poly(-c for c in self)
 
-def _poly_neg(a: tuple) -> tuple:
-    return tuple(-c for c in a)
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        if not self or not other:
+            return _Poly()
+        out = [Fraction(0)] * (len(self) + len(other) - 1)
+        for i, ca in enumerate(self):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(other):
+                out[i + j] += ca * cb
+        return _Poly.trimmed(out)
 
+    def __divmod__(self, other: "_Poly") -> tuple["_Poly", "_Poly"]:
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self)
+        quot = [Fraction(0)] * max(len(self) - len(other) + 1, 0)
+        lead = other[-1]
+        db = len(other) - 1
+        for i in range(len(rem) - 1, db - 1, -1):
+            if rem[i] == 0:
+                continue
+            f = rem[i] / lead
+            quot[i - db] = f
+            for j, cb in enumerate(other):
+                rem[i - db + j] -= f * cb
+        return _Poly.trimmed(quot), _Poly.trimmed(rem)
 
-def _poly_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _poly_trim(tuple(out))
+    def __mod__(self, other: "_Poly") -> "_Poly":
+        return divmod(self, other)[1]
 
-
-def _poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    db = len(b) - 1
-    for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i] == 0:
-            continue
-        f = rem[i] / lead
-        quot[i - db] = f
-        for j, cb in enumerate(b):
-            rem[i - db + j] -= f * cb
-    return _poly_trim(tuple(quot)), _poly_trim(tuple(rem))
-
-
-def _divmod(ring: RingSpec, a, b) -> tuple:
-    """Euclidean quotient and remainder of two payloads."""
-    if ring.kind == INTEGERS:
-        return divmod(a, b)
-    if ring.kind == POLY_RATIONAL:
-        return _poly_divmod(a, b)
-    raise UnsupportedRingError("exact division is not defined mod m")
+    def __str__(self) -> str:
+        text = ""
+        for deg in range(len(self) - 1, -1, -1):
+            c = self[deg]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if deg == 0:
+                body = str(mag)
+            else:
+                x = "x" if deg == 1 else f"x^{deg}"
+                if mag == 1:
+                    body = x
+                elif mag.denominator == 1:
+                    body = f"{mag}{x}"
+                else:
+                    body = f"({mag}){x}"
+            if text:
+                text += " - " if c < 0 else " + "
+            elif c < 0:
+                text = "-"
+            text += body
+        return text or "0"
 
 
 class RingElement:
@@ -193,13 +227,9 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        if self.ring.kind == POLY_RATIONAL:
-            return RingElement(self.ring, _poly_add(self.payload, other.payload))
         return self.ring.element(self.payload + other.payload)
 
     def __neg__(self) -> "RingElement":
-        if self.ring.kind == POLY_RATIONAL:
-            return RingElement(self.ring, _poly_neg(self.payload))
         return self.ring.element(-self.payload)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
@@ -207,13 +237,11 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        if self.ring.kind == POLY_RATIONAL:
-            return RingElement(self.ring, _poly_mul(self.payload, other.payload))
         return self.ring.element(self.payload * other.payload)
 
     @property
     def is_zero(self) -> bool:
-        return self.payload == 0 if isinstance(self.payload, int) else not self.payload
+        return not self.payload
 
     @property
     def is_unit(self) -> bool:
@@ -227,22 +255,18 @@ class RingElement:
     def divides(self, other: "RingElement") -> bool:
         """Exact divisibility; over Z/m, divisibility of residues by gcd(self, m)."""
         self._check(other)
-        k = self.ring.kind
-        if k == POLY_RATIONAL:
-            if self.is_zero:
-                return other.is_zero
-            return not _poly_divmod(other.payload, self.payload)[1]
-        if k == INTEGERS_MOD:
-            d = math.gcd(self.payload, self.ring.modulus)
-            return other.payload % d == 0
-        if self.payload == 0:
-            return other.payload == 0
-        return other.payload % self.payload == 0
+        if self.ring.kind == INTEGERS_MOD:
+            return other.payload % math.gcd(self.payload, self.ring.modulus) == 0
+        if not self.payload:
+            return not other.payload
+        return not other.payload % self.payload
 
     def exact_div(self, other: "RingElement") -> "RingElement":
         """Return self / other, which must divide exactly (Euclidean rings)."""
         self._check(other)
-        q, r = _divmod(self.ring, self.payload, other.payload)
+        if not self.ring.is_euclidean:
+            raise UnsupportedRingError("exact division is not defined mod m")
+        q, r = divmod(self.payload, other.payload)
         if r:
             raise ValueError(f"{other} does not divide {self}")
         return RingElement(self.ring, q)
@@ -258,33 +282,7 @@ class RingElement:
         return hash((self.ring, self.payload))
 
     def __str__(self) -> str:
-        if self.ring.kind != POLY_RATIONAL:
-            return str(self.payload)
-        if not self.payload:
-            return "0"
-        parts = []
-        for deg in range(len(self.payload) - 1, -1, -1):
-            c = self.payload[deg]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if deg == 0:
-                body = str(mag)
-            else:
-                x = "x" if deg == 1 else f"x^{deg}"
-                if mag == 1:
-                    body = x
-                elif mag.denominator == 1:
-                    body = f"{mag}{x}"
-                else:
-                    body = f"({mag}){x}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return str(self.payload)
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {self}>"
@@ -295,9 +293,9 @@ def _normalizing_unit(a: RingElement) -> RingElement | None:
     polynomials); None when u is one."""
     if a.ring.kind == POLY_RATIONAL:
         if a.payload and a.payload[-1] != 1:
-            return RingElement(a.ring, (1 / a.payload[-1],))
+            return a.ring.element(1 / a.payload[-1])
     elif a.ring.kind == INTEGERS and a.payload < 0:
-        return RingElement(a.ring, -1)
+        return a.ring.element(-1)
     return None
 
 
@@ -309,15 +307,12 @@ def _normalized(a: RingElement) -> RingElement:
 
 def gcd(a: RingElement, b: RingElement) -> RingElement:
     a._check(b)
-    ring = a.ring
-    if ring.kind == INTEGERS:
-        return ring.element(math.gcd(a.payload, b.payload))
-    if ring.kind == INTEGERS_MOD:
+    if not a.ring.is_euclidean:
         raise UnsupportedRingError("gcd is not defined over Z/m")
     x, y = a.payload, b.payload
     while y:
-        x, y = y, _divmod(ring, x, y)[1]
-    return _normalized(RingElement(ring, x))
+        x, y = y, x % y
+    return _normalized(a.ring.element(x))
 
 
 def lcm(a: RingElement, b: RingElement) -> RingElement:
@@ -339,7 +334,7 @@ def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, R
     x0, x1 = ring.one, ring.zero
     y0, y1 = ring.zero, ring.one
     while not r1.is_zero:
-        q = RingElement(ring, _divmod(ring, r0.payload, r1.payload)[0])
+        q = RingElement(ring, divmod(r0.payload, r1.payload)[0])
         r0, r1 = r1, r0 - q * r1
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1

@@ -30,6 +30,18 @@ def _is_int(data) -> bool:
     return isinstance(data, int) and not isinstance(data, bool)
 
 
+def _coefficient(data) -> Fraction:
+    """A JSON integer or a "p" or "p/q" string of decimal integers.  Decimal
+    and exponent forms are refused: Fraction("1e100000000") would build
+    the 10^8-digit integer."""
+    if _is_int(data):
+        return Fraction(data)
+    parts = data.split("/") if isinstance(data, str) else []
+    if not 1 <= len(parts) <= 2:
+        raise ValueError("expected an integer or a 'p/q' coefficient string")
+    return Fraction(*(int(part, 10) for part in parts))
+
+
 def ring_to_json(ring: RingSpec) -> dict:
     out = {"kind": ring.kind}
     if ring.modulus is not None:
@@ -65,7 +77,7 @@ def element_from_json(ring: RingSpec, data, where: str = "element") -> RingEleme
                 raise SchemaError(
                     f"{where}: polynomial must be an array of coefficients"
                 )
-            return ring.element([Fraction(str(c)) for c in data])
+            return ring.element([_coefficient(c) for c in data])
         if isinstance(data, str):
             data = int(data, 10)
         if not _is_int(data):

@@ -55,6 +55,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad), K4_SPLINE)
         assert code == 2 and "missing field" in err
 
+    @pytest.mark.parametrize("argv", [[str(FIXTURES), K4_SPLINE], [K4, str(FIXTURES)]])
+    def test_directory_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {FIXTURES}: Is a directory\n"
+
 
 GOOD_Z4 = {"ring": {"kind": "integers-mod", "modulus": 4}, "vertices": ["a", "b"],
            "edges": [{"u": "a", "v": "b", "ideal": ["2"]}]}
@@ -128,6 +134,34 @@ class TestFamilies:
         assert doc["vertex_order"] == ["v3", "v2", "v1"]
         assert len(doc["members"]) == 3
 
+    @staticmethod
+    def triangle(tmp_path, modulus, labels):
+        doc = {"ring": {"kind": "integers-mod", "modulus": modulus},
+               "vertices": ["a", "b", "c"],
+               "edges": [{"u": u, "v": v, "ideal": [label]}
+                         for (u, v), label in zip(["ab", "bc", "ac"], labels)]}
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_cyclefam_large_prime_modulus(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "cyclefam",
+                           self.triangle(tmp_path, 2 ** 61 - 1, ["1", "1", "1"]))
+        assert code == 0 and len(json.loads(out)["members"]) == 3
+
+    def test_cyclefam_zero_label_needs_primality(self, capsys, tmp_path):
+        # a zero choice is refused only over an integral domain, so the
+        # modulus must be tested for primality
+        code, _, err = run(capsys, "cyclefam",
+                           self.triangle(tmp_path, 2 ** 61 - 1, ["1", "0", "1"]))
+        assert code == 2 and "zero choices" in err
+        code, _, _ = run(capsys, "cyclefam",
+                         self.triangle(tmp_path, 2 ** 61, ["1", "0", "1"]))
+        assert code == 0
+        code, _, err = run(capsys, "cyclefam",
+                           self.triangle(tmp_path, 2 ** 127 - 1, ["1", "0", "1"]))
+        assert code == 2 and "cannot decide" in err and "Traceback" not in err
+
     def test_cyclefam_rejects_non_cycle(self, capsys, tmp_path):
         doc = {"ring": {"kind": "integers"}, "vertices": ["a", "b"],
                "edges": [{"u": "a", "v": "b", "ideal": ["3"]}]}
@@ -192,6 +226,16 @@ class TestDecompose:
             {"values": {"v1": "0", "v2": "1", "v3": "0"}}))
         code, _, err = run(capsys, "decompose", C3Z4, str(spline))
         assert code == 2
+
+    def test_no_vertices_exit_two(self, capsys, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(
+            {"ring": {"kind": "integers"}, "vertices": [], "edges": []}))
+        spline = tmp_path / "p.json"
+        spline.write_text(json.dumps({"values": {}}))
+        code, out, err = run(capsys, "decompose", str(graph), str(spline))
+        assert code == 2 and out == ""
+        assert err == "error: decompose needs a graph with at least one vertex\n"
 
 
 class TestSelfcheck:

@@ -1,4 +1,6 @@
 """Ring arithmetic, gcd/lcm, and ideal canonicalization."""
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,33 @@ class TestRingSpec:
     def test_euclidean(self):
         assert Z.is_euclidean and QX.is_euclidean
         assert not integers_mod(5).is_euclidean
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        for m in range(2, 20000):
+            assert integers_mod(m).is_integral_domain == _prime_by_trial_division(m), m
+
+    @pytest.mark.parametrize("m", [
+        561, 1105, 41041, 825265, 3215031751,  # Carmichael numbers
+        3825123056546413051,  # strong pseudoprime to the first 9 prime bases
+        318665857834031151167461,  # strong pseudoprime to the first 12 prime bases
+    ])
+    def test_pseudoprimes_are_composite(self, m):
+        assert not integers_mod(m).is_integral_domain
+
+    def test_large_prime_at_once(self):
+        start = time.perf_counter()
+        assert integers_mod(2 ** 61 - 1).is_integral_domain
+        assert time.perf_counter() - start < 1
+
+    def test_refused_beyond_the_exact_bound(self):
+        with pytest.raises(UnsupportedRingError, match="cannot decide"):
+            integers_mod(2 ** 127 - 1).is_integral_domain
 
 
 class TestCanonicalForms:
@@ -250,3 +279,46 @@ class TestIdeals:
     def test_equality_up_to_generators(self):
         assert Ideal([Z.element(2), Z.element(3)]) == Ideal([Z.element(1)])
         assert Ideal([Z.element(4)]) != Ideal([Z.element(2)])
+
+
+class TestPolynomialsAgainstSympy:
+    """Q[x] arithmetic checked against sympy's polynomials over QQ."""
+
+    @staticmethod
+    def random_polys(rng, count):
+        polys = [P(), P(0), P(1), P(Fraction(-3, 2))]
+        while len(polys) < count:
+            degree = rng.randint(0, 6)
+            polys.append(QX.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                     for _ in range(degree + 1)]))
+        return polys
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(p.payload)] or [0], x, domain="QQ")
+
+        def from_sympy(poly):
+            return QX.element([Fraction(int(c.p), int(c.q))
+                               for c in reversed(poly.all_coeffs())])
+
+        polys = self.random_polys(random.Random(20130604), 24)
+        for a in polys:
+            for b in polys:
+                sa, sb = to_sympy(a), to_sympy(b)
+                assert a + b == from_sympy(sa + sb)
+                assert a - b == from_sympy(sa - sb)
+                assert a * b == from_sympy(sa * sb)
+                g = gcd(a, b)
+                assert g == from_sympy(sympy.gcd(sa, sb))
+                eg, s, t = ext_gcd(a, b)
+                assert eg == g and s * a + t * b == g
+                if b.is_zero:
+                    assert b.divides(a) == a.is_zero
+                else:
+                    assert (a * b).exact_div(b) == a == from_sympy((sa * sb).exquo(sb))
+                    assert b.divides(a) == sa.rem(sb).is_zero
+                    assert b.divides(a * b)

@@ -1,4 +1,6 @@
 """JSON round-trips and schema diagnostics."""
+from fractions import Fraction
+
 import pytest
 
 from gensplines import integers, integers_mod, poly_rational
@@ -63,6 +65,16 @@ class TestElements:
             element_from_json(QX, [["nested"]])
         with pytest.raises(SchemaError):
             element_from_json(QX, ["1/0"])
+
+    @pytest.mark.parametrize("coeff", ["1e100000000", "0.5", 1.5, "1/2/3", True])
+    def test_coefficient_grammar_rejects(self, coeff):
+        with pytest.raises(SchemaError, match="spline.values"):
+            element_from_json(QX, [coeff], "spline.values[v1]")
+
+    def test_coefficient_grammar_accepts(self):
+        assert element_from_json(QX, ["1/2", "-3", 2]).payload == (
+            Fraction(1, 2), Fraction(-3), Fraction(2))
+        assert element_from_json(QX, "1/2") == QX.element([Fraction(1, 2)])
 
 
 class TestGraphs:
