@@ -20,6 +20,7 @@ from .graphs import (
     TreeSkeleton,
     fundamental_cycles,
     induced_subgraph,
+    path_edges,
     spanning_subgraph,
     spanning_tree,
 )
@@ -69,8 +70,8 @@ def _brute_force_setup(graph: EdgeLabeledGraph, budget: int, unsupported: str):
 
 def enumerate_splines(graph: EdgeLabeledGraph,
                       budget: int = DEFAULT_BUDGET) -> SplineSet:
-    """Depth-first enumeration of all verified residue tuples,
-    pruning as soon as an edge condition fails."""
+    """Depth-first enumeration of all verified residue tuples, pruning
+    as soon as an edge condition fails; iterative, so n has no depth limit."""
     m, n, divisors, index = _brute_force_setup(
         graph, budget, "exhaustive enumeration needs a finite ring (Z/m)")
     constraints = [[] for _ in range(n)]
@@ -80,21 +81,24 @@ def enumerate_splines(graph: EdgeLabeledGraph,
         constraints[hi].append((lo, d))
     members = []
     stack = [0] * n
-
-    def fill(i: int):
+    cursor = [0] * (n + 1)  # per level, the next value to try
+    i = 0
+    while i >= 0:
         if i == n:
             members.append(tuple(stack))
-            return
-        for val in range(m):
-            ok = True
+            i -= 1
+        elif cursor[i] == m:
+            i -= 1
+        else:
+            val = cursor[i]
+            cursor[i] += 1
             for j, d in constraints[i]:
                 if (val - stack[j]) % d:
-                    ok = False
                     break
-            if ok:
+            else:
                 stack[i] = val
-                fill(i + 1)
-    fill(0)
+                i += 1
+                cursor[i] = 0
     return SplineSet(graph, tuple(members))
 
 
@@ -203,8 +207,7 @@ def spanning_tree_cover(graph: EdgeLabeledGraph) -> list[EdgeLabeledGraph]:
     base = spanning_tree(graph)
     trees = [spanning_subgraph(graph, base.tree_edges)]
     for cycle in fundamental_cycles(graph, base):
-        a, b = cycle.steps()[1]
-        swap_out = graph.edge_key(a, b)
+        swap_out = path_edges(graph, cycle.vertex_sequence)[1]
         edges = [e for e in base.tree_edges if e != swap_out] + [cycle.chord]
         trees.append(spanning_subgraph(graph, edges))
     return trees
@@ -216,12 +219,10 @@ def check_cycle_decomposition(graph: EdgeLabeledGraph, tree: TreeSkeleton, *,
                               samples: int = 20) -> DecompositionReport:
     """R_G = R_T intersected with the fundamental-cycle subgraphs
     (each cycle padded with the remaining isolated vertices)."""
-    if set(tree.depth) != set(graph.vertices):
-        raise GraphError("tree does not span the graph")
+    cycles = fundamental_cycles(graph, tree)
     parts = [spanning_subgraph(graph, tree.tree_edges)]
-    for cycle in fundamental_cycles(graph, tree):
-        edges = [graph.edge_key(a, b) for a, b in cycle.steps()]
-        parts.append(spanning_subgraph(graph, edges))
+    parts += [spanning_subgraph(graph, path_edges(graph, cycle.vertex_sequence))
+              for cycle in cycles]
     return check_union_decomposition(graph, parts, claim="tree-plus-cycles",
                                      budget=budget, seed=seed, samples=samples)
 

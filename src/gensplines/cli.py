@@ -3,7 +3,8 @@ constructions and checks, and emit JSON, text, or DOT.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts, 2 for
 input errors (unreadable files, malformed JSON, schema violations,
-unsupported rings, exceeded budgets).
+unsupported rings, exceeded budgets), 3 for an internal error, whose
+traceback goes to stderr.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ class InputFailure(ValueError):
 
 def _load(path: str, parse):
     """Read the JSON document at path and parse it; a missing or
-    unreadable file, malformed JSON or a schema error becomes an
-    InputFailure naming path."""
+    unreadable file, non-UTF-8 text, malformed or too deeply nested
+    JSON or a schema error becomes an InputFailure naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -34,6 +35,8 @@ def _load(path: str, parse):
         raise InputFailure(f"{path}: no such file")
     except OSError as exc:
         raise InputFailure(f"{path}: {exc.strerror}")
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise InputFailure(f"{path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputFailure(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}"
@@ -80,7 +83,7 @@ def cmd_flowup(args) -> int:
 
 def cmd_treefam(args) -> int:
     graph = _load_graph(args.graph)
-    if len(graph.edges) != len(graph.vertices) - 1 or not graph.is_connected:
+    if not graph.is_tree:
         raise InputFailure("treefam expects a tree")
     try:
         family = construct.path_generating_family(graph)
@@ -192,19 +195,24 @@ def cmd_selfcheck(args) -> int:
     return 0 if all(r.verdict for r in reports) else 1
 
 
+def _quoted(text) -> str:
+    """A DOT string; escaping \\ and " keeps an id from ending it early."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(graph: EdgeLabeledGraph, spline: Spline | None = None) -> str:
     """Deterministic DOT: edge labels are canonical generators (gray),
     vertex labels are spline values (red) when a spline is given."""
     lines = ["graph splines {"]
     for v in graph.vertices:
         if spline is not None:
-            label = f"{v}: {spline[v]}"
-            lines.append(f'  "{v}" [label="{label}", fontcolor=red];')
+            label = _quoted(f"{v}: {spline[v]}")
+            lines.append(f"  {_quoted(v)} [label={label}, fontcolor=red];")
         else:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_quoted(v)};")
     for u, v in graph.edges:
-        gen = graph.labels[(u, v)].canonical
-        lines.append(f'  "{u}" -- "{v}" [label="<{gen}>", fontcolor=gray];')
+        label = _quoted(f"<{graph.labels[(u, v)].canonical}>")
+        lines.append(f"  {_quoted(u)} -- {_quoted(v)} [label={label}, fontcolor=gray];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -284,6 +292,10 @@ def main(argv=None) -> int:
         # every bad-input error, InputFailure included, is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # the interpreter's printer: importing traceback slows start-up
+        sys.__excepthook__(*sys.exc_info())
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .graphs import (
     EdgeLabeledGraph,
     GraphError,
+    path_edges,
     path_order,
     spanning_subgraph,
     spanning_tree,
@@ -55,9 +56,7 @@ def _cycle_order(graph: EdgeLabeledGraph) -> list:
     if n < 3 or len(graph.edges) != n:
         raise GraphError("graph is not a cycle")
     try:
-        for i in range(n - 1):
-            graph.edge_key(order[i], order[i + 1])
-        graph.edge_key(order[0], order[-1])
+        path_edges(graph, order + order[:1])
     except GraphError:
         raise GraphError("graph is not a cycle in vertex declaration order") from None
     return order
@@ -72,12 +71,12 @@ def _checked_choice(graph, edge, choice):
 def _step_choices(graph, order, choices):
     """One element per edge order[i]-order[i+1], checked against that
     edge's ideal; the canonical generators when choices is None."""
+    edges = path_edges(graph, order)
     if choices is None:
-        choices = [graph.labels[graph.edge_key(order[i], order[i + 1])].canonical
-                   for i in range(len(order) - 1)]
+        choices = [graph.labels[e].canonical for e in edges]
     choices = list(choices)
     for i, c in enumerate(choices):
-        _checked_choice(graph, graph.edge_key(order[i], order[i + 1]), c)
+        _checked_choice(graph, edges[i], c)
     return choices
 
 
@@ -164,10 +163,9 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
 
     For each vertex pair the difference must split as a sum of elements
     of the path's edge ideals; witnesses record one such splitting."""
-    if len(graph.edges) != len(graph.vertices) - 1 or not graph.is_connected:
+    if not graph.is_tree:
         raise GraphError("graph is not a tree")
     skeleton = spanning_tree(graph)
-    ring = graph.ring
     witnesses = {}
     failures = []
     verts = graph.vertices
@@ -175,10 +173,7 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
         for j in range(i + 1, len(verts)):
             u, v = verts[i], verts[j]
             diff = p[v] - p[u]
-            path = tree_path(skeleton, u, v)
-            edges = [graph.edge_key(path[k], path[k + 1]) for k in range(len(path) - 1)]
-            if not edges:
-                continue
+            edges = path_edges(graph, tree_path(skeleton, u, v))
             witness = _path_sum_witness(graph, edges, diff)
             if witness is None:
                 failures.append((u, v))
@@ -281,7 +276,7 @@ def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
     factors = []
     for v in order:
         path = tree_path(skeleton, skeleton.root, v)
-        on_path = {graph.edge_key(path[k], path[k + 1]) for k in range(len(path) - 1)}
+        on_path = set(path_edges(graph, path))
         factor = _excluded_product(graph, [e for e in graph.edges if e not in on_path])
         inside = set(path)
         members.append(Spline(graph, {w: (factor if w in inside else graph.ring.zero)

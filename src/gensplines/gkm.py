@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles, path_order
+from .graphs import (EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles,
+                     path_edges, path_order)
 from .splines import Spline
 
 
@@ -107,14 +108,13 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
     (in tree-construction order) and left untouched; every operation is
     a row reorder or an addition of a +-1 multiple, hence invertible."""
     graph = matrix.graph
-    if set(tree.depth) != set(graph.vertices):
-        raise GraphError("tree does not span the matrix's graph")
+    cycles = fundamental_cycles(graph, tree)
     rows = matrix.rows_by_edge()
     n = len(graph.vertices)
     log = [("reorder", tuple(tree.tree_edges))]
     tree_rows = tuple(SystemRow(e, rows[e], ((1, e),)) for e in tree.tree_edges)
     cycle_rows = []
-    for cycle in fundamental_cycles(graph, tree):
+    for cycle in cycles:
         chord = cycle.chord
         steps = cycle.steps()
         chord_step_sign = rows[chord][graph.index(steps[0][0])]
@@ -155,6 +155,7 @@ def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:
     p_{v_i} and p_{v_n} through the sum of the edge slots between them."""
     graph = matrix.graph
     order = path_order(graph)
+    edges = path_edges(graph, order)
     n = len(order)
     rows = matrix.rows_by_edge()
     out = []
@@ -162,11 +163,8 @@ def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:
         coeffs = [0] * n
         coeffs[graph.index(order[i])] = 1
         coeffs[graph.index(order[-1])] = -1
-        rhs = []
-        for k in range(n - 2, i - 1, -1):
-            edge = graph.edge_key(order[k], order[k + 1])
-            rhs.append((rows[edge][graph.index(order[k])], edge))
-        out.append(SystemRow(graph.edge_key(order[i], order[i + 1]),
-                             tuple(coeffs), tuple(rhs)))
+        rhs = tuple((rows[edges[k]][graph.index(order[k])], edges[k])
+                    for k in range(n - 2, i - 1, -1))
+        out.append(SystemRow(edges[i], tuple(coeffs), rhs))
     log = tuple(("add-suffix", row.edge) for row in out)
     return ReducedSystem(graph, tuple(out), (), log)

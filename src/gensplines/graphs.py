@@ -24,11 +24,10 @@ class DisconnectedGraphError(GraphError):
 
 
 def _bfs(adj, root):
-    """BFS from root in adjacency-list order: (depth, parent, steps), with
-    depth keyed in visiting order and steps the (v, w) tree steps."""
+    """BFS from root in adjacency-list order: (depth, parent), both keyed
+    in visiting order, so parent's items are the tree steps (w, v)."""
     depth = {root: 0}
     parent = {}
-    steps = []
     queue = deque([root])
     while queue:
         v = queue.popleft()
@@ -36,9 +35,8 @@ def _bfs(adj, root):
             if w not in depth:
                 depth[w] = depth[v] + 1
                 parent[w] = v
-                steps.append((v, w))
                 queue.append(w)
-    return depth, parent, steps
+    return depth, parent
 
 
 class EdgeLabeledGraph:
@@ -119,6 +117,10 @@ class EdgeLabeledGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
+    @property
+    def is_tree(self) -> bool:
+        return len(self.edges) == len(self.vertices) - 1 and self.is_connected
+
     def is_subgraph_of(self, other: "EdgeLabeledGraph") -> bool:
         if self.ring != other.ring:
             return False
@@ -153,6 +155,19 @@ class TreeSkeleton:
         return self.host.vertices
 
 
+def _skeleton(graph: EdgeLabeledGraph, adj, root) -> TreeSkeleton | None:
+    """BFS tree of a spanning subgraph's adj from root; None if it misses a vertex."""
+    if root is None:
+        root = graph.vertices[0]
+    elif root not in graph._index:
+        raise GraphError(f"root {root!r} is not a vertex")
+    depth, parent = _bfs(adj, root)
+    if len(depth) != len(graph.vertices):
+        return None
+    tree_edges = tuple(graph.edge_key(v, w) for w, v in parent.items())
+    return TreeSkeleton(graph, root, parent, tree_edges, depth)
+
+
 def spanning_tree(graph: EdgeLabeledGraph, root=None) -> TreeSkeleton:
     """Breadth-first spanning tree, rooted at the first declared vertex.
 
@@ -161,36 +176,21 @@ def spanning_tree(graph: EdgeLabeledGraph, root=None) -> TreeSkeleton:
     """
     if not graph.vertices:
         raise GraphError("empty graph has no spanning tree")
-    comps = graph.components()
-    if len(comps) > 1:
-        raise DisconnectedGraphError(comps)
-    if root is None:
-        root = graph.vertices[0]
-    elif root not in graph._index:
-        raise GraphError(f"root {root!r} is not a vertex")
-    depth, parent, steps = _bfs(graph._adj, root)
-    tree_edges = tuple(graph.edge_key(v, w) for v, w in steps)
-    return TreeSkeleton(graph, root, parent, tree_edges, depth)
+    tree = _skeleton(graph, graph._adj, root)
+    if tree is None:
+        raise DisconnectedGraphError(graph.components())
+    return tree
 
 
 def tree_from_edges(graph: EdgeLabeledGraph, edges, root=None) -> TreeSkeleton:
-    """Build a TreeSkeleton from an explicit spanning-edge set."""
+    """Build a TreeSkeleton from an explicit spanning-edge set (repeats count once)."""
     edges = [graph.edge_key(u, v) for u, v in edges]
     if len(edges) != len(graph.vertices) - 1:
         raise GraphError("edge set has the wrong size for a spanning tree")
-    adj = {v: [] for v in graph.vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort(key=graph.index)
-    if root is None:
-        root = graph.vertices[0]
-    depth, parent, steps = _bfs(adj, root)
-    if len(depth) != len(graph.vertices):
+    tree = _skeleton(graph, spanning_subgraph(graph, set(edges))._adj, root)
+    if tree is None:
         raise GraphError("edge set does not span the graph")
-    tree_edges = tuple(graph.edge_key(v, w) for v, w in steps)
-    return TreeSkeleton(graph, root, parent, tree_edges, depth)
+    return tree
 
 
 def tree_path(tree: TreeSkeleton, u, v) -> list:
@@ -216,24 +216,17 @@ def tree_path(tree: TreeSkeleton, u, v) -> list:
 
 def path_order(graph: EdgeLabeledGraph) -> list:
     """The vertices of a path graph from end to end, starting at the
-    end declared first; raises GraphError if the graph is not a path."""
-    n = len(graph.vertices)
-    if len(graph.edges) != n - 1 or not graph.is_connected:
+    end declared first; raises GraphError if the graph is not a path.
+    A tree is a path exactly when at most two vertices have degree <= 1."""
+    ends = [v for v in graph.vertices if len(graph._adj[v]) <= 1]
+    if not graph.is_tree or len(ends) > 2:
         raise GraphError("graph is not a path")
-    if n == 1:
-        return list(graph.vertices)
-    degrees = {v: len(graph.neighbors(v)) for v in graph.vertices}
-    ends = [v for v in graph.vertices if degrees[v] == 1]
-    if len(ends) != 2 or any(degrees[v] != 2 for v in graph.vertices if v not in ends):
-        raise GraphError("graph is not a path")
-    start = min(ends, key=graph.index)
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nxt = [w for w in graph.neighbors(order[-1]) if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+    return list(_bfs(graph._adj, ends[0])[0])
+
+
+def path_edges(graph: EdgeLabeledGraph, walk) -> list:
+    """The edge keys crossed by consecutive vertices of walk, in order."""
+    return [graph.edge_key(a, b) for a, b in zip(walk, walk[1:])]
 
 
 @dataclass(frozen=True)
@@ -254,7 +247,8 @@ class CycleDescriptor:
 
 
 def fundamental_cycles(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> list[CycleDescriptor]:
-    if tree.host is not graph and set(tree.depth) != set(graph.vertices):
+    """One cycle per chord; the one check that tree spans graph."""
+    if set(tree.depth) != set(graph.vertices):
         raise GraphError("tree does not span the graph")
     tree_set = set(tree.tree_edges)
     out = []

@@ -39,6 +39,16 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_TEST_BOUND = 3317044064679887385961981
 
 
+def _coefficient(c) -> Fraction:
+    """A Q[x] coefficient from an int, a Fraction or a "p" or "p/q" string of
+    decimal integers; Fraction("1e100000000") would build 10^8 digits."""
+    if not isinstance(c, str):
+        return Fraction(c)
+    if c.count("/") > 1:
+        raise ValueError("expected an integer or a 'p/q' coefficient string")
+    return Fraction(*(int(part, 10) for part in c.split("/")))
+
+
 def _is_prime(n: int) -> bool:
     if n >= _PRIME_TEST_BOUND:
         raise UnsupportedRingError(
@@ -86,15 +96,15 @@ class RingSpec:
 
         Integers and residues accept ints; residues are reduced mod m.
         Polynomials accept an int, a Fraction, or a sequence of
-        coefficients in ascending degree (ints, Fractions, or "p/q"
-        strings).
+        coefficients in ascending degree (ints, Fractions, or "p" and
+        "p/q" strings of decimal integers).
         """
         if isinstance(value, RingElement):
             value = value.payload
         if self.kind == POLY_RATIONAL:
             if not isinstance(value, _Poly):
                 coeffs = (value,) if isinstance(value, (int, Fraction)) else value
-                value = _Poly.trimmed([Fraction(c) for c in coeffs])
+                value = _Poly.trimmed([_coefficient(c) for c in coeffs])
             return RingElement(self, value)
         if not isinstance(value, int):
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")

@@ -7,8 +7,6 @@ serialization sorts edges by endpoints in vertex declaration order.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .construct import GeneratingFamily
 from .graphs import EdgeLabeledGraph, GraphError
 from .rings import (
@@ -28,18 +26,6 @@ class SchemaError(ValueError):
 def _is_int(data) -> bool:
     """A JSON integer: bool is an int subclass in Python, not in JSON."""
     return isinstance(data, int) and not isinstance(data, bool)
-
-
-def _coefficient(data) -> Fraction:
-    """A JSON integer or a "p" or "p/q" string of decimal integers.  Decimal
-    and exponent forms are refused: Fraction("1e100000000") would build
-    the 10^8-digit integer."""
-    if _is_int(data):
-        return Fraction(data)
-    parts = data.split("/") if isinstance(data, str) else []
-    if not 1 <= len(parts) <= 2:
-        raise ValueError("expected an integer or a 'p/q' coefficient string")
-    return Fraction(*(int(part, 10) for part in parts))
 
 
 def ring_to_json(ring: RingSpec) -> dict:
@@ -77,7 +63,10 @@ def element_from_json(ring: RingSpec, data, where: str = "element") -> RingEleme
                 raise SchemaError(
                     f"{where}: polynomial must be an array of coefficients"
                 )
-            return ring.element([_coefficient(c) for c in data])
+            if not all(_is_int(c) or isinstance(c, str) for c in data):
+                raise SchemaError(
+                    f"{where}: expected an integer or a 'p/q' coefficient string")
+            return ring.element(data)
         if isinstance(data, str):
             data = int(data, 10)
         if not _is_int(data):

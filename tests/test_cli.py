@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gensplines import cli
 from gensplines.cli import main
 
 from conftest import FIXTURES
@@ -54,6 +55,20 @@ class TestCheck:
         bad.write_text(json.dumps({"ring": {"kind": "integers"}}))
         code, _, err = run(capsys, "check", str(bad), K4_SPLINE)
         assert code == 2 and "missing field" in err
+
+    def test_non_utf8_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bin.json"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check", str(bad), K4_SPLINE)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000)
+        code, out, err = run(capsys, "check", str(bad), K4_SPLINE)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("argv", [[str(FIXTURES), K4_SPLINE], [K4, str(FIXTURES)]])
     def test_directory_exits_two(self, capsys, argv):
@@ -208,6 +223,19 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", K4)
         assert code == 2
 
+    def test_path_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        names = [f"v{i}" for i in range(1100)]
+        doc = {"ring": {"kind": "integers-mod", "modulus": 2}, "vertices": names,
+               "edges": [{"u": u, "v": v, "ideal": ["0"]}
+                         for u, v in zip(names, names[1:])]}
+        path = tmp_path / "p1100.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "enumerate", str(path), "--budget", "1" + "0" * 400)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["count"] == 2
+        assert doc["members"] == [[0] * 1100, [1] * 1100]
+
 
 class TestDecompose:
     def test_constant_split(self, capsys, tmp_path):
@@ -279,7 +307,37 @@ class TestDot:
         assert code == 0
         assert '"v2" [label="v2: 2", fontcolor=red];' in out
 
+    def test_ids_and_labels_escaped(self, capsys, tmp_path):
+        doc = {"ring": {"kind": "integers"}, "vertices": ['a"b', "c\\", 'x" [color=red'],
+               "edges": [{"u": 'a"b', "v": "c\\", "ideal": ["2"]}]}
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(doc))
+        spline = tmp_path / "p.json"
+        spline.write_text(json.dumps(
+            {"values": {'a"b': "0", "c\\": "2", 'x" [color=red': "5"}}))
+        code, out, _ = run(capsys, "dot", str(graph))
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            '  "a\\"b";', '  "c\\\\";', '  "x\\" [color=red";',
+            '  "a\\"b" -- "c\\\\" [label="<2>", fontcolor=gray];', "}"]
+        code, out, _ = run(capsys, "dot", str(graph), str(spline))
+        assert code == 0
+        assert '  "c\\\\" [label="c\\\\: 2", fontcolor=red];' in out
+        assert '  "x\\" [color=red" [label="x\\" [color=red: 5", fontcolor=red];' in out
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "dot", K4)
         _, second, _ = run(capsys, "dot", K4)
         assert first == second
+
+
+class TestInternalError:
+    def test_library_fault_exits_three(self, capsys, monkeypatch):
+        def broken(graph, spline):
+            raise RuntimeError("library fault")
+
+        monkeypatch.setattr(cli, "verify", broken)
+        code, out, err = run(capsys, "check", K4, K4_SPLINE)
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: library fault\n")

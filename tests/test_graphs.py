@@ -9,6 +9,8 @@ from gensplines.graphs import (
     erase_unit_edges,
     fundamental_cycles,
     induced_subgraph,
+    path_edges,
+    path_order,
     restrict,
     spanning_subgraph,
     tree_from_edges,
@@ -74,6 +76,32 @@ class TestConnectivity:
             spanning_tree(g)
         assert info.value.components == [["a", "b"], ["c"]]
 
+    def test_unknown_root_reported_before_disconnection(self):
+        g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2)])
+        with pytest.raises(GraphError, match="root 'zz' is not a vertex"):
+            spanning_tree(g, root="zz")
+
+    def test_components_only_for_a_disconnected_graph(self, k4_graph, monkeypatch):
+        calls = []
+        original = type(k4_graph).components
+        monkeypatch.setattr(type(k4_graph), "components",
+                            lambda self: calls.append(1) or original(self))
+        spanning_tree(k4_graph)
+        assert calls == []
+        with pytest.raises(DisconnectedGraphError):
+            spanning_tree(make_graph(Z, ["a", "b"], []))
+        assert calls == [1]
+
+    def test_is_tree(self, k4_graph):
+        assert make_graph(Z, ["a"], []).is_tree
+        assert make_graph(Z, ["a", "b", "c"], [("a", "b", 2), ("a", "c", 3)]).is_tree
+        assert not make_graph(Z, [], []).is_tree
+        assert not make_graph(Z, ["a", "b"], []).is_tree
+        assert not k4_graph.is_tree
+        # n - 1 edges but a cycle plus an isolated vertex
+        assert not make_graph(Z, ["a", "b", "c", "d"],
+                              [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)]).is_tree
+
 
 class TestSpanningTree:
     def test_bfs_determinism_on_k4(self, k4_graph):
@@ -96,6 +124,14 @@ class TestSpanningTree:
         assert set(t.tree_edges) == {("v1", "v4"), ("v2", "v4"), ("v3", "v4")}
         assert all(t.depth[v] == 1 for v in ("v1", "v2", "v3"))
 
+    def test_tree_from_edges_unknown_root(self, k4_graph):
+        with pytest.raises(GraphError, match="root 'zz' is not a vertex"):
+            tree_from_edges(k4_graph, [("v1", "v2"), ("v1", "v3"), ("v1", "v4")], root="zz")
+
+    def test_tree_from_edges_repeated_edge_does_not_span(self, k4_graph):
+        with pytest.raises(GraphError, match="does not span"):
+            tree_from_edges(k4_graph, [("v1", "v2"), ("v2", "v1"), ("v1", "v3")])
+
     def test_tree_from_edges_rejects_nonspanning(self, k4_graph):
         with pytest.raises(GraphError):
             tree_from_edges(k4_graph, [("v1", "v2"), ("v1", "v3")])
@@ -108,6 +144,37 @@ class TestSpanningTree:
         assert tree_path(t, "v2", "v3") == ["v2", "v1", "v3"]
         assert tree_path(t, "v2", "v2") == ["v2"]
         assert tree_path(t, "v1", "v4") == ["v1", "v4"]
+
+
+class TestWalks:
+    def test_path_order(self):
+        g = make_graph(Z, ["c", "a", "d", "b"],
+                       [("a", "b", 1), ("b", "c", 2), ("c", "d", 3)])
+        assert path_order(g) == ["a", "b", "c", "d"]
+        assert path_order(make_graph(Z, ["a"], [])) == ["a"]
+        assert path_order(make_graph(Z, ["b", "a"], [("a", "b", 1)])) == ["b", "a"]
+
+    @pytest.mark.parametrize("vertices, edges", [
+        ([], []),
+        (["a", "b"], []),
+        (["a", "b", "c", "d"], [("a", "b", 1), ("a", "c", 1), ("a", "d", 1)]),
+        (["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)]),
+        (["a", "b", "c", "d"], [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)]),
+    ], ids=["empty", "edgeless", "star", "cycle", "cycle-plus-vertex"])
+    def test_path_order_rejects(self, vertices, edges):
+        with pytest.raises(GraphError, match="not a path"):
+            path_order(make_graph(Z, vertices, edges))
+
+    def test_path_edges(self, k4_graph):
+        assert path_edges(k4_graph, ("v3", "v1", "v4", "v2")) == [
+            ("v1", "v3"), ("v1", "v4"), ("v2", "v4")]
+        assert path_edges(k4_graph, ["v2"]) == []
+        with pytest.raises(GraphError, match="no edge"):
+            path_edges(triangle_z(), ["v1", "v1"])
+
+    def test_foreign_tree_rejected(self, k4_graph):
+        with pytest.raises(GraphError, match="tree does not span the graph"):
+            fundamental_cycles(k4_graph, spanning_tree(triangle_z()))
 
 
 class TestFundamentalCycles:

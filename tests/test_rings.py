@@ -95,6 +95,18 @@ class TestCanonicalForms:
         p = QX.element([Fraction(1, 2), 1])
         assert (p + p).payload == (Fraction(1), Fraction(2))
 
+    @pytest.mark.parametrize("coeff", ["1e100000000", "0.5", "1/2/3", "x", "1/"])
+    def test_coefficient_grammar_rejects(self, coeff):
+        # the library takes the JSON grammar too: "p" or "p/q" decimal integers
+        with pytest.raises(ValueError):
+            QX.element([1, coeff])
+
+    def test_coefficient_grammar_accepts(self):
+        assert QX.element(["1/2", "-3", "1/-2", 4, Fraction(2, 3)]).payload == (
+            Fraction(1, 2), Fraction(-3), Fraction(-1, 2), Fraction(4), Fraction(2, 3))
+        with pytest.raises(ZeroDivisionError):
+            QX.element(["1/0"])
+
     def test_structural_equality(self):
         assert P(1, 1) == P(1, 1)
         assert P(1, 1) != P(1, 2)
