@@ -286,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # CPython refuses int <-> str conversions of more than 4,300 digits,
+    # which valid labels and their products exceed; lift that for the
+    # command and restore it for in-process callers
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -296,6 +301,8 @@ def main(argv=None) -> int:
         # the interpreter's printer: importing traceback slows start-up
         sys.__excepthook__(*sys.exc_info())
         return 3
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

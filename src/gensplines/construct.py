@@ -7,6 +7,7 @@ outputs are deterministic.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ from .graphs import (
     path_order,
     spanning_subgraph,
     spanning_tree,
-    tree_path,
 )
 from .rings import (
     INTEGERS_MOD,
@@ -73,10 +73,12 @@ def _step_choices(graph, order, choices):
     edge's ideal; the canonical generators when choices is None."""
     edges = path_edges(graph, order)
     if choices is None:
-        choices = [graph.labels[e].canonical for e in edges]
+        return [graph.labels[e].canonical for e in edges]
     choices = list(choices)
-    for i, c in enumerate(choices):
-        _checked_choice(graph, edges[i], c)
+    if len(choices) != len(edges):
+        raise ValueError(f"expected {len(edges)} step choices, got {len(choices)}")
+    for edge, c in zip(edges, choices):
+        _checked_choice(graph, edge, c)
     return choices
 
 
@@ -85,15 +87,11 @@ def cycle_spline(graph: EdgeLabeledGraph, base: RingElement,
     """The cycle construction: vertex k gets
     base + chord_choice * (step_1 + ... + step_{k-1})."""
     order = _cycle_order(graph)
-    n = len(order)
-    step_choices = list(step_choices)
-    if len(step_choices) != n - 1:
-        raise ValueError(f"expected {n - 1} step choices, got {len(step_choices)}")
     _checked_choice(graph, graph.edge_key(order[0], order[-1]), chord_choice)
-    _step_choices(graph, order, step_choices)
+    step_choices = _step_choices(graph, order, step_choices)
     values = {order[0]: base}
     acc = graph.ring.zero
-    for i in range(1, n):
+    for i in range(1, len(order)):
         acc = acc + step_choices[i - 1]
         values[order[i]] = base + chord_choice * acc
     return Spline(graph, values)
@@ -147,34 +145,53 @@ class TreeMembershipReport:
     failures: tuple  # vertex pairs with no decomposition
 
 
-def _bezout_chain(elements):
-    """gcd d of a list plus cofactors x_i with sum(x_i * g_i) = d."""
-    d = elements[0]
-    coeffs = [d.ring.one]
-    for g in elements[1:]:
-        d2, a, b = ext_gcd(d, g)
-        coeffs = [a * c for c in coeffs] + [b]
-        d = d2
-    return d, coeffs
+def _lifted_labels(graph):
+    """(ring, labels): each edge's canonical generator; over Z/m its lift
+    to Z in [0, m), because residues have no Euclidean division."""
+    lift = integers() if graph.ring.kind == INTEGERS_MOD else graph.ring
+    return lift, {e: lift.element(graph.labels[e].canonical.payload)
+                  for e in graph.edges}
+
+
+def _bezout_step(chain, g):
+    """Extend the Bezout chain of a list by g: the chain (d, cofactors)
+    has sum(x_i * g_i) = d, the gcd; None is the chain of no elements."""
+    if chain is None:
+        return g, [g.ring.one]
+    d, coeffs = chain
+    d2, a, b = ext_gcd(d, g)
+    return d2, [a * c for c in coeffs] + [b]
 
 
 def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     """Decide spline membership on a tree through pairwise path sums.
 
     For each vertex pair the difference must split as a sum of elements
-    of the path's edge ideals; witnesses record one such splitting."""
+    of the path's edge ideals; witnesses record one such splitting.  The
+    paths and Bezout chains are grown from each source u along its BFS
+    tree: the chain to w is the chain to w's parent plus one step, taken
+    for the later-declared vertices and the tree vertices above them."""
     if not graph.is_tree:
         raise GraphError("graph is not a tree")
-    skeleton = spanning_tree(graph)
+    _, gens = _lifted_labels(graph)
     witnesses = {}
     failures = []
     verts = graph.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            u, v = verts[i], verts[j]
-            diff = p[v] - p[u]
-            edges = path_edges(graph, tree_path(skeleton, u, v))
-            witness = _path_sum_witness(graph, edges, diff)
+    for i, u in enumerate(verts[:-1]):
+        parent = spanning_tree(graph, u).parent
+        grown = {u: ([], None)}
+        for v in verts[i + 1:]:
+            climb = []
+            w = v
+            while w not in grown:
+                climb.append(w)
+                w = parent[w]
+            for w in reversed(climb):
+                edge = graph.edge_key(parent[w], w)
+                edges, chain = grown[parent[w]]
+                grown[w] = edges + [edge], _bezout_step(chain, gens[edge])
+            edges, chain = grown[v]
+            witness = _path_sum_witness(graph, edges, gens, chain, p[v] - p[u])
             if witness is None:
                 failures.append((u, v))
             else:
@@ -182,26 +199,26 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     return TreeMembershipReport(not failures, witnesses, tuple(failures))
 
 
-def _path_sum_witness(graph, edges, diff):
-    """Split diff as a sum of per-edge ideal members, or None.  Over Z/m
-    the Bezout chain runs on lifts to Z with m as an extra generator."""
-    ring = graph.ring
-    gens = [graph.labels[e].canonical for e in edges]
-    extra = []
-    if ring.kind == INTEGERS_MOD:
-        z = integers()
-        gens = [z.element(g.payload) for g in gens]
-        extra = [z.element(ring.modulus)]
-        diff = z.element(diff.payload)
-    elif all(g.is_zero for g in gens):
-        if diff.is_zero:
-            return {e: ring.zero for e in edges}
-        return None
-    d, coeffs = _bezout_chain(gens + extra)
+def _path_sum_witness(graph, edges, gens, chain, diff):
+    """Split diff as a sum of per-edge ideal members, or None, from the
+    Bezout chain (d, cofactors) of the path's generators.  Over Z/m they
+    lift divisors of m, so d divides m: a residue is in the sum exactly
+    when d divides its lift, and a chain step with m would change no
+    cofactor."""
+    d, coeffs = chain
+    diff = d.ring.element(diff.payload)
+    if d.is_zero:
+        # every generator on the path is zero
+        return {e: graph.ring.zero for e in edges} if diff.is_zero else None
     if not d.divides(diff):
         return None
     scale = diff.exact_div(d)
-    return {e: ring.element(coeffs[i] * gens[i] * scale) for i, e in enumerate(edges)}
+    return {e: graph.ring.element(coeffs[i] * gens[e] * scale)
+            for i, e in enumerate(edges)}
+
+
+_ZERO_FACTOR = ("edge {} contributes a zero factor; the extension is "
+                "the zero spline off its support")
 
 
 def excluded_edges(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> list:
@@ -243,11 +260,7 @@ def _excluded_product(graph, edges, element_choices=None):
         else:
             choice = graph.labels[edge].canonical
         if choice.is_zero:
-            warnings.warn(
-                f"edge {edge} contributes a zero factor; the extension is "
-                "the zero spline off its support",
-                stacklevel=3,
-            )
+            warnings.warn(_ZERO_FACTOR.format(edge), stacklevel=3)
         factor = factor * choice
     return factor
 
@@ -268,18 +281,41 @@ def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
     root-to-v_i tree path, extended by zero.  Vertices are ordered by
     nondecreasing tree distance (ties by declaration order), which makes
     the family upper-triangular with diagonal entries N_i, the product
-    over every edge off the path."""
+    over every edge off the path.
+
+    N_i is grown from the parent's: with P the product of the nonzero
+    labels, N_v is P over the nonzero labels on the path, one exact
+    division more than its parent, or zero when a zero label lies off the
+    path.  Over Z/m the division runs on lifts to Z and N_v is reduced."""
     skeleton = spanning_tree(graph, root)
     order = sorted(graph.vertices,
                    key=lambda v: (skeleton.depth[v], graph.index(v)))
+    ring = graph.ring
+    lift, gens = _lifted_labels(graph)
+    zero_edges = [e for e in graph.edges if gens[e].is_zero]
+    product = math.prod((g for g in gens.values() if not g.is_zero), start=lift.one)
+    grown = {}
     members = []
     factors = []
     for v in order:
-        path = tree_path(skeleton, skeleton.root, v)
-        on_path = set(path_edges(graph, path))
-        factor = _excluded_product(graph, [e for e in graph.edges if e not in on_path])
+        if v == skeleton.root:
+            path, zeros_on_path, quotient = [v], set(), product
+        else:
+            u = skeleton.parent[v]
+            edge = graph.edge_key(u, v)
+            path, zeros_on_path, quotient = grown[u]
+            path = path + [v]
+            if gens[edge].is_zero:
+                zeros_on_path = zeros_on_path | {edge}
+            else:
+                quotient = quotient.exact_div(gens[edge])
+        grown[v] = path, zeros_on_path, quotient
+        zeros_off_path = [e for e in zero_edges if e not in zeros_on_path]
+        for e in zeros_off_path:
+            warnings.warn(_ZERO_FACTOR.format(e), stacklevel=2)
+        factor = ring.zero if zeros_off_path else ring.element(quotient)
         inside = set(path)
-        members.append(Spline(graph, {w: (factor if w in inside else graph.ring.zero)
+        members.append(Spline(graph, {w: (factor if w in inside else ring.zero)
                                       for w in graph.vertices}))
         factors.append(factor)
     return GeneratingFamily(graph, tuple(members), tuple(order), tuple(factors))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON output, DOT emission."""
 import json
+import sys
 
 import pytest
 
@@ -184,6 +185,30 @@ class TestFamilies:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "cyclefam", str(path))
         assert code == 2
+
+
+class TestLongIntegers:
+    def test_labels_past_the_digit_limit(self, capsys, tmp_path):
+        # CPython converts at most 4,300 digits between int and str by
+        # default; one label is a bare JSON number, the others strings
+        labels = [d * 5000 for d in "3579"]
+        doc = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c", "d"],
+               "edges": [{"u": u, "v": v, "ideal": [label]}
+                         for (u, v), label in zip(["ab", "bc", "cd", "ad"], labels)]}
+        text = json.dumps(doc).replace(f'"{labels[0]}"', labels[0])
+        graph = tmp_path / "c4.json"
+        graph.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "flowup", str(graph))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        fam = json.loads(out)
+        assert len(fam["scaling_factors"][0]) > 19000
+        for k, member in enumerate(fam["members"]):
+            spline = tmp_path / f"member{k}.json"
+            spline.write_text(json.dumps(member))
+            code, out, _ = run(capsys, "check", str(graph), str(spline))
+            assert code == 0 and json.loads(out)["ok"]
 
 
 class TestMatrix:

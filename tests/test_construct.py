@@ -1,10 +1,12 @@
 """Constructive families: cycles, paths, trees, extension by zero, and
 flow-up splines."""
+import math
+import random
 import warnings
 
 import pytest
 
-from gensplines import integers, integers_mod, poly_rational, verify
+from gensplines import construct, integers, integers_mod, poly_rational, verify
 from gensplines.construct import (
     cycle_generating_family,
     cycle_spline,
@@ -25,10 +27,18 @@ from gensplines.graphs import (
     spanning_tree,
     tree_path,
 )
-from gensplines.rings import UnsupportedRingError
+from gensplines.rings import RingElement, UnsupportedRingError, ext_gcd
 from gensplines.splines import Spline, is_nontrivial
 
-from conftest import P, make_graph, path_z, triangle_z
+from conftest import (
+    P,
+    make_graph,
+    path_z,
+    random_connected_graph,
+    random_generator_element,
+    random_tree,
+    triangle_z,
+)
 
 Z = integers()
 
@@ -94,6 +104,12 @@ class TestCycleFamily:
         with pytest.raises(ValueError, match="zero choices"):
             cycle_generating_family(g)
 
+    @pytest.mark.parametrize("steps", [[2, 3, 6], [2]])
+    def test_step_choice_count_checked(self, steps):
+        with pytest.raises(ValueError, match=f"expected 2 step choices, got {len(steps)}"):
+            cycle_generating_family(triangle_z(),
+                                    step_choices=[Z.element(c) for c in steps])
+
 
 class TestPathFamily:
     def test_p3_defaults(self):
@@ -111,6 +127,12 @@ class TestPathFamily:
         g = path_z([3, 2])
         with pytest.raises(ValueError, match="outside the ideal"):
             path_generating_family(g, choices=[Z.element(4), Z.element(2)])
+
+    @pytest.mark.parametrize("choices", [[3, 2, 6], [3]])
+    def test_choice_count_checked(self, choices):
+        with pytest.raises(ValueError, match=f"expected 2 step choices, got {len(choices)}"):
+            path_generating_family(path_z([3, 2]),
+                                   choices=[Z.element(c) for c in choices])
 
 
 class TestTreeMembership:
@@ -298,6 +320,207 @@ class TestFlowUpClosedForm:
         _, messages = recorded_warnings(flow_up_family, self.CASES[0])
         assert messages and all("('a', 'c') contributes a zero factor" in m
                                 for m in messages)
+
+
+def seeded_graphs(ring, seed, count, **kwargs):
+    rng = random.Random(seed)
+    return [random_connected_graph(ring, rng, **kwargs) for _ in range(count)]
+
+
+def flow_up_equivalence_cases():
+    """Seeded graphs with zero labels over Z and Q[x], and Z/6 and Z/12
+    graphs whose label product is 0 mod m while some factors are not."""
+    Z6, Z12 = integers_mod(6), integers_mod(12)
+    cases = seeded_graphs(Z, 61, 8, n_max=6, e_max=10)
+    cases += seeded_graphs(poly_rational(), 62, 6, n_max=6, e_max=10)
+    cases += seeded_graphs(Z6, 63, 6, n_max=6, e_max=10)
+    cases += seeded_graphs(Z12, 64, 6, n_max=6, e_max=10)
+    cases += [
+        make_graph(Z, ["a", "b", "c", "d"],
+                   [("a", "b", 0), ("b", "c", 4), ("c", "d", 0), ("a", "d", 6)]),
+        make_graph(Z6, ["a", "b", "c", "d"],
+                   [("a", "b", 2), ("b", "c", 3), ("c", "d", 5), ("a", "c", 1)]),
+        make_graph(Z12, ["a", "b", "c", "d", "e"],
+                   [("a", "b", 4), ("b", "c", 3), ("c", "d", 2), ("d", "e", 6),
+                    ("a", "e", 9), ("b", "d", 0)]),
+    ]
+    return cases
+
+
+class TestFlowUpIncremental:
+    """flow_up_family grows each factor from its BFS parent's; every root
+    must give the members, order, factors and warnings of the explicit
+    extension-by-zero construction."""
+
+    def test_cases_cover_zero_products_and_zero_labels(self):
+        cases = flow_up_equivalence_cases()
+        has_zero = [g for g in cases if any(g.labels[e].is_zero for e in g.edges)]
+        assert {g.ring.kind for g in has_zero} >= {"integers", "poly-rational"}
+        for m in (6, 12):
+            zero_product = [
+                g for g in cases if g.ring == integers_mod(m)
+                and all(not g.labels[e].is_zero for e in g.edges)
+                and math.prod(g.labels[e].canonical.payload for e in g.edges) % m == 0
+                and any(not f.is_zero for f in flow_up_family(g).scaling_factors[:-1])]
+            assert zero_product
+
+    @pytest.mark.parametrize("index", range(len(flow_up_equivalence_cases())))
+    def test_matches_extension_by_zero_for_every_root(self, index):
+        graph = flow_up_equivalence_cases()[index]
+        for root in graph.vertices:
+            fam, fam_warnings = recorded_warnings(flow_up_family, graph, root)
+            (members, order, factors), ref_warnings = recorded_warnings(
+                reference_flow_up, graph, root)
+            assert fam.vertex_order == order
+            assert fam.scaling_factors == factors
+            assert list(fam.members) == members
+            assert fam_warnings == ref_warnings
+
+
+def reference_bezout_chain(elements):
+    """gcd d of a list plus cofactors x_i with sum(x_i * g_i) = d."""
+    d = elements[0]
+    coeffs = [d.ring.one]
+    for g in elements[1:]:
+        d2, a, b = ext_gcd(d, g)
+        coeffs = [a * c for c in coeffs] + [b]
+        d = d2
+    return d, coeffs
+
+
+def reference_tree_membership(graph, p):
+    """Per-pair path sums: a fresh Bezout chain over each pair's tree path,
+    over Z/m on lifts to Z with m as a last generator."""
+    ring = graph.ring
+    skeleton = spanning_tree(graph)
+    witnesses, failures = {}, []
+    verts = graph.vertices
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            walk = tree_path(skeleton, u, v)
+            edges = [graph.edge_key(a, b) for a, b in zip(walk, walk[1:])]
+            gens = [graph.labels[e].canonical for e in edges]
+            diff = p[v] - p[u]
+            extra = []
+            if ring.kind == "integers-mod":
+                gens = [Z.element(g.payload) for g in gens]
+                extra = [Z.element(ring.modulus)]
+                diff = Z.element(diff.payload)
+            elif all(g.is_zero for g in gens):
+                if diff.is_zero:
+                    witnesses[(u, v)] = {e: ring.zero for e in edges}
+                else:
+                    failures.append((u, v))
+                continue
+            d, coeffs = reference_bezout_chain(gens + extra)
+            if not d.divides(diff):
+                failures.append((u, v))
+                continue
+            scale = diff.exact_div(d)
+            witnesses[(u, v)] = {e: ring.element(coeffs[k] * gens[k] * scale)
+                                 for k, e in enumerate(edges)}
+    return witnesses, tuple(failures)
+
+
+class TestTreeMembershipIncremental:
+    """tree_membership grows each source's chains along its BFS tree; the
+    witnesses and failures must be those of the per-pair chains."""
+
+    RINGS = [Z, integers_mod(6), integers_mod(12), poly_rational()]
+
+    @staticmethod
+    def splines(tree, rng):
+        """Flow-up combinations (members) and random labelings (mostly not)."""
+        ring = tree.ring
+        members = recorded_warnings(flow_up_family, tree)[0].members
+        out = []
+        for _ in range(2):
+            coeffs = [random_generator_element(ring, rng) for _ in members]
+            out.append(Spline(tree, {v: sum((c * m[v] for c, m in zip(coeffs, members)),
+                                            ring.zero) for v in tree.vertices}))
+            out.append(Spline(tree, {v: random_generator_element(ring, rng)
+                                     for v in tree.vertices}))
+        return out
+
+    def check(self, tree, p):
+        report = tree_membership(tree, p)
+        witnesses, failures = reference_tree_membership(tree, p)
+        assert list(report.witnesses.items()) == list(witnesses.items())
+        assert report.failures == failures
+        assert report.ok == (not failures) == verify(tree, p).ok
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_seeded_trees(self, ring):
+        rng = random.Random(71)
+        for _ in range(12):
+            tree = random_tree(ring, rng, n_max=7)
+            for p in self.splines(tree, rng):
+                self.check(tree, p)
+
+    @pytest.mark.parametrize("ring", [Z, poly_rational()], ids=str)
+    def test_all_zero_paths(self, ring):
+        # b-c-d is joined by zero labels, so their values must agree
+        tree = make_graph(ring, ["a", "b", "c", "d", "e"],
+                          [("a", "b", 2), ("b", "c", 0), ("c", "d", 0), ("c", "e", 3)])
+        two, seven = ring.element(2), ring.element(7)
+        self.check(tree, Spline(tree, {"a": ring.zero, "b": two, "c": two,
+                                       "d": two, "e": seven + two}))
+        self.check(tree, Spline(tree, {"a": ring.zero, "b": two, "c": two,
+                                       "d": seven, "e": two}))
+
+    def test_zero_labels_mod_m(self):
+        R = integers_mod(12)
+        tree = make_graph(R, ["a", "b", "c", "d"],
+                          [("a", "b", 0), ("b", "c", 0), ("b", "d", 8)])
+        for values in [(5, 5, 5, 1), (5, 5, 6, 1), (0, 0, 0, 4)]:
+            self.check(tree, Spline(tree, {v: R.element(x)
+                                           for v, x in zip(tree.vertices, values)}))
+
+
+class TestWorkCounts:
+    """Each flow-up factor and Bezout chain extends its BFS parent's, so
+    the ring work grows with E and n^2, not with n * E or path lengths."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        counts = {"mul": 0, "exact_div": 0, "ext_gcd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(RingElement, "__mul__", counted("mul", RingElement.__mul__))
+        monkeypatch.setattr(RingElement, "exact_div",
+                            counted("exact_div", RingElement.exact_div))
+        monkeypatch.setattr(construct, "ext_gcd", counted("ext_gcd", construct.ext_gcd))
+        return counts
+
+    def test_flow_up_divides_once_per_member(self, monkeypatch):
+        rng = random.Random(81)
+        n = 12
+        pairs = {(rng.randrange(i), i) for i in range(1, n)}
+        while len(pairs) < 2 * n - 1:
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+        graph = make_graph(poly_rational(), [f"v{i}" for i in range(n)],
+                           [(f"v{i}", f"v{j}", [P(rng.randint(-3, 3), 1)])
+                            for i, j in sorted(pairs)])
+        counts = self.counting(monkeypatch)
+        flow_up_family(graph)
+        assert counts["exact_div"] <= n - 1
+        assert counts["mul"] <= 2 * n - 1
+
+    def test_tree_membership_one_step_per_pair(self, monkeypatch):
+        rng = random.Random(82)
+        n = 16
+        verts = [f"v{i}" for i in range(n)]
+        tree = make_graph(Z, verts, [(verts[rng.randrange(max(0, i - 2), i)], verts[i],
+                                      rng.randint(2, 30)) for i in range(1, n)])
+        p = Spline(tree, {v: Z.element(rng.randint(-50, 50)) for v in verts})
+        counts = self.counting(monkeypatch)
+        tree_membership(tree, p)
+        assert counts["ext_gcd"] <= n * (n - 1)
 
 
 class TestNontrivialExistence:
