@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .construct import GeneratingFamily, flow_up_family
 from .gkm import GkmMatrix, ReducedSystem
@@ -53,53 +52,62 @@ class SplineSet:
             })
 
 
-def _brute_force_setup(graph: EdgeLabeledGraph, budget: int, unsupported: str):
-    """Ring and m^n budget checks, then (m, n, divisors, index): a residue
-    is in an edge's ideal iff its divisor divides it; index gives slots."""
+def _edge_divisors(graph: EdgeLabeledGraph, budget: int, unsupported: str) -> dict:
+    """Ring and m^n budget checks, then each edge's divisor of m: a
+    residue lies in the edge's ideal iff the divisor divides it.  The
+    count is multiplied up only until it passes the budget."""
     ring = graph.ring
     if ring.kind != INTEGERS_MOD:
         raise UnsupportedRingError(unsupported)
-    m = ring.modulus
-    n = len(graph.vertices)
-    if m ** n > budget:
-        raise BudgetExceededError(f"{m}^{n} tuples exceed the budget of {budget}")
-    divisors = {edge: math.gcd(ideal.canonical.payload, m)
-                for edge, ideal in graph.labels.items()}
-    return m, n, divisors, {v: i for i, v in enumerate(graph.vertices)}
+    m, n, tuples = ring.modulus, len(graph.vertices), 1
+    for _ in range(n + 1):
+        if tuples > budget:
+            raise BudgetExceededError(f"{m}^{n} tuples exceed the budget of {budget}")
+        tuples *= m
+    return {edge: math.gcd(ideal.canonical.payload, m)
+            for edge, ideal in graph.labels.items()}
+
+
+def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
+    """Every x in (Z/m)^n, in lexicographic order, with d dividing
+    sum(c * x[k] for k, c in form.items()) for each (form, d) in forms.
+    Iterative, one slot at a time: a form is tested once its last slot is
+    set, and prefixes whose partial sums agree mod each d share one
+    filtered list of values for that slot."""
+    m = graph.ring.modulus
+    closing = [[] for _ in graph.vertices]
+    for form, d in forms:
+        terms = {k: c % d for k, c in form.items() if c % d}
+        if terms:
+            last = max(terms)
+            closing[last].append((terms.pop(last), tuple(terms.items()), d))
+    level = [()]
+    for checks in closing:
+        if not checks:
+            level = [prefix + (x,) for prefix in level for x in range(m)]
+            continue
+        allowed = {}  # residues of the partial sums -> values left for the slot
+        grown = []
+        for prefix in level:
+            key = tuple([sum([c * prefix[k] for k, c in terms]) % d
+                         for _, terms, d in checks])
+            if key not in allowed:
+                allowed[key] = [x for x in range(m) if all(
+                    (r + c * x) % d == 0 for r, (c, _, d) in zip(key, checks))]
+            grown += [prefix + (x,) for x in allowed[key]]
+        level = grown
+    return level
 
 
 def enumerate_splines(graph: EdgeLabeledGraph,
                       budget: int = DEFAULT_BUDGET) -> SplineSet:
-    """Depth-first enumeration of all verified residue tuples, pruning
-    as soon as an edge condition fails; iterative, so n has no depth limit."""
-    m, n, divisors, index = _brute_force_setup(
+    """All verified residue tuples: x_u - x_v must lie in the ideal of
+    each edge uv, read from the graph itself."""
+    divisors = _edge_divisors(
         graph, budget, "exhaustive enumeration needs a finite ring (Z/m)")
-    constraints = [[] for _ in range(n)]
-    for (u, v), d in divisors.items():
-        i, j = index[u], index[v]
-        lo, hi = min(i, j), max(i, j)
-        constraints[hi].append((lo, d))
-    members = []
-    stack = [0] * n
-    cursor = [0] * (n + 1)  # per level, the next value to try
-    i = 0
-    while i >= 0:
-        if i == n:
-            members.append(tuple(stack))
-            i -= 1
-        elif cursor[i] == m:
-            i -= 1
-        else:
-            val = cursor[i]
-            cursor[i] += 1
-            for j, d in constraints[i]:
-                if (val - stack[j]) % d:
-                    break
-            else:
-                stack[i] = val
-                i += 1
-                cursor[i] = 0
-    return SplineSet(graph, tuple(members))
+    forms = [({graph.index(u): 1, graph.index(v): -1}, d)
+             for (u, v), d in divisors.items()]
+    return SplineSet(graph, tuple(_residue_search(graph, forms)))
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,7 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
             inter = part if inter is None else inter & part
         if inter is None:
             # the intersection over no subgraphs is every residue tuple
-            inter = set(product(range(graph.ring.modulus), repeat=len(graph.vertices)))
+            inter = set(_residue_search(graph, []))
         if whole == inter:
             return DecompositionReport(claim, edge_sets, True)
         bad = min(whole.symmetric_difference(inter))
@@ -267,50 +275,41 @@ def count_direct_sum(graph: EdgeLabeledGraph, v, *,
 def matrix_solution_set(matrix: GkmMatrix,
                         budget: int = DEFAULT_BUDGET) -> set:
     """All residue tuples solving the extended system for some valid
-    last column.  Row orientation cannot matter: membership of the
-    difference is sign-invariant."""
-    graph = matrix.graph
-    m, n, divisors, index = _brute_force_setup(
-        graph, budget, "solution-set enumeration needs Z/m")
-    out = set()
-    rows = [(index[t], index[h], divisors[graph.edge_key(t, h)])
-            for t, h in matrix.rows]
-    for tup in product(range(m), repeat=n):
-        if all((tup[t] - tup[h]) % d == 0 for t, h, d in rows):
-            out.add(tup)
-    return out
+    last column: each signed row's value must lie in its edge's ideal,
+    and membership is sign-invariant, so orientation cannot matter."""
+    divisors = _edge_divisors(matrix.graph, budget, "solution-set enumeration needs Z/m")
+    return set(_residue_search(matrix.graph, [
+        (dict(enumerate(row)), divisors[edge]) for edge, row in matrix.rows_by_edge().items()]))
 
 
 def reduced_solution_set(system: ReducedSystem,
                          budget: int = DEFAULT_BUDGET) -> set:
-    """Honest evaluation of the reduced rows over Z/m: tree rows fix the
-    tree slots, cycle rows force the chord slot to the signed tree sum
-    and demand membership in the chord's ideal."""
-    m, n, divisors, _ = _brute_force_setup(
-        system.graph, budget, "solution-set enumeration needs Z/m")
-    out = set()
-    for tup in product(range(m), repeat=n):
-        slots = {}
-        ok = True
-        for row in system.tree_rows:
-            value = sum(c * tup[i] for i, c in enumerate(row.coeffs)) % m
-            if value % divisors[row.edge]:
-                ok = False
-                break
-            slots[row.edge] = value
-        if not ok:
-            continue
-        for row in system.cycle_rows:
-            # 0 = q_chord + sum of signed tree slots
-            signed = 0
-            for sign, edge in row.rhs:
-                if edge == row.edge:
-                    continue
-                signed += sign * slots[edge]
-            chord_slot = (-signed) % m
-            if chord_slot % divisors[row.edge]:
-                ok = False
-                break
-        if ok:
-            out.add(tup)
-    return out
+    """Honest evaluation over Z/m.  The row of edge e reads coeffs . x =
+    sum of sign * q_f over its rhs; solved for q_e, with each other q_f
+    from f's own row (rows are solved in dependency order, without
+    recursion), q_e is a linear form in x that must lie in e's ideal."""
+    divisors = _edge_divisors(system.graph, budget, "solution-set enumeration needs Z/m")
+    rows = {row.edge: row for row in system.tree_rows + system.cycle_rows}
+    waiting = {e: {f for _, f in row.rhs} - {e} for e, row in rows.items()}
+    ready = [e for e, reads in waiting.items() if not reads]
+    slots = {}  # edge -> q_edge as {vertex slot: coefficient}
+    while ready:
+        e = ready.pop()
+        form, own = dict(enumerate(rows[e].coeffs)), 0
+        for sign, f in rows[e].rhs:
+            if f == e:
+                own += sign
+            else:
+                for k, c in slots[f].items():
+                    form[k] -= sign * c
+        if own not in (1, -1):
+            raise ValueError(f"the row of edge {e} must carry q_e with sign +-1")
+        slots[e] = {k: own * c for k, c in form.items() if c}
+        for f, reads in waiting.items():
+            if e in reads:
+                reads.remove(e)
+                if not reads:
+                    ready.append(f)
+    if len(slots) < len(system.tree_rows + system.cycle_rows):
+        raise ValueError("every slot needs exactly one row that determines it")
+    return set(_residue_search(system.graph, [(slots[e], divisors[e]) for e in rows]))

@@ -1,4 +1,8 @@
 """Enumeration oracles and the decomposition certifiers."""
+import dataclasses
+import math
+from itertools import product
+
 import pytest
 
 from gensplines import analysis, integers, integers_mod, spanning_tree, verify
@@ -15,12 +19,12 @@ from gensplines.analysis import (
     spanning_tree_cover,
 )
 from gensplines.construct import GeneratingFamily, flow_up_family, trivial_spline
-from gensplines.gkm import build_gkm_matrix, reduce_via_tree
+from gensplines.gkm import build_gkm_matrix, path_reduced_form, reduce_via_tree
 from gensplines.graphs import GraphError, spanning_subgraph
 from gensplines.rings import UnsupportedRingError
 from gensplines.splines import Spline
 
-from conftest import make_graph, seeded
+from conftest import make_graph, random_connected_graph, seeded
 
 Z = integers()
 
@@ -173,6 +177,136 @@ class TestSolutionSets:
         base = set(enumerate_splines(g).members)
         system = reduce_via_tree(build_gkm_matrix(g), spanning_tree(g))
         assert reduced_solution_set(system) == base
+
+
+def product_splines(graph):
+    """Every x in (Z/m)^n with x_u - x_v in the ideal of each edge uv, by
+    itertools.product and Ideal.contains: an oracle that shares no code
+    with the search in analysis."""
+    ring, m = graph.ring, graph.ring.modulus
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    edges = [(index[u], index[v],
+              {r for r in range(m) if graph.labels[(u, v)].contains(ring.element(r))})
+             for u, v in graph.edges]
+    return {x for x in product(range(m), repeat=len(index))
+            if all((x[i] - x[j]) % m in ok for i, j, ok in edges)}
+
+
+def seeded_zm_graph(seed):
+    """A connected graph over Z/m, 2 <= m <= 12, with m^n <= 4096."""
+    rng = seeded(seed)
+    m = rng.randint(2, 12)
+    n_max = max(2, int(math.log(4096, m)))
+    return rng, random_connected_graph(integers_mod(m), rng, n_max=n_max, e_max=6)
+
+
+def seeded_zm_path(seed):
+    """A path over Z/m whose vertices are declared in a shuffled order."""
+    rng = seeded(seed)
+    m = rng.randint(2, 12)
+    n = rng.randint(2, max(2, int(math.log(4096, m))))
+    order = [f"v{i}" for i in range(n)]
+    declared = order[:]
+    rng.shuffle(declared)
+    edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(order, order[1:])]
+    return make_graph(integers_mod(m), declared,
+                      [(a, b, rng.randrange(m)) for a, b in edges])
+
+
+def flipped_matrix(graph, rng):
+    return build_gkm_matrix(graph, orientation={
+        (u, v): (v, u) for u, v in graph.edges if rng.random() < 0.5})
+
+
+class TestIndependentOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_connected_graphs(self, seed):
+        rng, g = seeded_zm_graph(seed)
+        expected = product_splines(g)
+        found = enumerate_splines(g).members
+        assert found == tuple(sorted(expected))
+        matrix = flipped_matrix(g, rng)
+        assert matrix_solution_set(matrix) == expected
+        tree = spanning_tree(g, rng.choice(g.vertices))
+        assert reduced_solution_set(reduce_via_tree(matrix, tree)) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_paths(self, seed):
+        g = seeded_zm_path(seed)
+        expected = product_splines(g)
+        assert set(enumerate_splines(g).members) == expected
+        matrix = flipped_matrix(g, seeded(seed))
+        assert matrix_solution_set(matrix) == expected
+        assert reduced_solution_set(path_reduced_form(matrix)) == expected
+        tree = spanning_tree(g, g.vertices[-1])
+        assert reduced_solution_set(reduce_via_tree(matrix, tree)) == expected
+
+    def test_path_form_keeps_only_splines(self):
+        R = integers_mod(6)
+        g = make_graph(R, ["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])
+        found = reduced_solution_set(path_reduced_form(build_gkm_matrix(g)))
+        assert (0, 3, 0) not in found
+        assert found == product_splines(g) == set(enumerate_splines(g).members)
+
+    def test_edgeless_graph_gives_every_tuple(self):
+        g = make_graph(integers_mod(3), ["a", "b"], [])
+        assert enumerate_splines(g).members == tuple(product(range(3), repeat=2))
+        report = check_union_decomposition(g, [])
+        assert report.verdict and report.mode == "exhaustive"
+
+
+def replace_row(rows, edge, **changes):
+    return tuple(dataclasses.replace(row, **changes) if row.edge == edge else row
+                 for row in rows)
+
+
+class TestCorruptedSystems:
+    """Z/5 triangle: BFS from v1 makes v2-v3 the chord.  The unit labels
+    leave only the label-0 edges binding."""
+
+    def test_cycle_row_sign_flip(self):
+        g = triangle_mod(5, (1, 0, 1))  # v1-v2, v2-v3 (chord), v1-v3
+        system = reduce_via_tree(build_gkm_matrix(g), spanning_tree(g))
+        (row,) = system.cycle_rows
+        rhs = tuple((-sign, e) if e == ("v1", "v2") else (sign, e) for sign, e in row.rhs)
+        corrupted = dataclasses.replace(
+            system, cycle_rows=replace_row(system.cycle_rows, row.edge, rhs=rhs))
+        assert reduced_solution_set(system) == product_splines(g)
+        assert reduced_solution_set(corrupted) != product_splines(g)
+
+    def test_tree_row_coefficient_doubled(self):
+        g = triangle_mod(5, (0, 1, 1))
+        system = reduce_via_tree(build_gkm_matrix(g), spanning_tree(g))
+        (row,) = [r for r in system.tree_rows if r.edge == ("v1", "v2")]
+        coeffs = tuple(2 * c if c == 1 else c for c in row.coeffs)
+        corrupted = dataclasses.replace(
+            system, tree_rows=replace_row(system.tree_rows, row.edge, coeffs=coeffs))
+        assert reduced_solution_set(system) == product_splines(g)
+        assert reduced_solution_set(corrupted) != product_splines(g)
+
+    def test_rows_that_cannot_be_solved(self):
+        g = triangle_mod(5, (0, 1, 1))
+        system = reduce_via_tree(build_gkm_matrix(g), spanning_tree(g))
+        row = system.tree_rows[0]
+        doubled = replace_row(system.tree_rows, row.edge, rhs=((2, row.edge),))
+        with pytest.raises(ValueError, match="sign"):
+            reduced_solution_set(dataclasses.replace(system, tree_rows=doubled))
+        chord = system.cycle_rows[0].edge
+        looped = replace_row(system.tree_rows, row.edge, rhs=((1, row.edge), (1, chord)))
+        with pytest.raises(ValueError, match="exactly one row"):
+            reduced_solution_set(dataclasses.replace(system, tree_rows=looped))
+        twice = system.tree_rows + (dataclasses.replace(row, coeffs=(1, 0, -1)),)
+        with pytest.raises(ValueError, match="exactly one row"):
+            reduced_solution_set(dataclasses.replace(system, tree_rows=twice))
+
+
+class TestLongPath:
+    def test_path_form_longer_than_the_recursion_limit(self):
+        R = integers_mod(2)
+        names = [f"v{i}" for i in range(1100)]
+        g = make_graph(R, names, [(u, v, 0) for u, v in zip(names, names[1:])])
+        system = path_reduced_form(build_gkm_matrix(g))
+        assert reduced_solution_set(system, budget=10**400) == {(0,) * 1100, (1,) * 1100}
 
 
 class TestRandomMember:

@@ -261,6 +261,18 @@ class TestEnumerate:
         assert doc["count"] == 2
         assert doc["members"] == [[0] * 1100, [1] * 1100]
 
+    def test_budget_stops_before_the_full_power(self, capsys, tmp_path):
+        # m^n here has ten million digits; the guard must not compute it
+        modulus = 10**1000 + 7
+        names = [f"v{i}" for i in range(10_000)]
+        doc = {"ring": {"kind": "integers-mod", "modulus": modulus},
+               "vertices": names, "edges": []}
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "enumerate", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {modulus}^10000 tuples exceed the budget of 10000000\n"
+
 
 class TestDecompose:
     def test_constant_split(self, capsys, tmp_path):

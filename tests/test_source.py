@@ -1,6 +1,7 @@
 """Source-level rules for the library package."""
 import ast
 import pathlib
+import sys
 
 import gensplines
 
@@ -36,3 +37,19 @@ def test_library_has_no_unused_imports():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert not found, f"unused imports {found}"
+
+
+def test_library_imports_only_the_standard_library():
+    # the library keeps zero runtime dependencies
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"imports outside the standard library {found}"
