@@ -99,14 +99,18 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     return level
 
 
+def _edge_forms(graph: EdgeLabeledGraph, edges, budget: int) -> list:
+    """Ring and budget checks, then (x_u - x_v, divisor of uv) per edge uv."""
+    divisors = _edge_divisors(
+        graph, budget, "exhaustive enumeration needs a finite ring (Z/m)")
+    return [({graph.index(u): 1, graph.index(v): -1}, divisors[u, v]) for u, v in edges]
+
+
 def enumerate_splines(graph: EdgeLabeledGraph,
                       budget: int = DEFAULT_BUDGET) -> SplineSet:
     """All verified residue tuples: x_u - x_v must lie in the ideal of
     each edge uv, read from the graph itself."""
-    divisors = _edge_divisors(
-        graph, budget, "exhaustive enumeration needs a finite ring (Z/m)")
-    forms = [({graph.index(u): 1, graph.index(v): -1}, d)
-             for (u, v), d in divisors.items()]
+    forms = _edge_forms(graph, graph.edges, budget)
     return SplineSet(graph, tuple(_residue_search(graph, forms)))
 
 
@@ -168,25 +172,21 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
                               budget: int = DEFAULT_BUDGET,
                               seed: int = 0,
                               samples: int = 20) -> DecompositionReport:
-    """Certify R_G = intersection of the R_{G_i}: exhaustively over Z/m,
-    by seeded sampling of both inclusions otherwise."""
+    """Certify R_G = intersection of the R_{G_i}: over Z/m exhaustively, as
+    one search over the edge conditions of every G_i together, and by
+    seeded sampling of both inclusions otherwise."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     subgraphs = list(subgraphs)
     _check_cover(graph, subgraphs)
     edge_sets = tuple(tuple(sub.edges) for sub in subgraphs)
     aligned = [spanning_subgraph(graph, sub.edges) for sub in subgraphs]
     if graph.ring.kind == INTEGERS_MOD:
         whole = set(enumerate_splines(graph, budget).members)
-        inter = None
-        for sub in aligned:
-            part = set(enumerate_splines(sub, budget).members)
-            inter = part if inter is None else inter & part
-        if inter is None:
-            # the intersection over no subgraphs is every residue tuple
-            inter = set(_residue_search(graph, []))
-        if whole == inter:
-            return DecompositionReport(claim, edge_sets, True)
-        bad = min(whole.symmetric_difference(inter))
-        return DecompositionReport(claim, edge_sets, False, counterexample=bad)
+        inter = set(_residue_search(graph, _edge_forms(
+            graph, [e for sub in aligned for e in sub.edges], budget)))
+        return DecompositionReport(claim, edge_sets, whole == inter,
+                                   counterexample=min(whole ^ inter, default=None))
     rng = random.Random(seed)
     # splines of G restrict into every R_{G_i}
     members = _random_members(graph, rng)

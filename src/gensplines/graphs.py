@@ -19,7 +19,7 @@ class GraphError(ValueError):
 class DisconnectedGraphError(GraphError):
     def __init__(self, components):
         self.components = components
-        parts = "; ".join("{" + ", ".join(c) + "}" for c in components)
+        parts = "; ".join("{" + ", ".join(map(str, c)) + "}" for c in components)
         super().__init__(f"graph is disconnected: components {parts}")
 
 

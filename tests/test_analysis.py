@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from gensplines import analysis, integers, integers_mod, spanning_tree, verify
+from gensplines import analysis, build_graph, integers, integers_mod, spanning_tree, verify
 from gensplines.analysis import (
     BudgetExceededError,
     check_cycle_decomposition,
@@ -20,7 +20,12 @@ from gensplines.analysis import (
 )
 from gensplines.construct import GeneratingFamily, flow_up_family, trivial_spline
 from gensplines.gkm import build_gkm_matrix, path_reduced_form, reduce_via_tree
-from gensplines.graphs import GraphError, spanning_subgraph
+from gensplines.graphs import (
+    GraphError,
+    fundamental_cycles,
+    path_edges,
+    spanning_subgraph,
+)
 from gensplines.rings import UnsupportedRingError
 from gensplines.splines import Spline
 
@@ -253,6 +258,112 @@ class TestIndependentOracle:
         assert enumerate_splines(g).members == tuple(product(range(3), repeat=2))
         report = check_union_decomposition(g, [])
         assert report.verdict and report.mode == "exhaustive"
+
+
+def recorded_searches(monkeypatch):
+    """Wrap analysis._residue_search; the list it returns fills with each
+    search's result as a set, in call order."""
+    found = []
+    search = analysis._residue_search
+
+    def recording(graph, forms):
+        result = search(graph, forms)
+        found.append(set(result))
+        return result
+
+    monkeypatch.setattr(analysis, "_residue_search", recording)
+    return found
+
+
+def folded_intersection(graph, subgraphs):
+    """The intersection the way the certifier once built it: one full
+    enumeration per aligned subgraph, folded with &."""
+    inter = set(product(range(graph.ring.modulus), repeat=len(graph.vertices)))
+    for sub in subgraphs:
+        inter &= set(enumerate_splines(spanning_subgraph(graph, sub.edges)).members)
+    return inter
+
+
+def tree_plus_cycles(graph, tree):
+    return [spanning_subgraph(graph, tree.tree_edges)] + [
+        spanning_subgraph(graph, path_edges(graph, cycle.vertex_sequence))
+        for cycle in fundamental_cycles(graph, tree)]
+
+
+def scrambled_cover(graph, rng):
+    """A cover whose subgraphs overlap, repeat one another and include an
+    edgeless one, each declaring the vertices in a shuffled order and its
+    edges with reversed endpoints."""
+    groups = [[] for _ in range(rng.randint(1, 3))]
+    for e in graph.edges:
+        for group in rng.sample(groups, rng.randint(1, len(groups))):
+            group.append(e)
+    cover = []
+    for edges in groups + [groups[0], []]:
+        vertices = list(graph.vertices)
+        rng.shuffle(vertices)
+        cover.append(build_graph(graph.ring, vertices,
+                                 [(v, u, graph.labels[u, v]) for u, v in edges]))
+    return cover
+
+
+class TestOneSearchPerCertificate:
+    def test_two_searches_however_many_subgraphs(self, monkeypatch):
+        g = triangle_mod(6, (2, 3, 4))
+        per_edge = [spanning_subgraph(g, [e]) for e in g.edges]
+        found = recorded_searches(monkeypatch)
+        for subgraphs in (per_edge, per_edge * 4, spanning_tree_cover(g)):
+            found.clear()
+            assert check_union_decomposition(g, subgraphs).verdict
+            assert len(found) == 2
+        found.clear()
+        assert check_cycle_decomposition(g, spanning_tree(g)).verdict
+        assert len(found) == 2
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_intersection_matches_the_fold(self, seed, monkeypatch):
+        rng, g = seeded_zm_graph(seed)
+        tree = spanning_tree(g, rng.choice(g.vertices))
+        covers = [[spanning_subgraph(g, [e]) for e in g.edges],
+                  spanning_tree_cover(g), tree_plus_cycles(g, tree),
+                  scrambled_cover(g, rng)]
+        found = recorded_searches(monkeypatch)
+        for subgraphs in covers:
+            found.clear()
+            if subgraphs is covers[2]:
+                report = check_cycle_decomposition(g, tree)
+            else:
+                report = check_union_decomposition(g, subgraphs)
+            whole, inter = found
+            assert report.verdict and report.counterexample is None
+            assert inter == whole == folded_intersection(g, subgraphs)
+
+    def test_a_faulty_search_gives_the_least_difference(self, monkeypatch):
+        g = triangle_mod(4, (2, 2, 2))
+        search = analysis._residue_search
+        calls = []
+
+        def dropping(graph, forms):
+            result = search(graph, forms)
+            calls.append(forms)
+            return result if len(calls) == 1 else result[:3] + result[5:]
+
+        monkeypatch.setattr(analysis, "_residue_search", dropping)
+        parts = [spanning_subgraph(g, [e]) for e in g.edges]
+        report = check_union_decomposition(g, parts)
+        assert not report.verdict and report.mode == "exhaustive"
+        assert report.counterexample == search(g, calls[0])[3]
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_refused(self, samples):
+        for g in (triangle_mod(6, (2, 3, 4)),
+                  make_graph(Z, ["a", "b", "c"],
+                             [("a", "b", 2), ("b", "c", 3), ("a", "c", 5)])):
+            parts = [spanning_subgraph(g, [e]) for e in g.edges]
+            with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+                check_union_decomposition(g, parts, samples=samples)
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                check_cycle_decomposition(g, spanning_tree(g), samples=samples)
 
 
 def replace_row(rows, edge, **changes):

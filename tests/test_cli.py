@@ -1,13 +1,21 @@
 """End-to-end CLI behavior: exit codes, JSON output, DOT emission."""
+import dataclasses
+import errno
+import hashlib
 import json
+import os
+import random
 import sys
 
 import pytest
 
-from gensplines import cli
+from gensplines import analysis, cli, serialize
 from gensplines.cli import main
 
 from conftest import FIXTURES
+
+ROOT = FIXTURES.parent.parent
+GOLDEN = json.loads((ROOT / "perfbench" / "golden_cli.json").read_text())["commands"]
 
 K4 = str(FIXTURES / "k4.json")
 K4_SPLINE = str(FIXTURES / "k4-spline.json")
@@ -56,6 +64,15 @@ class TestCheck:
         bad.write_text(json.dumps({"ring": {"kind": "integers"}}))
         code, _, err = run(capsys, "check", str(bad), K4_SPLINE)
         assert code == 2 and "missing field" in err
+
+    def test_permission_denied_exits_two(self, capsys, monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        code, out, err = run(capsys, "check", K4, K4_SPLINE)
+        assert code == 2 and out == ""
+        assert err == f"error: {K4}: Permission denied\n"
 
     def test_non_utf8_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bin.json"
@@ -327,6 +344,51 @@ class TestSelfcheck:
         code, out, _ = run(capsys, "selfcheck", K4, "--samples", "3")
         assert code == 0
         assert all(r["mode"] == "sampled" for r in json.loads(out))
+
+
+    @pytest.mark.parametrize("graph", [K4, C3Z4], ids=["k4", "c3-z4"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_two(self, capsys, graph, samples):
+        code, out, err = run(capsys, "selfcheck", graph, "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == f"error: samples must be at least 1, got {samples}\n"
+
+    def test_refuted_exhaustive_claims_exit_one(self, capsys, monkeypatch):
+        enumerate_splines = analysis.enumerate_splines
+
+        def padded(graph, budget):
+            found = enumerate_splines(graph, budget)
+            return dataclasses.replace(found, members=found.members + ((1, 2, 3),))
+
+        monkeypatch.setattr(analysis, "enumerate_splines", padded)
+        code, out, _ = run(capsys, "selfcheck", C3Z4)
+        assert code == 1
+        for report in json.loads(out):
+            assert report["verdict"] is False and report["mode"] == "exhaustive"
+            assert report["counterexample"] == [1, 2, 3] and "seed" not in report
+
+    def test_refuted_sampled_claims_exit_one(self, capsys, monkeypatch, k4_graph):
+        first_draw = analysis.random_member(k4_graph, random.Random(4))
+        verify = analysis.verify
+        monkeypatch.setattr(analysis, "verify",
+                            lambda graph, p: dataclasses.replace(verify(graph, p), ok=False))
+        code, out, _ = run(capsys, "selfcheck", K4, "--seed", "4")
+        assert code == 1
+        reports = json.loads(out)
+        assert len(reports) == 3
+        for report in reports:
+            assert report["verdict"] is False and report["mode"] == "sampled"
+            assert report["seed"] == 4
+            assert report["counterexample"] == serialize.spline_to_json(first_draw)
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+    def test_byte_identical(self, capsys, monkeypatch, entry):
+        monkeypatch.chdir(ROOT)
+        code, out, _ = run(capsys, *entry["argv"])
+        assert code == entry["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
 
 
 class TestDot:

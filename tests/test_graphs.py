@@ -76,6 +76,13 @@ class TestConnectivity:
             spanning_tree(g)
         assert info.value.components == [["a", "b"], ["c"]]
 
+    def test_disconnected_int_vertex_ids(self):
+        g = build_graph(Z, [1, 2, 3], [(1, 2, [Z.element(2)])])
+        with pytest.raises(DisconnectedGraphError,
+                           match=r"components \{1, 2\}; \{3\}") as info:
+            spanning_tree(g)
+        assert info.value.components == [[1, 2], [3]]
+
     def test_unknown_root_reported_before_disconnection(self):
         g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2)])
         with pytest.raises(GraphError, match="root 'zz' is not a vertex"):
