@@ -52,13 +52,13 @@ class SplineSet:
             })
 
 
-def _edge_divisors(graph: EdgeLabeledGraph, budget: int, unsupported: str) -> dict:
+def _edge_divisors(graph: EdgeLabeledGraph, budget: int) -> dict:
     """Ring and m^n budget checks, then each edge's divisor of m: a
     residue lies in the edge's ideal iff the divisor divides it.  The
     count is multiplied up only until it passes the budget."""
     ring = graph.ring
     if ring.kind != INTEGERS_MOD:
-        raise UnsupportedRingError(unsupported)
+        raise UnsupportedRingError("exhaustive enumeration needs a finite ring (Z/m)")
     m, n, tuples = ring.modulus, len(graph.vertices), 1
     for _ in range(n + 1):
         if tuples > budget:
@@ -101,8 +101,7 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
 
 def _edge_forms(graph: EdgeLabeledGraph, edges, budget: int) -> list:
     """Ring and budget checks, then (x_u - x_v, divisor of uv) per edge uv."""
-    divisors = _edge_divisors(
-        graph, budget, "exhaustive enumeration needs a finite ring (Z/m)")
+    divisors = _edge_divisors(graph, budget)
     return [({graph.index(u): 1, graph.index(v): -1}, divisors[u, v]) for u, v in edges]
 
 
@@ -124,14 +123,19 @@ class DecompositionReport:
     seed: int | None = None
 
 
-def _check_cover(graph: EdgeLabeledGraph, subgraphs):
-    union = set()
+def _check_cover(graph: EdgeLabeledGraph, subgraphs) -> list:
+    """Every subgraph's edges as host keys, once each is a subgraph of
+    the host that keeps every vertex and together they cover its edges."""
+    keys = []
     for sub in subgraphs:
-        if set(sub.vertices) != set(graph.vertices):
+        if not sub.is_subgraph_of(graph):
+            raise GraphError("not a subgraph of the host")
+        if len(sub.vertices) != len(graph.vertices):
             raise GraphError("decomposition subgraphs must keep every vertex")
-        union.update(frozenset(e) for e in sub.edges)
-    if union != {frozenset(e) for e in graph.edges}:
+        keys += [graph.edge_key(u, v) for u, v in sub.edges]
+    if set(keys) != set(graph.edges):
         raise GraphError("subgraph edges do not cover the graph")
+    return keys
 
 
 def random_member(graph: EdgeLabeledGraph, rng: random.Random) -> Spline:
@@ -178,13 +182,11 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     subgraphs = list(subgraphs)
-    _check_cover(graph, subgraphs)
+    keys = _check_cover(graph, subgraphs)
     edge_sets = tuple(tuple(sub.edges) for sub in subgraphs)
-    aligned = [spanning_subgraph(graph, sub.edges) for sub in subgraphs]
     if graph.ring.kind == INTEGERS_MOD:
         whole = set(enumerate_splines(graph, budget).members)
-        inter = set(_residue_search(graph, _edge_forms(
-            graph, [e for sub in aligned for e in sub.edges], budget)))
+        inter = set(_residue_search(graph, _edge_forms(graph, keys, budget)))
         return DecompositionReport(claim, edge_sets, whole == inter,
                                    counterexample=min(whole ^ inter, default=None))
     rng = random.Random(seed)
@@ -192,17 +194,17 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
     members = _random_members(graph, rng)
     for _ in range(samples):
         p = next(members)
-        for sub in aligned:
+        for sub in subgraphs:
             if not verify(sub, p).ok:
                 return DecompositionReport(claim, edge_sets, False,
                                            counterexample=p,
                                            mode="sampled", seed=seed)
     # members of the intersection verify on G
-    for sub in aligned:
+    for sub in subgraphs:
         members = _random_members(sub, rng)
         for _ in range(samples):
-            p = next(members)
-            if all(verify(o, p).ok for o in aligned) and not verify(graph, p).ok:
+            p = Spline(graph, next(members).values)
+            if all(verify(o, p).ok for o in subgraphs) and not verify(graph, p).ok:
                 return DecompositionReport(claim, edge_sets, False,
                                            counterexample=p,
                                            mode="sampled", seed=seed)
@@ -225,10 +227,10 @@ def check_cycle_decomposition(graph: EdgeLabeledGraph, tree: TreeSkeleton, *,
                               budget: int = DEFAULT_BUDGET,
                               seed: int = 0,
                               samples: int = 20) -> DecompositionReport:
-    """R_G = R_T intersected with the fundamental-cycle subgraphs
-    (each cycle padded with the remaining isolated vertices)."""
+    """R_G = R_T intersected with the fundamental-cycle subgraphs (each
+    padded with the remaining isolated vertices); T keeps tree.host's labels."""
     cycles = fundamental_cycles(graph, tree)
-    parts = [spanning_subgraph(graph, tree.tree_edges)]
+    parts = [spanning_subgraph(tree.host, tree.tree_edges)]
     parts += [spanning_subgraph(graph, path_edges(graph, cycle.vertex_sequence))
               for cycle in cycles]
     return check_union_decomposition(graph, parts, claim="tree-plus-cycles",
@@ -277,7 +279,7 @@ def matrix_solution_set(matrix: GkmMatrix,
     """All residue tuples solving the extended system for some valid
     last column: each signed row's value must lie in its edge's ideal,
     and membership is sign-invariant, so orientation cannot matter."""
-    divisors = _edge_divisors(matrix.graph, budget, "solution-set enumeration needs Z/m")
+    divisors = _edge_divisors(matrix.graph, budget)
     return set(_residue_search(matrix.graph, [
         (dict(enumerate(row)), divisors[edge]) for edge, row in matrix.rows_by_edge().items()]))
 
@@ -288,7 +290,7 @@ def reduced_solution_set(system: ReducedSystem,
     sum of sign * q_f over its rhs; solved for q_e, with each other q_f
     from f's own row (rows are solved in dependency order, without
     recursion), q_e is a linear form in x that must lie in e's ideal."""
-    divisors = _edge_divisors(system.graph, budget, "solution-set enumeration needs Z/m")
+    divisors = _edge_divisors(system.graph, budget)
     rows = {row.edge: row for row in system.tree_rows + system.cycle_rows}
     waiting = {e: {f for _, f in row.rhs} - {e} for e, row in rows.items()}
     ready = [e for e, reads in waiting.items() if not reads]

@@ -222,8 +222,11 @@ _ZERO_FACTOR = ("edge {} contributes a zero factor; the extension is "
 
 
 def excluded_edges(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> list:
-    inner = {frozenset(e) for e in subgraph.edges}
-    return [e for e in graph.edges if frozenset(e) not in inner]
+    """The host's edges outside a subgraph of it, in host order."""
+    if not subgraph.is_subgraph_of(graph):
+        raise GraphError("not a subgraph of the host")
+    inner = {graph.edge_key(u, v) for u, v in subgraph.edges}
+    return [e for e in graph.edges if e not in inner]
 
 
 def extend_by_zero(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph,
@@ -238,12 +241,10 @@ def extend_by_zero(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph,
 
 
 def extend_by_zero_with_factor(graph, subgraph, p, element_choices=None):
-    if not subgraph.is_subgraph_of(graph):
-        raise GraphError("not a subgraph of the host")
-    report = verify(subgraph, p)
-    if not report.ok:
+    excluded = excluded_edges(graph, subgraph)
+    if not verify(subgraph, p).ok:
         raise ValueError("input spline fails verification on the subgraph")
-    factor = _excluded_product(graph, excluded_edges(graph, subgraph), element_choices)
+    factor = _excluded_product(graph, excluded, element_choices)
     inside = set(subgraph.vertices)
     values = {v: (factor * p[v] if v in inside else graph.ring.zero)
               for v in graph.vertices}
@@ -336,12 +337,9 @@ def is_nontrivial_exists(graph: EdgeLabeledGraph):
     support = set(spanning_subgraph(graph, zero_edges).components()[0])
     if len(support) == len(graph.vertices):
         return False, None
-    ring = graph.ring
-    factor = ring.one
-    for u, v in graph.edges:
-        if (u in support) != (v in support):
-            factor = factor * graph.labels[(u, v)].canonical
-    witness = Spline(graph, {v: (factor if v in support else ring.zero)
+    factor = _excluded_product(
+        graph, [(u, v) for u, v in graph.edges if (u in support) != (v in support)])
+    witness = Spline(graph, {v: (factor if v in support else graph.ring.zero)
                              for v in graph.vertices})
     if not verify(graph, witness).ok:
         raise AssertionError("extension-by-zero witness fails verification")

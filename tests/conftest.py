@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from gensplines import build_graph, integers, poly_rational
+from gensplines import build_graph, integers, integers_mod, poly_rational
 from gensplines.rings import Ideal
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -49,6 +49,23 @@ def path_z(labels):
     verts = [f"v{i + 1}" for i in range(n)]
     return make_graph(Z, verts,
                       [(verts[i], verts[i + 1], labels[i]) for i in range(n - 1)])
+
+
+def near_subgraphs(host):
+    """Three graphs with every vertex and edge of a Z or Z/m host that are
+    not subgraphs of it: the first edge's generator raised by one, every
+    generator read over another ring (Z/5 for Z, Z otherwise), and a
+    foreign vertex joined to the first vertex."""
+    first = host.edges[0]
+    edges = [(u, v, host.labels[u, v].canonical.payload) for u, v in host.edges]
+    other = integers_mod(5) if host.ring.kind == "integers" else integers()
+    return [
+        make_graph(host.ring, host.vertices,
+                   [(u, v, g + ((u, v) == first)) for u, v, g in edges]),
+        make_graph(other, host.vertices, edges),
+        make_graph(host.ring, host.vertices + ("zz",),
+                   edges + [(host.vertices[0], "zz", 1)]),
+    ]
 
 
 @pytest.fixture

@@ -5,7 +5,15 @@ from itertools import product
 
 import pytest
 
-from gensplines import analysis, build_graph, integers, integers_mod, spanning_tree, verify
+from gensplines import (
+    analysis,
+    build_graph,
+    integers,
+    integers_mod,
+    poly_rational,
+    spanning_tree,
+    verify,
+)
 from gensplines.analysis import (
     BudgetExceededError,
     check_cycle_decomposition,
@@ -24,12 +32,19 @@ from gensplines.graphs import (
     GraphError,
     fundamental_cycles,
     path_edges,
+    restrict,
     spanning_subgraph,
 )
 from gensplines.rings import UnsupportedRingError
-from gensplines.splines import Spline
+from gensplines.splines import Spline, VerificationReport
 
-from conftest import make_graph, random_connected_graph, seeded
+from conftest import (
+    make_graph,
+    near_subgraphs,
+    random_connected_graph,
+    seeded,
+    triangle_z,
+)
 
 Z = integers()
 
@@ -77,6 +92,19 @@ class TestEnumerate:
         g = make_graph(Z, ["a", "b"], [("a", "b", 2)])
         with pytest.raises(UnsupportedRingError):
             enumerate_splines(g)
+
+    @pytest.mark.parametrize("ring", [Z, poly_rational()])
+    def test_every_oracle_refuses_an_infinite_ring_alike(self, ring):
+        g = make_graph(ring, ["a", "b"], [("a", "b", 2)])
+        matrix = build_gkm_matrix(g)
+        system = reduce_via_tree(matrix, spanning_tree(g))
+        for oracle in (lambda: enumerate_splines(g),
+                       lambda: count_direct_sum(g, "a"),
+                       lambda: matrix_solution_set(matrix),
+                       lambda: reduced_solution_set(system)):
+            with pytest.raises(UnsupportedRingError,
+                               match=r"^exhaustive enumeration needs a finite ring \(Z/m\)$"):
+                oracle()
 
 
 class TestUnionDecomposition:
@@ -135,6 +163,12 @@ class TestTriangularFamily:
         zero = trivial_spline(g, Z.element(0))
         fam = GeneratingFamily(g, (zero, trivial_spline(g, Z.element(1))),
                                ("a", "b"), (Z.element(0), Z.element(1)))
+        assert not check_triangular_family(fam)
+
+    def test_entry_below_the_diagonal_detected(self):
+        g = make_graph(Z, ["a", "b"], [("a", "b", 2)])
+        one = trivial_spline(g, Z.element(1))
+        fam = GeneratingFamily(g, (one, one), ("a", "b"), (Z.element(1), Z.element(1)))
         assert not check_triangular_family(fam)
 
     def test_size_mismatch_detected(self):
@@ -364,6 +398,76 @@ class TestOneSearchPerCertificate:
                 check_union_decomposition(g, parts, samples=samples)
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 check_cycle_decomposition(g, spanning_tree(g), samples=samples)
+
+
+HOSTS = {"exhaustive": lambda: triangle_mod(6, (2, 3, 4)), "sampled": triangle_z}
+
+
+class TestOneSubgraphRelation:
+    @pytest.mark.parametrize("bad", range(3))
+    @pytest.mark.parametrize("mode", HOSTS)
+    def test_union_refuses_a_non_subgraph(self, mode, bad):
+        g = HOSTS[mode]()
+        sub = near_subgraphs(g)[bad]
+        per_edge = [spanning_subgraph(g, [e]) for e in g.edges]
+        for cover in ([sub], per_edge + [sub]):
+            with pytest.raises(GraphError, match="^not a subgraph of the host$"):
+                check_union_decomposition(g, cover, samples=2)
+
+    @pytest.mark.parametrize("bad, message", [
+        (0, "not a subgraph of the host"),
+        (1, "not a subgraph of the host"),
+        (2, "tree does not span the graph")])
+    @pytest.mark.parametrize("mode", HOSTS)
+    def test_cycle_decomposition_refuses_a_tree_of_a_non_subgraph(self, mode, bad, message):
+        g = HOSTS[mode]()
+        tree = spanning_tree(near_subgraphs(g)[bad])
+        assert g.edges[0] in tree.tree_edges  # T holds the relabelled first edge
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            check_cycle_decomposition(g, tree, samples=2)
+
+    def test_a_subgraph_that_drops_a_vertex_is_refused(self):
+        g = triangle_mod(6, (2, 3, 4))
+        parts = [spanning_subgraph(g, g.edges), restrict(g, ["v1", "v2"], [g.edges[0]])]
+        with pytest.raises(GraphError, match="must keep every vertex"):
+            check_union_decomposition(g, parts)
+
+    def test_builds_no_subgraph(self, monkeypatch):
+        covers = [(g, [spanning_subgraph(g, [e]) for e in g.edges])
+                  for g in (host() for host in HOSTS.values())]
+        built = []
+        build = analysis.spanning_subgraph
+
+        def counting(graph, edges):
+            built.append(edges)
+            return build(graph, edges)
+
+        monkeypatch.setattr(analysis, "spanning_subgraph", counting)
+        for g, parts in covers:
+            assert check_union_decomposition(g, parts, samples=2).verdict
+        assert built == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scrambled_sampled_covers_certify(self, seed):
+        rng = seeded(seed)
+        g = random_connected_graph(Z, rng, nonzero=True)
+        report = check_union_decomposition(g, scrambled_cover(g, rng), seed=seed, samples=3)
+        assert report.verdict and report.mode == "sampled"
+        assert report.counterexample is None
+
+    def test_a_sampled_counterexample_lives_on_the_host(self, monkeypatch):
+        g = triangle_z()
+        cover = scrambled_cover(g, seeded(2))
+        assert any(sub.vertices != g.vertices for sub in cover)
+        check = analysis.verify
+
+        def failing_on_the_host(graph, p):
+            return VerificationReport(False, ()) if graph is g else check(graph, p)
+
+        monkeypatch.setattr(analysis, "verify", failing_on_the_host)
+        report = check_union_decomposition(g, cover, samples=2)
+        assert not report.verdict and report.mode == "sampled"
+        assert report.counterexample.graph is g
 
 
 def replace_row(rows, edge, **changes):

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: exit codes, JSON output, DOT emission."""
+import argparse
 import dataclasses
 import errno
 import hashlib
 import json
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -160,6 +162,17 @@ class TestFamilies:
         fam = json.loads(out)
         assert fam["scaling_factors"] == ["3", "2", "1"]
 
+    def test_treefam_star_falls_back_to_flow_up(self, capsys, tmp_path):
+        doc = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c", "d"],
+               "edges": [{"u": "c", "v": w, "ideal": [label]}
+                         for w, label in [("a", "2"), ("b", "3"), ("d", "5")]]}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "treefam", str(path))
+        assert code == 0 and err == ""
+        assert run(capsys, "flowup", str(path)) == (0, out, "")
+        assert json.loads(out)["vertex_order"] == ["a", "c", "b", "d"]
+
     def test_cyclefam(self, capsys):
         code, out, _ = run(capsys, "cyclefam", C3Z4)
         assert code == 0
@@ -256,6 +269,15 @@ class TestEnumerate:
         doc = json.loads(out)
         assert doc["count"] == 16
         assert len(doc["members"]) == 16
+
+    def test_more_than_a_thousand_splines_are_elided(self, capsys, tmp_path):
+        doc = {"ring": {"kind": "integers-mod", "modulus": 6},
+               "vertices": ["a", "b", "c", "d"], "edges": []}
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "enumerate", str(path))
+        assert code == 0
+        assert json.loads(out) == {"count": 1296, "elided": True}
 
     def test_budget_exit_two(self, capsys):
         code, _, err = run(capsys, "enumerate", C3Z4, "--budget", "10")
@@ -389,6 +411,31 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *entry["argv"])
         assert code == entry["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+
+
+def readme_usage():
+    """{subcommand: its --options} from the README's CLI usage block."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    usage = {}
+    for line in block.splitlines():
+        name, rest = re.match(r"gensplines (\w+)(.*)", line).groups()
+        usage[name] = set(re.findall(r"--[\w-]+", rest))
+    return usage
+
+
+def parser_usage():
+    """{subcommand: its --options} from cli.build_parser, --help aside."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {s for action in parser._actions for s in action.option_strings
+                   if s.startswith("--")} - {"--help"}
+            for name, parser in sub.choices.items()}
+
+
+class TestReadmeUsage:
+    def test_readme_lists_every_subcommand_and_option(self):
+        assert readme_usage() == parser_usage()
 
 
 class TestDot:

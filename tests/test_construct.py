@@ -22,6 +22,7 @@ from gensplines.construct import (
 )
 from gensplines.graphs import (
     GraphError,
+    build_graph,
     restrict,
     spanning_subgraph,
     spanning_tree,
@@ -33,6 +34,7 @@ from gensplines.splines import Spline, is_nontrivial
 from conftest import (
     P,
     make_graph,
+    near_subgraphs,
     path_z,
     random_connected_graph,
     random_generator_element,
@@ -215,6 +217,40 @@ class TestExtendByZero:
         g = triangle_z()
         sub = restrict(g, ["v1", "v2"], [("v1", "v2")])
         assert excluded_edges(g, sub) == [("v2", "v3"), ("v1", "v3")]
+
+
+class TestOneSubgraphRelation:
+    def test_excluded_edges_are_host_keys(self):
+        # whatever the subgraph's vertex order and edge endpoints
+        g = triangle_z()
+        sub = build_graph(Z, ["v3", "v2", "v1"], [("v2", "v1", g.labels["v1", "v2"])])
+        assert excluded_edges(g, sub) == [("v2", "v3"), ("v1", "v3")]
+        assert lcm_scaling_factor(g, sub) == Z.element(15)
+
+    @pytest.mark.parametrize("bad", range(3))
+    def test_refuses_a_non_subgraph(self, bad):
+        for g in (triangle_z(), make_graph(integers_mod(6), ["a", "b", "c"],
+                                           [("a", "b", 2), ("b", "c", 3)])):
+            with pytest.raises(GraphError, match="^not a subgraph of the host$"):
+                excluded_edges(g, near_subgraphs(g)[bad])
+        g = triangle_z()
+        with pytest.raises(GraphError, match="^not a subgraph of the host$"):
+            lcm_scaling_factor(g, near_subgraphs(g)[bad])
+
+    def test_lcm_refuses_a_relabelled_edge_alone(self):
+        g = triangle_z()
+        sub = make_graph(Z, ["v1", "v2"], [("v1", "v2", 7)])
+        with pytest.raises(GraphError, match="^not a subgraph of the host$"):
+            lcm_scaling_factor(g, sub)
+
+    @pytest.mark.parametrize("bad", range(3))
+    def test_extend_by_zero_tests_the_subgraph_before_the_spline(self, bad):
+        g = triangle_z()
+        sub = near_subgraphs(g)[bad]
+        p = Spline(sub, {v: sub.ring.element(int(v == "v1")) for v in sub.vertices})
+        assert not verify(sub, p).ok
+        with pytest.raises(GraphError, match="^not a subgraph of the host$"):
+            extend_by_zero(g, sub, p)
 
 
 class TestLcmScaling:

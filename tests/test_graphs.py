@@ -83,6 +83,10 @@ class TestConnectivity:
             spanning_tree(g)
         assert info.value.components == [[1, 2], [3]]
 
+    def test_empty_graph_has_no_spanning_tree(self):
+        with pytest.raises(GraphError, match="empty graph has no spanning tree"):
+            spanning_tree(make_graph(Z, [], []))
+
     def test_unknown_root_reported_before_disconnection(self):
         g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2)])
         with pytest.raises(GraphError, match="root 'zz' is not a vertex"):
@@ -234,6 +238,12 @@ class TestSubgraphs:
         out = erase_unit_edges(g)
         assert out.edges == (("b", "c"),)
         assert out.vertices == ("a", "b", "c")
+
+    def test_is_subgraph_needs_every_vertex_and_edge(self):
+        g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2)])
+        assert not make_graph(Z, ["a", "zz"], []).is_subgraph_of(g)
+        assert not make_graph(Z, ["a", "b", "c"], [("b", "c", 2)]).is_subgraph_of(g)
+        assert make_graph(Z, ["b", "a"], [("b", "a", 2)]).is_subgraph_of(g)
 
     def test_is_subgraph_label_sensitivity(self):
         g = make_graph(Z, ["a", "b"], [("a", "b", 2)])
