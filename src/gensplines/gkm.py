@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles,
-                     path_edges, path_order)
+                     path_edges, path_order, tree_edge_keys)
 from .splines import Spline
 
 
@@ -111,8 +111,9 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
     cycles = fundamental_cycles(graph, tree)
     rows = matrix.rows_by_edge()
     n = len(graph.vertices)
-    log = [("reorder", tuple(tree.tree_edges))]
-    tree_rows = tuple(SystemRow(e, rows[e], ((1, e),)) for e in tree.tree_edges)
+    tree_edges = tree_edge_keys(graph, tree)
+    log = [("reorder", tree_edges)]
+    tree_rows = tuple(SystemRow(e, rows[e], ((1, e),)) for e in tree_edges)
     cycle_rows = []
     for cycle in cycles:
         chord = cycle.chord

@@ -246,11 +246,18 @@ class CycleDescriptor:
         return [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
 
 
+def tree_edge_keys(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> tuple:
+    """The tree's edges named by graph's keys, in tree order; a tree of a
+    graph declared in another vertex order names them the other way
+    round.  GraphError for a tree edge graph lacks."""
+    return tuple(graph.edge_key(u, v) for u, v in tree.tree_edges)
+
+
 def fundamental_cycles(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> list[CycleDescriptor]:
     """One cycle per chord; the one check that tree spans graph."""
     if set(tree.depth) != set(graph.vertices):
         raise GraphError("tree does not span the graph")
-    tree_set = set(tree.tree_edges)
+    tree_set = set(tree_edge_keys(graph, tree))
     out = []
     for e in graph.edges:
         if e in tree_set:

@@ -8,16 +8,19 @@ zeros, and ideal generators are collapsed to a single normalized gcd
 generator.
 
 RingElement has one arithmetic path for every ring: it combines payloads
-with +, -, *, divmod and % and hands the result to RingSpec.element for
-canonical form.  int supplies that arithmetic for Z and Z/m, and the
-private _Poly tuple supplies it for Q[x].  The ring kind is read only
-where the rings differ: canonical form, units, divisibility mod m, the
-normalizing unit and the operations Z/m refuses.
+with +, -, *, divmod and % and wraps the result through _element, which
+only reduces mod m; RingSpec.element, which validates and converts
+input, is for values from outside the ring layer.  int supplies the
+payload arithmetic for Z and Z/m, and the private _Poly tuple supplies it
+for Q[x].  The ring kind is read only where the rings differ: canonical
+form, units, divisibility mod m, the normalizing unit and the operations
+Z/m refuses.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 INTEGERS = "integers"
@@ -105,18 +108,15 @@ class RingSpec:
             if not isinstance(value, _Poly):
                 coeffs = (value,) if isinstance(value, (int, Fraction)) else value
                 value = _Poly.trimmed([_coefficient(c) for c in coeffs])
-            return RingElement(self, value)
-        if not isinstance(value, int):
+        elif not isinstance(value, int):
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")
-        if self.kind == INTEGERS_MOD:
-            value %= self.modulus
-        return RingElement(self, value)
+        return _element(self, value)
 
-    @property
+    @cached_property
     def zero(self) -> "RingElement":
         return self.element(0)
 
-    @property
+    @cached_property
     def one(self) -> "RingElement":
         return self.element(1)
 
@@ -140,7 +140,16 @@ def poly_rational() -> RingSpec:
 
 class _Poly(tuple):
     """A Q[x] payload: Fraction coefficients in ascending degree with no
-    trailing zeros, and the arithmetic that int has for Z and Z/m."""
+    trailing zeros, and the arithmetic that int has for Z and Z/m.
+
+    +, -, * and divmod run on integer numerators over one common
+    denominator, the lcm of the coefficients' denominators, and build
+    Fractions only for the result.  divmod is pseudo-division (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 6): with L the
+    divisor's leading numerator, the dividend's numerators are scaled
+    once by L^k, k = deg a - deg b + 1, so that every quotient step is an
+    exact integer division.  When the coefficients have many unrelated
+    denominators, their lcm is large and so is L^k."""
 
     __slots__ = ()
 
@@ -152,12 +161,34 @@ class _Poly(tuple):
         del coeffs[n:]
         return cls(coeffs)
 
+    def _numerators(self) -> tuple[list, int]:
+        """(numerators, denominator): the coefficients over the lcm of
+        their denominators."""
+        ratios = [c.as_integer_ratio() for c in self]
+        den = math.lcm(*[d for _, d in ratios])
+        return [n * (den // d) for n, d in ratios], den
+
+    @staticmethod
+    def _over(numerators: list, den: int) -> "_Poly":
+        """The trimmed _Poly with coefficients numerators[i] / den."""
+        return _Poly.trimmed([Fraction(c, den) for c in numerators])
+
+    def _combine(self, other: "_Poly", sign: int) -> "_Poly":
+        """self + sign * other."""
+        a, da = self._numerators()
+        b, db = other._numerators()
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        out = [x * sa for x in a] + [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += y * sb
+        return _Poly._over(out, den)
+
     def __add__(self, other: "_Poly") -> "_Poly":
-        a, b = (self, other) if len(self) >= len(other) else (other, self)
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _Poly.trimmed(out)
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return self._combine(other, -1)
 
     def __neg__(self) -> "_Poly":
         return _Poly(-c for c in self)
@@ -165,32 +196,45 @@ class _Poly(tuple):
     def __mul__(self, other: "_Poly") -> "_Poly":
         if not self or not other:
             return _Poly()
-        out = [Fraction(0)] * (len(self) + len(other) - 1)
-        for i, ca in enumerate(self):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(other):
-                out[i + j] += ca * cb
-        return _Poly.trimmed(out)
+        a, da = self._numerators()
+        b, db = other._numerators()
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
+        return _Poly._over(out, da * db)
 
-    def __divmod__(self, other: "_Poly") -> tuple["_Poly", "_Poly"]:
+    def _pseudo_divide(self, other: "_Poly") -> tuple[list, list, int]:
+        """(Q, R, den) with self = (Q / den) * other + R / den, Q and R
+        integer lists and R shorter than other."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self)
-        quot = [Fraction(0)] * max(len(self) - len(other) + 1, 0)
-        lead = other[-1]
-        db = len(other) - 1
-        for i in range(len(rem) - 1, db - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] / lead
-            quot[i - db] = f
-            for j, cb in enumerate(other):
-                rem[i - db + j] -= f * cb
-        return _Poly.trimmed(quot), _Poly.trimmed(rem)
+        a, da = self._numerators()
+        b, db = other._numerators()
+        nb = len(b) - 1
+        k = max(len(a) - nb, 0)
+        lead = b[-1]
+        scale = lead ** k
+        rem = [x * scale for x in a]
+        quot = [0] * k
+        for i in range(len(a) - 1, nb - 1, -1):
+            f = rem[i] // lead
+            if f:
+                quot[i - nb] = f * db
+                for j in range(nb):
+                    rem[i - nb + j] -= f * b[j]
+        return quot, rem[:nb], scale * da
+
+    def __divmod__(self, other: "_Poly") -> tuple["_Poly", "_Poly"]:
+        quot, rem, den = self._pseudo_divide(other)
+        return _Poly._over(quot, den), _Poly._over(rem, den)
 
     def __mod__(self, other: "_Poly") -> "_Poly":
-        return divmod(self, other)[1]
+        _, rem, den = self._pseudo_divide(other)
+        return _Poly._over(rem, den)
 
     def __str__(self) -> str:
         text = ""
@@ -223,8 +267,8 @@ class RingElement:
     __slots__ = ("ring", "payload")
 
     def __init__(self, ring: RingSpec, payload):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "payload", payload)
+        _SET_RING(self, ring)
+        _SET_PAYLOAD(self, payload)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
@@ -232,22 +276,23 @@ class RingElement:
     def _check(self, other: "RingElement") -> None:
         if not isinstance(other, RingElement):
             raise TypeError(f"expected RingElement, got {other!r}")
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return self.ring.element(self.payload + other.payload)
+        return _element(self.ring, self.payload + other.payload)
 
     def __neg__(self) -> "RingElement":
-        return self.ring.element(-self.payload)
+        return _element(self.ring, -self.payload)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
+        self._check(other)
+        return _element(self.ring, self.payload - other.payload)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return self.ring.element(self.payload * other.payload)
+        return _element(self.ring, self.payload * other.payload)
 
     @property
     def is_zero(self) -> bool:
@@ -279,12 +324,12 @@ class RingElement:
         q, r = divmod(self.payload, other.payload)
         if r:
             raise ValueError(f"{other} does not divide {self}")
-        return RingElement(self.ring, q)
+        return _element(self.ring, q)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingElement)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.payload == other.payload
         )
 
@@ -298,14 +343,28 @@ class RingElement:
         return f"<{self.ring}: {self}>"
 
 
+# The slots' own setters, which __setattr__ does not reach.
+_SET_RING = RingElement.ring.__set__
+_SET_PAYLOAD = RingElement.payload.__set__
+
+
+def _element(ring: RingSpec, payload) -> RingElement:
+    """An element from a payload that ring arithmetic produced: an int,
+    reduced here mod m, or a trimmed _Poly.  RingSpec.element's
+    validation is skipped."""
+    if ring.modulus is not None:
+        payload %= ring.modulus
+    return RingElement(ring, payload)
+
+
 def _normalizing_unit(a: RingElement) -> RingElement | None:
     """The unit u with u * a nonnegative (integers) or monic (nonzero
     polynomials); None when u is one."""
     if a.ring.kind == POLY_RATIONAL:
         if a.payload and a.payload[-1] != 1:
-            return a.ring.element(1 / a.payload[-1])
+            return _element(a.ring, _Poly((1 / a.payload[-1],)))
     elif a.ring.kind == INTEGERS and a.payload < 0:
-        return a.ring.element(-1)
+        return _element(a.ring, -1)
     return None
 
 
@@ -322,7 +381,7 @@ def gcd(a: RingElement, b: RingElement) -> RingElement:
     x, y = a.payload, b.payload
     while y:
         x, y = y, x % y
-    return _normalized(a.ring.element(x))
+    return _normalized(_element(a.ring, x))
 
 
 def lcm(a: RingElement, b: RingElement) -> RingElement:
@@ -340,20 +399,22 @@ def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, R
     ring = a.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError("extended gcd needs a Euclidean ring")
-    r0, r1 = a, b
-    x0, x1 = ring.one, ring.zero
-    y0, y1 = ring.zero, ring.one
-    while not r1.is_zero:
-        q = RingElement(ring, divmod(r0.payload, r1.payload)[0])
-        r0, r1 = r1, r0 - q * r1
+    zero, one = ring.zero.payload, ring.one.payload
+    r0, r1 = a.payload, b.payload
+    x0, x1 = one, zero
+    y0, y1 = zero, one
+    while r1:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
-    unit = _normalizing_unit(r0)
+    g, x, y = (_element(ring, c) for c in (r0, x0, y0))
+    unit = _normalizing_unit(g)
     if unit is not None:
         # scale the cofactors to keep the Bezout identity for the
         # normalized gcd
-        r0, x0, y0 = unit * r0, unit * x0, unit * y0
-    return r0, x0, y0
+        g, x, y = unit * g, unit * x, unit * y
+    return g, x, y
 
 
 class Ideal:
@@ -364,7 +425,7 @@ class Ideal:
     Z/m it is gcd(generators, m) reduced mod m.
     """
 
-    __slots__ = ("ring", "generators", "canonical")
+    __slots__ = ("ring", "generators", "canonical", "_divisor")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -375,22 +436,27 @@ class Ideal:
             generators[0]._check(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", generators)
+        divisor = None
         if ring.kind == INTEGERS_MOD:
-            canonical = ring.element(math.gcd(ring.modulus, *(g.payload for g in generators)))
+            divisor = math.gcd(ring.modulus, *(g.payload for g in generators))
+            canonical = _element(ring, divisor)
         else:
             canonical = _normalized(generators[0])
             for g in generators[1:]:
                 canonical = gcd(canonical, g)
         object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "_divisor", divisor)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
     def contains(self, a: RingElement) -> bool:
-        """Over Z/m, divides tests against gcd(canonical, m), the ideal's
-        divisor of m (m itself for a zero canonical generator)."""
-        if a.ring != self.ring:
-            raise RingMismatchError(f"{a.ring} vs {self.ring}")
+        """Over Z/m, a residue is in the ideal exactly when the ideal's
+        divisor of m, gcd(m, generators), divides it (m itself when every
+        generator is zero)."""
+        self.canonical._check(a)
+        if self._divisor is not None:
+            return a.payload % self._divisor == 0
         return self.canonical.divides(a)
 
     @property
@@ -405,11 +471,7 @@ class Ideal:
         return Ideal(tuple(r * g for g in self.generators))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Ideal)
-            and self.ring == other.ring
-            and self.canonical == other.canonical
-        )
+        return isinstance(other, Ideal) and self.canonical == other.canonical
 
     def __hash__(self) -> int:
         return hash((self.ring, self.canonical))

@@ -31,9 +31,10 @@ class Spline:
                 f"spline does not match vertex set (missing {sorted(map(str, missing))}, "
                 f"extra {sorted(map(str, extra))})"
             )
+        ring = graph.ring
         for v, x in values.items():
-            if not isinstance(x, RingElement) or x.ring != graph.ring:
-                raise RingMismatchError(f"value at {v!r} is not over {graph.ring}")
+            if not isinstance(x, RingElement) or (x.ring is not ring and x.ring != ring):
+                raise RingMismatchError(f"value at {v!r} is not over {ring}")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "values", values)
 

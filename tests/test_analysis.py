@@ -426,6 +426,14 @@ class TestOneSubgraphRelation:
         with pytest.raises(GraphError, match=f"^{message}$"):
             check_cycle_decomposition(g, tree, samples=2)
 
+    @pytest.mark.parametrize("mode", HOSTS)
+    def test_cycle_decomposition_takes_a_tree_of_the_host_in_another_order(self, mode):
+        g = HOSTS[mode]()
+        h = build_graph(g.ring, g.vertices[::-1],
+                        [(u, v, g.labels[u, v]) for u, v in g.edges])
+        report = check_cycle_decomposition(g, spanning_tree(h), samples=2)
+        assert report.verdict and report.counterexample is None
+
     def test_a_subgraph_that_drops_a_vertex_is_refused(self):
         g = triangle_mod(6, (2, 3, 4))
         parts = [spanning_subgraph(g, g.edges), restrict(g, ["v1", "v2"], [g.edges[0]])]

@@ -2,7 +2,7 @@
 and the path suffix-sum form."""
 import pytest
 
-from gensplines import integers, spanning_tree
+from gensplines import build_graph, integers, spanning_tree
 from gensplines.gkm import (
     build_gkm_matrix,
     path_reduced_form,
@@ -113,6 +113,16 @@ class TestReduceViaTree:
         other = triangle_z()
         with pytest.raises(GraphError):
             reduce_via_tree(build_gkm_matrix(k4_graph), spanning_tree(other))
+
+    def test_tree_of_the_graph_declared_in_another_order(self):
+        g = triangle_z()
+        h = build_graph(Z, ["v3", "v2", "v1"], [(u, v, g.labels[u, v]) for u, v in g.edges])
+        system = reduce_via_tree(build_gkm_matrix(g), spanning_tree(h))
+        same = reduce_via_tree(build_gkm_matrix(g), tree_from_edges(
+            g, [("v2", "v3"), ("v1", "v3")], root="v3"))
+        assert [r.edge for r in system.tree_rows] == [("v2", "v3"), ("v1", "v3")]
+        assert set(system.tree_rows) == set(same.tree_rows)
+        assert system.cycle_rows == same.cycle_rows
 
     def test_rhs_text(self):
         g = triangle_z()

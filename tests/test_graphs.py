@@ -13,11 +13,12 @@ from gensplines.graphs import (
     path_order,
     restrict,
     spanning_subgraph,
+    tree_edge_keys,
     tree_from_edges,
 )
 from gensplines.rings import Ideal, RingMismatchError, integers_mod
 
-from conftest import make_graph, triangle_z
+from conftest import make_graph, path_z, triangle_z
 
 Z = integers()
 
@@ -201,6 +202,26 @@ class TestFundamentalCycles:
     def test_tree_has_no_cycles(self):
         g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])
         assert fundamental_cycles(g, spanning_tree(g)) == []
+
+    def test_tree_of_the_graph_declared_in_another_order(self):
+        # h is the Z triangle <2>, <3>, <5> declared v3, v2, v1: its tree
+        # names the edges v3-v2 and v3-v1, which g keys as v2-v3, v1-v3
+        g = triangle_z()
+        h = make_graph(Z, ["v3", "v2", "v1"],
+                       [("v1", "v2", 2), ("v2", "v3", 3), ("v1", "v3", 5)])
+        tree = spanning_tree(h)
+        assert tree.tree_edges == (("v3", "v2"), ("v3", "v1"))
+        assert tree_edge_keys(g, tree) == (("v2", "v3"), ("v1", "v3"))
+        (cycle,) = fundamental_cycles(g, tree)
+        assert cycle.chord == ("v1", "v2")
+        assert cycle.vertex_sequence == ("v1", "v2", "v3", "v1")
+
+    def test_tree_edge_missing_from_the_graph(self):
+        # same vertices, but the tree's edge v1-v3 is not an edge of g
+        g = path_z([2, 3])
+        other = make_graph(Z, ["v1", "v2", "v3"], [("v1", "v3", 2), ("v3", "v2", 3)])
+        with pytest.raises(GraphError, match="no edge 'v1'-'v3'"):
+            fundamental_cycles(g, spanning_tree(other))
 
 
 class TestSubgraphs:

@@ -1,4 +1,6 @@
 """Ring arithmetic, gcd/lcm, and ideal canonicalization."""
+import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gensplines import gcd, ideal_canonicalize, integers, integers_mod, lcm, poly_rational
 from gensplines.rings import (
     Ideal,
+    RingElement,
     RingMismatchError,
     RingSpec,
     UnsupportedRingError,
@@ -82,6 +85,19 @@ class TestCanonicalForms:
         R = integers_mod(6)
         assert (R.element(2) * R.element(3)).is_zero
 
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_mod_operation_table(self, m):
+        R = integers_mod(m)
+        for a in range(m):
+            x = R.element(a)
+            assert (-x).payload == -a % m
+            for b in range(m):
+                y = R.element(b)
+                for op in (operator.add, operator.sub, operator.mul):
+                    z = op(x, y)
+                    assert z.ring is R and z.payload == op(a, b) % m
+                    assert 0 <= z.payload < m
+
     def test_residues_reduced_on_entry(self):
         R = integers_mod(5)
         assert R.element(12).payload == 2
@@ -121,9 +137,28 @@ class TestArithmetic:
         assert P(3, 1) - P(1, 1) == P(2)
         assert Z.element(4) - Z.element(7) == Z.element(-3)
 
-    def test_mismatch_raises(self):
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul,
+        lambda a, b: a.exact_div(b), ext_gcd])
+    @pytest.mark.parametrize("a, b", [
+        (Z.element(1), integers_mod(3).element(1)),
+        (P(1, 1), Z.element(2)),
+        (integers_mod(6).element(1), integers_mod(7).element(1))])
+    def test_mismatch_raises(self, op, a, b):
         with pytest.raises(RingMismatchError):
-            Z.element(1) + integers_mod(3).element(1)
+            op(a, b)
+        with pytest.raises(RingMismatchError):
+            op(b, a)
+
+    def test_equal_rings_built_apart(self):
+        # the ring check tests identity first, then equality
+        for ring, other in ((integers_mod(6), integers_mod(6)), (Z, integers()),
+                            (QX, poly_rational())):
+            assert ring is not other
+            a, b = ring.element(5), other.element(3)
+            assert a + b == ring.element(8) and a - b == ring.element(2)
+            assert a * b == ring.element(15) and a == other.element(5)
+            assert Ideal([b]).contains(a * b)
 
     def test_units(self):
         assert Z.element(-1).is_unit and not Z.element(2).is_unit
@@ -258,6 +293,19 @@ class TestIdeals:
         assert ideal.contains(R.element(8))
         assert not ideal.contains(R.element(2))
 
+    def test_mod_membership_reads_the_divisor_of_m(self, monkeypatch):
+        R = integers_mod(12)
+        ideals = [(g, Ideal([R.element(g), R.element(0)])) for g in range(12)]
+
+        def divides(self, other):
+            raise AssertionError("Z/m membership recomputed gcd(canonical, m)")
+
+        monkeypatch.setattr(RingElement, "divides", divides)
+        for g, ideal in ideals:
+            d = math.gcd(g, 12)  # 12 for the zero ideal
+            for r in range(-12, 24):
+                assert ideal.contains(R.element(r)) == (r % d == 0)
+
     def test_poly_canonicalization(self):
         ideal = Ideal([P(2, 2), P(-2, 0, 2)])
         assert ideal.canonical == P(1, 1)
@@ -305,7 +353,24 @@ class TestPolynomialsAgainstSympy:
                                      for _ in range(degree + 1)]))
         return polys
 
-    def test_matches_sympy(self):
+    @staticmethod
+    def large_polys(rng):
+        """Degrees 1, 3, 12 and 30, numerators and denominators up to
+        10^20, and a negative leading coefficient that is not a unit, so
+        that the divisor's leading numerator L and L^k in pseudo-division
+        are large."""
+        def coefficient():
+            return Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 20))
+
+        polys = []
+        for degree in (1, 3, 12, 30):
+            lead = -Fraction(rng.randint(2, 10 ** 20), rng.randint(1, 10 ** 20))
+            polys.append(QX.element([coefficient() for _ in range(degree)] + [lead]))
+        return polys
+
+    @pytest.fixture
+    def sympy_qq(self):
+        """(to_sympy, from_sympy): conversions between payloads and sympy."""
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
 
@@ -317,20 +382,65 @@ class TestPolynomialsAgainstSympy:
             return QX.element([Fraction(int(c.p), int(c.q))
                                for c in reversed(poly.all_coeffs())])
 
+        return to_sympy, from_sympy
+
+    @staticmethod
+    def canonical(*elements):
+        """Every payload is a tuple of exact Fractions in lowest terms with
+        no trailing zero."""
+        for e in elements:
+            assert isinstance(e.payload, tuple)
+            assert not e.payload or e.payload[-1] != 0
+            for c in e.payload:
+                assert type(c) is Fraction
+                assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+        return True
+
+    def test_matches_sympy(self, sympy_qq):
+        sympy = pytest.importorskip("sympy")
+        to_sympy, from_sympy = sympy_qq
+        canonical = self.canonical
         polys = self.random_polys(random.Random(20130604), 24)
         for a in polys:
             for b in polys:
                 sa, sb = to_sympy(a), to_sympy(b)
-                assert a + b == from_sympy(sa + sb)
-                assert a - b == from_sympy(sa - sb)
-                assert a * b == from_sympy(sa * sb)
+                assert a + b == from_sympy(sa + sb) and canonical(a + b)
+                assert a - b == from_sympy(sa - sb) and canonical(a - b, -b)
+                assert a * b == from_sympy(sa * sb) and canonical(a * b)
                 g = gcd(a, b)
                 assert g == from_sympy(sympy.gcd(sa, sb))
                 eg, s, t = ext_gcd(a, b)
-                assert eg == g and s * a + t * b == g
+                assert eg == g and s * a + t * b == g and canonical(eg, s, t)
                 if b.is_zero:
                     assert b.divides(a) == a.is_zero
                 else:
                     assert (a * b).exact_div(b) == a == from_sympy((sa * sb).exquo(sb))
                     assert b.divides(a) == sa.rem(sb).is_zero
                     assert b.divides(a * b)
+
+    def test_large_polynomials_match_sympy(self, sympy_qq):
+        # Euclid over Q on two random degree-25 polynomials with 10^20
+        # coefficients takes over a minute (the remainders' coefficients
+        # grow to 10^5 bits), so gcd and ext_gcd pair each polynomial only
+        # with the divisors of degree at most 3.
+        sympy = pytest.importorskip("sympy")
+        to_sympy, from_sympy = sympy_qq
+        canonical = self.canonical
+        polys = self.large_polys(random.Random(1306))
+        for a in polys:
+            for b in polys:
+                sa, sb = to_sympy(a), to_sympy(b)
+                assert a + b == from_sympy(sa + sb) and canonical(a + b)
+                assert a - b == from_sympy(sa - sb) and canonical(a - b, -b)
+                assert a * b == from_sympy(sa * sb) and canonical(a * b)
+                q, r = (QX.element(c) for c in divmod(a.payload, b.payload))
+                sq, sr = sa.div(sb)
+                assert q == from_sympy(sq) and r == from_sympy(sr) and canonical(q, r)
+                assert QX.element(a.payload % b.payload) == r
+                assert (a * b).exact_div(b) == a and b.divides(a * b)
+                assert b.divides(a) == sr.is_zero
+                if len(b.payload) <= 4:
+                    g = gcd(a, b)
+                    assert g == from_sympy(sympy.gcd(sa, sb))
+                    eg, s, t = ext_gcd(a, b)
+                    assert eg == g and s * a + t * b == g and canonical(eg, s, t)
