@@ -137,18 +137,17 @@ class TestArithmetic:
         assert P(3, 1) - P(1, 1) == P(2)
         assert Z.element(4) - Z.element(7) == Z.element(-3)
 
-    @pytest.mark.parametrize("op", [
-        operator.add, operator.sub, operator.mul,
-        lambda a, b: a.exact_div(b), ext_gcd])
-    @pytest.mark.parametrize("a, b", [
-        (Z.element(1), integers_mod(3).element(1)),
-        (P(1, 1), Z.element(2)),
-        (integers_mod(6).element(1), integers_mod(7).element(1))])
-    def test_mismatch_raises(self, op, a, b):
-        with pytest.raises(RingMismatchError):
-            op(a, b)
-        with pytest.raises(RingMismatchError):
-            op(b, a)
+    def test_mismatch_raises(self):
+        pairs = [(Z.element(1), integers_mod(3).element(1)),
+                 (P(1, 1), Z.element(2)),
+                 (integers_mod(6).element(1), integers_mod(7).element(1))]
+        ops = [operator.add, operator.sub, operator.mul,
+               lambda a, b: a.exact_div(b), ext_gcd]
+        for a, b in pairs:
+            for op in ops:
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(RingMismatchError):
+                        op(x, y)
 
     def test_equal_rings_built_apart(self):
         # the ring check tests identity first, then equality
@@ -370,7 +369,8 @@ class TestPolynomialsAgainstSympy:
 
     @pytest.fixture
     def sympy_qq(self):
-        """(to_sympy, from_sympy): conversions between payloads and sympy."""
+        """(sympy, to_sympy, from_sympy): the module and conversions
+        between payloads and sympy polynomials over QQ."""
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
 
@@ -382,7 +382,7 @@ class TestPolynomialsAgainstSympy:
             return QX.element([Fraction(int(c.p), int(c.q))
                                for c in reversed(poly.all_coeffs())])
 
-        return to_sympy, from_sympy
+        return sympy, to_sympy, from_sympy
 
     @staticmethod
     def canonical(*elements):
@@ -396,51 +396,41 @@ class TestPolynomialsAgainstSympy:
                 assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
         return True
 
-    def test_matches_sympy(self, sympy_qq):
-        sympy = pytest.importorskip("sympy")
-        to_sympy, from_sympy = sympy_qq
+    def check_pair(self, sympy_qq, a, b, gcds=True):
+        sympy, to_sympy, from_sympy = sympy_qq
         canonical = self.canonical
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert a + b == from_sympy(sa + sb) and canonical(a + b)
+        assert a - b == from_sympy(sa - sb) and canonical(a - b, -b)
+        assert a * b == from_sympy(sa * sb) and canonical(a * b)
+        if gcds:
+            g = gcd(a, b)
+            assert g == from_sympy(sympy.gcd(sa, sb))
+            eg, s, t = ext_gcd(a, b)
+            assert eg == g and s * a + t * b == g and canonical(eg, s, t)
+        if b.is_zero:
+            assert b.divides(a) == a.is_zero
+            return
+        assert (a * b).exact_div(b) == a == from_sympy((sa * sb).exquo(sb))
+        assert b.divides(a) == sa.rem(sb).is_zero
+        assert b.divides(a * b)
+        q, r = (QX.element(c) for c in divmod(a.payload, b.payload))
+        sq, sr = sa.div(sb)
+        assert q == from_sympy(sq) and r == from_sympy(sr) and canonical(q, r)
+        assert QX.element(a.payload % b.payload) == r
+
+    def test_matches_sympy(self, sympy_qq):
         polys = self.random_polys(random.Random(20130604), 24)
         for a in polys:
             for b in polys:
-                sa, sb = to_sympy(a), to_sympy(b)
-                assert a + b == from_sympy(sa + sb) and canonical(a + b)
-                assert a - b == from_sympy(sa - sb) and canonical(a - b, -b)
-                assert a * b == from_sympy(sa * sb) and canonical(a * b)
-                g = gcd(a, b)
-                assert g == from_sympy(sympy.gcd(sa, sb))
-                eg, s, t = ext_gcd(a, b)
-                assert eg == g and s * a + t * b == g and canonical(eg, s, t)
-                if b.is_zero:
-                    assert b.divides(a) == a.is_zero
-                else:
-                    assert (a * b).exact_div(b) == a == from_sympy((sa * sb).exquo(sb))
-                    assert b.divides(a) == sa.rem(sb).is_zero
-                    assert b.divides(a * b)
+                self.check_pair(sympy_qq, a, b)
 
     def test_large_polynomials_match_sympy(self, sympy_qq):
         # Euclid over Q on two random degree-25 polynomials with 10^20
         # coefficients takes over a minute (the remainders' coefficients
         # grow to 10^5 bits), so gcd and ext_gcd pair each polynomial only
         # with the divisors of degree at most 3.
-        sympy = pytest.importorskip("sympy")
-        to_sympy, from_sympy = sympy_qq
-        canonical = self.canonical
         polys = self.large_polys(random.Random(1306))
         for a in polys:
             for b in polys:
-                sa, sb = to_sympy(a), to_sympy(b)
-                assert a + b == from_sympy(sa + sb) and canonical(a + b)
-                assert a - b == from_sympy(sa - sb) and canonical(a - b, -b)
-                assert a * b == from_sympy(sa * sb) and canonical(a * b)
-                q, r = (QX.element(c) for c in divmod(a.payload, b.payload))
-                sq, sr = sa.div(sb)
-                assert q == from_sympy(sq) and r == from_sympy(sr) and canonical(q, r)
-                assert QX.element(a.payload % b.payload) == r
-                assert (a * b).exact_div(b) == a and b.divides(a * b)
-                assert b.divides(a) == sr.is_zero
-                if len(b.payload) <= 4:
-                    g = gcd(a, b)
-                    assert g == from_sympy(sympy.gcd(sa, sb))
-                    eg, s, t = ext_gcd(a, b)
-                    assert eg == g and s * a + t * b == g and canonical(eg, s, t)
+                self.check_pair(sympy_qq, a, b, gcds=len(b.payload) <= 4)
