@@ -1,6 +1,12 @@
 """Command-line front end: parse graphs and splines, run the
 constructions and checks, and emit JSON, text, or DOT.
 
+main is the one driver: it loads GRAPH (and SPLINE, for check, decompose
+and dot), calls the subcommand's cmd_*, writes its result to stdout once
+and turns its verdict into the exit code.  A cmd_* takes (args, graph,
+spline) and returns (result, ok), result being a JSON document or the
+finished text.
+
 Exit codes: 0 for success / true verdicts, 1 for false verdicts, 2 for
 input errors (unreadable files, malformed JSON, schema violations,
 unsupported rings, exceeded budgets), 3 for an internal error, whose
@@ -18,145 +24,100 @@ from .graphs import EdgeLabeledGraph, GraphError, spanning_subgraph, spanning_tr
 from .splines import Spline, decompose_at_vertex, verify
 
 ELIDE_THRESHOLD = 1000
-
-
-class InputFailure(ValueError):
-    """Wraps any bad-input condition; maps to exit code 2."""
+# The most decimal digits an integer in GRAPH or SPLINE may have.  CPython
+# refuses a longer one by its length, before converting it in quadratic time.
+INPUT_DIGITS = 100_000
 
 
 def _load(path: str, parse):
     """Read the JSON document at path and parse it; a missing or
     unreadable file, non-UTF-8 text, malformed or too deeply nested
-    JSON or a schema error becomes an InputFailure naming path."""
+    JSON, an integer of more than INPUT_DIGITS digits or a schema error
+    becomes a ValueError naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except FileNotFoundError:
-        raise InputFailure(f"{path}: no such file")
+        raise ValueError(f"{path}: no such file")
     except OSError as exc:
-        raise InputFailure(f"{path}: {exc.strerror}")
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise InputFailure(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise InputFailure(
+        raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}"
         )
+    except (ValueError, RecursionError) as exc:
+        # a UnicodeDecodeError, or a JSON number past the digit bound
+        raise ValueError(f"{path}: {exc}")
     try:
         return parse(data)
     except serialize.SchemaError as exc:
-        raise InputFailure(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
-def _load_graph(path: str) -> EdgeLabeledGraph:
-    return _load(path, serialize.graph_from_json)
-
-
-def _load_spline(path: str, graph: EdgeLabeledGraph) -> Spline:
-    return _load(path, functools.partial(serialize.spline_from_json, graph))
-
-
-def _emit(document) -> None:
-    sys.stdout.write(json.dumps(document, indent=2) + "\n")
-
-
-def cmd_check(args) -> int:
-    graph = _load_graph(args.graph)
-    spline = _load_spline(args.spline, graph)
+def cmd_check(args, graph, spline):
     report = verify(graph, spline)
-    if args.format == "text":
-        if report.ok:
-            print("ok")
-        else:
-            for (u, v), diff in report.violations:
-                print(f"violated: edge {u}-{v}, difference {diff}")
-    else:
-        _emit(serialize.report_to_json(report))
-    return 0 if report.ok else 1
+    if args.format == "json":
+        return serialize.report_to_json(report), report.ok
+    if report.ok:
+        return "ok\n", True
+    return "".join(f"violated: edge {u}-{v}, difference {diff}\n"
+                   for (u, v), diff in report.violations), False
 
 
-def cmd_flowup(args) -> int:
-    graph = _load_graph(args.graph)
-    family = construct.flow_up_family(graph, args.root)
-    _emit(serialize.family_to_json(family))
-    return 0
+def cmd_flowup(args, graph, spline):
+    return serialize.family_to_json(construct.flow_up_family(graph, args.root)), True
 
 
-def cmd_treefam(args) -> int:
-    graph = _load_graph(args.graph)
+def cmd_treefam(args, graph, spline):
     if not graph.is_tree:
-        raise InputFailure("treefam expects a tree")
+        raise ValueError("treefam expects a tree")
     try:
         family = construct.path_generating_family(graph)
     except GraphError:
         family = construct.flow_up_family(graph)
-    _emit(serialize.family_to_json(family))
-    return 0
+    return serialize.family_to_json(family), True
 
 
-def cmd_cyclefam(args) -> int:
-    graph = _load_graph(args.graph)
-    family = construct.cycle_generating_family(graph)
-    _emit(serialize.family_to_json(family))
-    return 0
+def cmd_cyclefam(args, graph, spline):
+    return serialize.family_to_json(construct.cycle_generating_family(graph)), True
 
 
-def _rows_document(graph, rows):
-    return {
-        "rows": [
-            {
-                "edge": list(row.edge),
-                "coeffs": list(row.coeffs),
-                "rhs": row.rhs_text(graph),
-            }
-            for row in rows
-        ]
-    }
-
-
-def cmd_matrix(args) -> int:
-    graph = _load_graph(args.graph)
+def cmd_matrix(args, graph, spline):
     matrix = gkm.build_gkm_matrix(graph)
     if args.reduced:
-        tree = spanning_tree(graph)
-        system = gkm.reduce_via_tree(matrix, tree)
+        system = gkm.reduce_via_tree(matrix, spanning_tree(graph))
         rows = list(system.tree_rows) + list(system.cycle_rows)
     else:
         rows = [gkm.SystemRow(edge, row, ((1, edge),))
                 for edge, row in matrix.rows_by_edge().items()]
     if args.format == "text":
-        for row in rows:
-            coeffs = " ".join(f"{c:>2}" for c in row.coeffs)
-            print(f"[{coeffs} | {row.rhs_text(graph)}]")
-    else:
-        _emit(_rows_document(graph, rows))
-    return 0
+        return "".join(
+            f"[{' '.join(f'{c:>2}' for c in row.coeffs)} | {row.rhs_text(graph)}]\n"
+            for row in rows), True
+    return {"rows": [{"edge": list(row.edge), "coeffs": list(row.coeffs),
+                      "rhs": row.rhs_text(graph)} for row in rows]}, True
 
 
-def cmd_enumerate(args) -> int:
-    graph = _load_graph(args.graph)
+def cmd_enumerate(args, graph, spline):
     spline_set = analysis.enumerate_splines(graph, args.budget)
     document = {"count": len(spline_set)}
     if len(spline_set) <= ELIDE_THRESHOLD:
         document["members"] = [list(t) for t in spline_set.members]
     else:
         document["elided"] = True
-    _emit(document)
-    return 0
+    return document, True
 
 
-def cmd_decompose(args) -> int:
-    graph = _load_graph(args.graph)
-    spline = _load_spline(args.spline, graph)
+def cmd_decompose(args, graph, spline):
     if not graph.vertices:
-        raise InputFailure("decompose needs a graph with at least one vertex")
+        raise ValueError("decompose needs a graph with at least one vertex")
     root = args.root if args.root is not None else graph.vertices[0]
     r, part = decompose_at_vertex(graph, spline, root)
-    _emit({
+    return {
         "vertex": root,
         "constant": serialize.element_to_json(r),
         "anchored": serialize.spline_to_json(part),
-    })
-    return 0
+    }, True
 
 
 def _report_document(report: analysis.DecompositionReport) -> dict:
@@ -176,8 +137,7 @@ def _report_document(report: analysis.DecompositionReport) -> dict:
     return out
 
 
-def cmd_selfcheck(args) -> int:
-    graph = _load_graph(args.graph)
+def cmd_selfcheck(args, graph, spline):
     reports = []
     per_edge = [spanning_subgraph(graph, [e]) for e in graph.edges]
     reports.append(analysis.check_union_decomposition(
@@ -191,8 +151,7 @@ def cmd_selfcheck(args) -> int:
         reports.append(analysis.check_cycle_decomposition(
             graph, spanning_tree(graph),
             budget=args.budget, seed=args.seed, samples=args.samples))
-    _emit([_report_document(r) for r in reports])
-    return 0 if all(r.verdict for r in reports) else 1
+    return [_report_document(r) for r in reports], all(r.verdict for r in reports)
 
 
 def _quoted(text) -> str:
@@ -217,11 +176,8 @@ def emit_dot(graph: EdgeLabeledGraph, spline: Spline | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_dot(args) -> int:
-    graph = _load_graph(args.graph)
-    spline = _load_spline(args.spline, graph) if args.spline else None
-    sys.stdout.write(emit_dot(graph, spline))
-    return 0
+def cmd_dot(args, graph, spline):
+    return emit_dot(graph, spline), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,24 +233,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dot", help="emit the graph (and spline) as DOT")
     p.add_argument("graph")
-    p.add_argument("spline", nargs="?", default=None)
+    # an empty SPLINE draws the graph alone, as no SPLINE does
+    p.add_argument("spline", nargs="?", default=None, type=lambda path: path or None)
     p.set_defaults(func=cmd_dot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # CPython refuses int <-> str conversions of more than 4,300 digits,
-    # which valid labels and their products exceed; lift that for the
-    # command and restore it for in-process callers
+    args = build_parser().parse_args(argv)
+    # Loading runs under INPUT_DIGITS.  Compute and emit lift CPython's
+    # int <-> str limit of 4,300 digits, which products of valid labels
+    # exceed.  The caller's limit comes back afterwards.
     digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        sys.set_int_max_str_digits(INPUT_DIGITS)
+        graph = _load(args.graph, serialize.graph_from_json)
+        spline = None
+        if getattr(args, "spline", None) is not None:
+            spline = _load(args.spline, functools.partial(serialize.spline_from_json, graph))
+        sys.set_int_max_str_digits(0)
+        result, ok = args.func(args, graph, spline)
+        if not isinstance(result, str):
+            result = json.dumps(result, indent=2) + "\n"
+        sys.stdout.write(result)
+        return 0 if ok else 1
     except ValueError as exc:
-        # every bad-input error, InputFailure included, is a ValueError
+        # every bad-input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

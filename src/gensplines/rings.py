@@ -45,8 +45,10 @@ _PRIME_TEST_BOUND = 3317044064679887385961981
 def _coefficient(c) -> Fraction:
     """A Q[x] coefficient from an int, a Fraction or a "p" or "p/q" string of
     decimal integers; Fraction("1e100000000") would build 10^8 digits."""
-    if not isinstance(c, str):
+    if type(c) in (int, Fraction):
         return Fraction(c)
+    if not isinstance(c, str):
+        raise TypeError(f"expected an int, a Fraction or a string coefficient, got {c!r}")
     if c.count("/") > 1:
         raise ValueError("expected an integer or a 'p/q' coefficient string")
     return Fraction(*(int(part, 10) for part in c.split("/")))
@@ -79,6 +81,8 @@ class RingSpec:
         if self.kind not in (INTEGERS, INTEGERS_MOD, POLY_RATIONAL):
             raise ValueError(f"unknown ring kind: {self.kind!r}")
         if self.kind == INTEGERS_MOD:
+            if self.modulus is not None and type(self.modulus) is not int:
+                raise ValueError(f"integers-mod requires an int modulus, got {self.modulus!r}")
             if self.modulus is None or self.modulus < 2:
                 raise ValueError("integers-mod requires a modulus >= 2")
         elif self.modulus is not None:
@@ -100,15 +104,16 @@ class RingSpec:
         Integers and residues accept ints; residues are reduced mod m.
         Polynomials accept an int, a Fraction, or a sequence of
         coefficients in ascending degree (ints, Fractions, or "p" and
-        "p/q" strings of decimal integers).
+        "p/q" strings of decimal integers).  A bool or a float is
+        refused: one prints as True, the other is not exact.
         """
         if isinstance(value, RingElement):
             value = value.payload
         if self.kind == POLY_RATIONAL:
             if not isinstance(value, _Poly):
-                coeffs = (value,) if isinstance(value, (int, Fraction)) else value
+                coeffs = (value,) if isinstance(value, (int, float, Fraction)) else value
                 value = _Poly.trimmed([_coefficient(c) for c in coeffs])
-        elif not isinstance(value, int):
+        elif type(value) is not int:
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")
         return _element(self, value)
 

@@ -25,6 +25,43 @@ K4_PATH_TUPLE = str(FIXTURES / "k4-path-tuple.json")
 C3Z4 = str(FIXTURES / "c3-z4.json")
 
 
+# (argv, (exit code, stdout, stderr)) of --format text, byte for byte
+TEXT_OUTPUT = {
+    "check": [
+        ([K4, K4_SPLINE], (0, "ok\n", "")),
+        ([K4, K4_PATH_TUPLE], (1, (
+            "violated: edge v1-v3, difference -x^2 - x - 2\n"
+            "violated: edge v1-v4, difference -x^3 - x^2 - x - 3\n"
+            "violated: edge v2-v4, difference -x^3 - x^2 - 2\n"), "")),
+    ],
+    "matrix": [
+        ([K4], (0, (
+            "[ 1 -1  0  0 | q_{v1,v2}*(x + 1)]\n"
+            "[ 1  0 -1  0 | q_{v1,v3}*(x^5 + 1)]\n"
+            "[ 1  0  0 -1 | q_{v1,v4}*(x^4 + 1)]\n"
+            "[ 0  1 -1  0 | q_{v2,v3}*(x^2 + 1)]\n"
+            "[ 0  1  0 -1 | q_{v2,v4}*(x^6 + 1)]\n"
+            "[ 0  0  1 -1 | q_{v3,v4}*(x^3 + 1)]\n"), "")),
+        ([K4, "--reduced"], (0, (
+            "[ 1 -1  0  0 | q_{v1,v2}*(x + 1)]\n"
+            "[ 1  0 -1  0 | q_{v1,v3}*(x^5 + 1)]\n"
+            "[ 1  0  0 -1 | q_{v1,v4}*(x^4 + 1)]\n"
+            "[ 0  0  0  0 | q_{v2,v3}*(x^2 + 1) - q_{v1,v3}*(x^5 + 1) + q_{v1,v2}*(x + 1)]\n"
+            "[ 0  0  0  0 | q_{v2,v4}*(x^6 + 1) - q_{v1,v4}*(x^4 + 1) + q_{v1,v2}*(x + 1)]\n"
+            "[ 0  0  0  0 | q_{v3,v4}*(x^3 + 1) - q_{v1,v4}*(x^4 + 1) + q_{v1,v3}*(x^5 + 1)]\n"
+        ), "")),
+        ([C3Z4], (0, (
+            "[ 1 -1  0 | q_{v1,v2}*(2)]\n"
+            "[ 1  0 -1 | q_{v1,v3}*(2)]\n"
+            "[ 0  1 -1 | q_{v2,v3}*(2)]\n"), "")),
+        ([C3Z4, "--reduced"], (0, (
+            "[ 1 -1  0 | q_{v1,v2}*(2)]\n"
+            "[ 1  0 -1 | q_{v1,v3}*(2)]\n"
+            "[ 0  0  0 | q_{v2,v3}*(2) - q_{v1,v3}*(2) + q_{v1,v2}*(2)]\n"), "")),
+    ],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -46,10 +83,8 @@ class TestCheck:
             ["v1", "v3"], ["v1", "v4"], ["v2", "v4"]]
 
     def test_text_format(self, capsys):
-        code, out, _ = run(capsys, "check", K4, K4_SPLINE, "--format", "text")
-        assert code == 0 and out.strip() == "ok"
-        code, out, _ = run(capsys, "check", K4, K4_PATH_TUPLE, "--format", "text")
-        assert code == 1 and "violated: edge v1-v3" in out
+        for argv, expected in TEXT_OUTPUT["check"]:
+            assert run(capsys, "check", *argv, "--format", "text") == expected
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "nope.json", K4_SPLINE)
@@ -240,6 +275,26 @@ class TestLongIntegers:
             code, out, _ = run(capsys, "check", str(graph), str(spline))
             assert code == 0 and json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("as_number", [False, True], ids=["string", "number"])
+    def test_label_past_the_input_bound_exits_two(self, capsys, tmp_path, as_number):
+        # refused by its length while loading, before a quadratic conversion
+        label = "7" * 200_000
+        doc = {"ring": {"kind": "integers"}, "vertices": ["a", "b"],
+               "edges": [{"u": "a", "v": "b", "ideal": [label]}]}
+        text = json.dumps(doc)
+        graph = tmp_path / "p2.json"
+        graph.write_text(text.replace(f'"{label}"', label) if as_number else text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, out, err = run(capsys, "flowup", str(graph))
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {graph}: ")
+        assert f"({cli.INPUT_DIGITS} digits)" in err and "Traceback" not in err
+
 
 class TestMatrix:
     def test_full_matrix(self, capsys):
@@ -258,8 +313,8 @@ class TestMatrix:
         assert doc["rows"][-1]["coeffs"] == [0, 0, 0]
 
     def test_text_format(self, capsys):
-        code, out, _ = run(capsys, "matrix", C3Z4, "--format", "text")
-        assert code == 0 and "|" in out
+        for argv, expected in TEXT_OUTPUT["matrix"]:
+            assert run(capsys, "matrix", *argv, "--format", "text") == expected
 
 
 class TestEnumerate:

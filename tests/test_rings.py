@@ -36,6 +36,10 @@ class TestRingSpec:
             RingSpec("integers", 5)
         with pytest.raises(ValueError):
             RingSpec("nonsense")
+        # a residue's payload must stay an int
+        for m in (2.5, 7.0, True, "7", Fraction(7)):
+            with pytest.raises(ValueError, match="int modulus"):
+                integers_mod(m)
 
     def test_integral_domain(self):
         assert Z.is_integral_domain
@@ -116,6 +120,16 @@ class TestCanonicalForms:
         # the library takes the JSON grammar too: "p" or "p/q" decimal integers
         with pytest.raises(ValueError):
             QX.element([1, coeff])
+
+    @pytest.mark.parametrize("ring, value", [
+        (Z, 3.0), (Z, True), (integers_mod(5), False), (integers_mod(5), 2.0),
+        (QX, 0.5), (QX, [0.5, 1]), (QX, True), (QX, [1, True]),
+    ], ids=["z-float", "z-bool", "mod-bool", "mod-float", "qx-float", "qx-float-coeff",
+            "qx-bool", "qx-bool-coeff"])
+    def test_inexact_or_bool_values_rejected(self, ring, value):
+        # a float is not exact and a bool payload prints as True
+        with pytest.raises(TypeError):
+            ring.element(value)
 
     def test_coefficient_grammar_accepts(self):
         assert QX.element(["1/2", "-3", "1/-2", 4, Fraction(2, 3)]).payload == (

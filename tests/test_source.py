@@ -53,3 +53,23 @@ def test_library_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, f"imports outside the standard library {found}"
+
+
+def test_cli_writes_stdout_once_in_main():
+    # main loads, runs and emits every subcommand, so stdout stays empty
+    # on exits 2 and 3
+    writes, prints = [], []
+    for top in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = ast.unparse(node.func)
+            if callee == "sys.stdout.write":
+                writes.append(where)
+            elif callee == "print" and not any(
+                    k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                    for k in node.keywords):
+                prints.append(f"{where}:{node.lineno}")
+    assert writes == ["main"], f"sys.stdout.write in {writes}"
+    assert not prints, f"print to stdout in {prints}"
