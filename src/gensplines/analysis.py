@@ -190,21 +190,14 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
         return DecompositionReport(claim, edge_sets, whole == inter,
                                    counterexample=min(whole ^ inter, default=None))
     rng = random.Random(seed)
-    # splines of G restrict into every R_{G_i}
-    members = _random_members(graph, rng)
-    for _ in range(samples):
-        p = next(members)
-        for sub in subgraphs:
-            if not verify(sub, p).ok:
-                return DecompositionReport(claim, edge_sets, False,
-                                           counterexample=p,
-                                           mode="sampled", seed=seed)
-    # members of the intersection verify on G
-    for sub in subgraphs:
-        members = _random_members(sub, rng)
+    # a draw of G must lie in every R_{G_i}; a draw of a G_i that lies
+    # in every R_{G_i} must lie in R_G, and only then is it verified on G
+    for i, source in enumerate([graph, *subgraphs]):
+        members = _random_members(source, rng)
         for _ in range(samples):
             p = Spline(graph, next(members).values)
-            if all(verify(o, p).ok for o in subgraphs) and not verify(graph, p).ok:
+            inside = all(verify(sub, p).ok for sub in subgraphs)
+            if inside != (i == 0 or (inside and verify(graph, p).ok)):
                 return DecompositionReport(claim, edge_sets, False,
                                            counterexample=p,
                                            mode="sampled", seed=seed)

@@ -24,8 +24,8 @@ from .graphs import EdgeLabeledGraph, GraphError, spanning_subgraph, spanning_tr
 from .splines import Spline, decompose_at_vertex, verify
 
 ELIDE_THRESHOLD = 1000
-# The most decimal digits an integer in GRAPH or SPLINE may have.  CPython
-# refuses a longer one by its length, before converting it in quadratic time.
+# The most decimal digits an integer in GRAPH or SPLINE may have.  It is
+# refused by its length, before a conversion that takes quadratic time.
 INPUT_DIGITS = 100_000
 
 
@@ -36,7 +36,7 @@ def _load(path: str, parse):
     becomes a ValueError naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=lambda s: int(serialize.check_digits(s)))
     except FileNotFoundError:
         raise ValueError(f"{path}: no such file")
     except OSError as exc:

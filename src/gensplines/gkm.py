@@ -19,20 +19,17 @@ class GkmMatrix:
     graph: EdgeLabeledGraph
     rows: tuple  # directed edges (tail, head), one per graph edge
 
-    def coeff_row(self, i: int) -> tuple:
-        tail, head = self.rows[i]
-        out = [0] * len(self.graph.vertices)
-        out[self.graph.index(tail)] = 1
-        out[self.graph.index(head)] = -1
-        return tuple(out)
-
-    def row_edge(self, i: int) -> tuple:
-        return self.graph.edge_key(*self.rows[i])
-
     def rows_by_edge(self) -> dict:
-        """Each edge's signed incidence row, in row order.  A step (a, b)
-        along the edge runs tail -> head exactly when the entry at a is +1."""
-        return {self.row_edge(i): self.coeff_row(i) for i in range(len(self.rows))}
+        """Each edge's signed incidence row, in row order: +1 at the tail,
+        -1 at the head.  A step (a, b) along the edge runs tail -> head
+        exactly when the entry at a is +1."""
+        graph = self.graph
+        out = {}
+        for tail, head in self.rows:
+            row = [0] * len(graph.vertices)
+            row[graph.index(tail)], row[graph.index(head)] = 1, -1
+            out[graph.edge_key(tail, head)] = tuple(row)
+        return out
 
 
 def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -> GkmMatrix:
@@ -110,7 +107,6 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
     graph = matrix.graph
     cycles = fundamental_cycles(graph, tree)
     rows = matrix.rows_by_edge()
-    n = len(graph.vertices)
     tree_edges = tree_edge_keys(graph, tree)
     log = [("reorder", tree_edges)]
     tree_rows = tuple(SystemRow(e, rows[e], ((1, e),)) for e in tree_edges)
@@ -125,7 +121,7 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
             edge = graph.edge_key(a, b)
             row = rows[edge]
             c = chord_step_sign * row[graph.index(a)]
-            for i in range(n):
+            for i in map(graph.index, edge):  # a row is zero off its endpoints
                 coeffs[i] += c * row[i]
             rhs.append((c, edge))
             log.append(("add", c, edge, chord))
@@ -136,19 +132,13 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
 
 
 def syzygy_check(graph: EdgeLabeledGraph, tree: TreeSkeleton, q: dict) -> bool:
-    """True iff the signed sum of the q's vanishes around every
-    fundamental cycle, i.e. the extended system with this q is
-    homogeneous in the cycle rows."""
+    """True iff the extended system with this q is homogeneous in the
+    cycle rows: each cycle row's signed sum of q's vanishes."""
     _check_last_column(graph, q)
-    for cycle in fundamental_cycles(graph, tree):
-        total = graph.ring.zero
-        for a, b in cycle.steps():
-            edge = graph.edge_key(a, b)
-            sign = 1 if edge == (a, b) else -1
-            total = total + (q[edge] if sign > 0 else -q[edge])
-        if not total.is_zero:
-            return False
-    return True
+    system = reduce_via_tree(build_gkm_matrix(graph), tree)
+    return all(sum((q[e] if sign > 0 else -q[e] for sign, e in row.rhs),
+                   graph.ring.zero).is_zero
+               for row in system.cycle_rows)
 
 
 def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .rings import Ideal, RingMismatchError, RingSpec
 
@@ -149,10 +150,6 @@ class TreeSkeleton:
     parent: dict
     tree_edges: tuple
     depth: dict
-
-    @property
-    def vertices(self):
-        return self.host.vertices
 
 
 def _skeleton(graph: EdgeLabeledGraph, adj, root) -> TreeSkeleton | None:
@@ -301,13 +298,17 @@ def erase_unit_edges(graph: EdgeLabeledGraph) -> EdgeLabeledGraph:
 
 
 def disjoint_union(g1: EdgeLabeledGraph, g2: EdgeLabeledGraph) -> EdgeLabeledGraph:
-    """Disjoint union; colliding vertex ids get component prefixes."""
+    """Disjoint union; colliding vertex ids get component prefixes, "0:"
+    and "1:", repeated until no renamed id meets another id."""
     if g1.ring != g2.ring:
         raise RingMismatchError(f"{g1.ring} vs {g2.ring}")
     collide = set(g1.vertices) & set(g2.vertices)
-    ren1 = {v: (f"0:{v}" if v in collide else v) for v in g1.vertices}
-    ren2 = {v: (f"1:{v}" if v in collide else v) for v in g2.vertices}
-    vertices = [ren1[v] for v in g1.vertices] + [ren2[v] for v in g2.vertices]
+    for k in count(1):
+        ren1 = {v: (f"{'0:' * k}{v}" if v in collide else v) for v in g1.vertices}
+        ren2 = {v: (f"{'1:' * k}{v}" if v in collide else v) for v in g2.vertices}
+        vertices = [ren1[v] for v in g1.vertices] + [ren2[v] for v in g2.vertices]
+        if len(set(vertices)) == len(vertices):
+            break
     labeled = [(ren1[u], ren1[v], g1.labels[(u, v)]) for u, v in g1.edges]
     labeled += [(ren2[u], ren2[v], g2.labels[(u, v)]) for u, v in g2.edges]
     return EdgeLabeledGraph(g1.ring, vertices, labeled)

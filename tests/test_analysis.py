@@ -540,6 +540,10 @@ class TestRandomMember:
         for _ in range(10):
             p = random_member(g, rng)
             assert verify(g, p).ok
+        # over Z/m the random coefficients are residues
+        h = make_graph(integers_mod(6), ["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])
+        for _ in range(10):
+            assert verify(h, random_member(h, rng)).ok
 
 
 class TestSampledFamilies:

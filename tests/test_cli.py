@@ -291,9 +291,10 @@ class TestLongIntegers:
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(limit)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {graph}: ")
-        assert f"({cli.INPUT_DIGITS} digits)" in err and "Traceback" not in err
+        field = "" if as_number else "graph.edges[0].ideal[0]: "
+        assert (code, out, err) == (2, "", (
+            f"error: {graph}: {field}integer of 200000 digits is past the input "
+            f"bound of {cli.INPUT_DIGITS} digits\n"))
 
 
 class TestMatrix:

@@ -2,8 +2,9 @@
 and the path suffix-sum form."""
 import pytest
 
-from gensplines import build_graph, integers, spanning_tree
+from gensplines import build_graph, integers, poly_rational, spanning_tree
 from gensplines.gkm import (
+    _check_last_column,
     build_gkm_matrix,
     path_reduced_form,
     reduce_via_tree,
@@ -13,7 +14,8 @@ from gensplines.gkm import (
 from gensplines.graphs import GraphError, fundamental_cycles, path_order, tree_from_edges
 from gensplines.splines import Spline
 
-from conftest import path_z, random_connected_graph, random_path, seeded, triangle_z
+from conftest import (path_z, random_connected_graph, random_generator_element, random_path,
+                      seeded, triangle_z)
 
 Z = integers()
 
@@ -28,14 +30,12 @@ class TestBuild:
         g = path_z([2, 3])
         m = build_gkm_matrix(g)
         assert m.rows == (("v1", "v2"), ("v2", "v3"))
-        assert m.coeff_row(0) == (1, -1, 0)
-        assert m.coeff_row(1) == (0, 1, -1)
+        assert m.rows_by_edge() == {("v1", "v2"): (1, -1, 0), ("v2", "v3"): (0, 1, -1)}
 
     def test_orientation_override_negates_row(self):
         g = path_z([2, 3])
         m = build_gkm_matrix(g, orientation={("v1", "v2"): ("v2", "v1")})
-        assert m.coeff_row(0) == (-1, 1, 0)
-        assert m.row_edge(0) == ("v1", "v2")
+        assert list(m.rows_by_edge().items())[0] == (("v1", "v2"), (-1, 1, 0))
 
     def test_orientation_must_use_endpoints(self):
         g = path_z([2, 3])
@@ -154,6 +154,58 @@ class TestSyzygy:
         t = spanning_tree(g)
         with pytest.raises(ValueError):
             syzygy_check(g, t, {})
+
+    @staticmethod
+    def edge_key_walk(graph, tree, q):
+        """The walk syzygy_check made before it read the cycle rows: each
+        step around a fundamental cycle adds q_e when it leaves e's
+        earlier-declared endpoint and subtracts it otherwise."""
+        _check_last_column(graph, q)
+        for cycle in fundamental_cycles(graph, tree):
+            total = graph.ring.zero
+            for a, b in cycle.steps():
+                edge = graph.edge_key(a, b)
+                total = total + (q[edge] if edge == (a, b) else -q[edge])
+            if not total.is_zero:
+                return False
+        return True
+
+    @staticmethod
+    def outcome(check, graph, tree, q):
+        try:
+            return check(graph, tree, q)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("ring", [Z, poly_rational()], ids=str)
+    def test_matches_the_edge_key_walk(self, ring):
+        rng = seeded(83)
+        verdicts = set()
+        for _ in range(40):
+            g = random_connected_graph(ring, rng, n_max=6)
+            tree = spanning_tree(g, root=rng.choice(g.vertices))
+            if rng.random() < 0.1:  # a tree of another graph, rarely spanning g
+                other = random_connected_graph(ring, rng, n_max=6)
+                tree = spanning_tree(other)
+            gens = {e: g.labels[e].canonical for e in g.edges}
+            scale = ring.one
+            for gen in gens.values():
+                scale = scale * gen
+            # differences of a spline: every cycle sum vanishes
+            p = {v: scale * random_generator_element(ring, rng) for v in g.vertices}
+            balanced = {(u, v): p[u] - p[v] for u, v in g.edges}
+            arbitrary = {e: gen * random_generator_element(ring, rng)
+                         for e, gen in gens.items()}
+            e = rng.choice(g.edges)
+            perturbed, missing, outside = dict(balanced), dict(balanced), dict(balanced)
+            perturbed[e] += gens[e] * random_generator_element(ring, rng, nonzero=True)
+            del missing[e]
+            outside[e] += ring.one
+            for q in (balanced, perturbed, arbitrary, missing, outside):
+                got = self.outcome(syzygy_check, g, tree, q)
+                assert got == self.outcome(self.edge_key_walk, g, tree, q)
+                verdicts.add(got if isinstance(got, bool) else got[0])
+        assert verdicts == {True, False, ValueError, GraphError}
 
 
 class TestPathReducedForm:

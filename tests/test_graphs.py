@@ -156,6 +156,8 @@ class TestSpanningTree:
         assert tree_path(t, "v2", "v3") == ["v2", "v1", "v3"]
         assert tree_path(t, "v2", "v2") == ["v2"]
         assert tree_path(t, "v1", "v4") == ["v1", "v4"]
+        with pytest.raises(GraphError, match="not in the tree"):
+            tree_path(t, "v1", "zz")
 
 
 class TestWalks:
@@ -285,6 +287,15 @@ class TestDisjointUnion:
         g1 = make_graph(Z, ["a", "b"], [("a", "b", 2)])
         u = disjoint_union(g1, g1)
         assert u.vertices == ("0:a", "0:b", "1:a", "1:b")
+
+    @pytest.mark.parametrize("first,second,expected", [
+        (["a", "0:a"], ["a"], ("0:0:a", "0:a", "1:1:a")),
+        (["a"], ["a", "1:a"], ("0:0:a", "1:1:a", "1:a")),
+    ])
+    def test_prefixed_ids_never_collide(self, first, second, expected):
+        # one prefix would name two vertices "0:a" (or "1:a")
+        u = disjoint_union(make_graph(Z, first, []), make_graph(Z, second, []))
+        assert u.vertices == expected
 
     def test_ring_mismatch(self):
         g1 = make_graph(Z, ["a"], [])

@@ -197,6 +197,8 @@ class TestArithmetic:
             Z.element(5).exact_div(Z.element(2))
         with pytest.raises(UnsupportedRingError):
             integers_mod(4).element(2).exact_div(integers_mod(4).element(2))
+        with pytest.raises(ZeroDivisionError):
+            QX.element([1, 1]).exact_div(QX.zero)
 
     def test_str_rendering(self):
         assert str(P(2, 1, 1)) == "x^2 + x + 2"
@@ -228,6 +230,8 @@ class TestGcdLcm:
         R = integers_mod(6)
         with pytest.raises(UnsupportedRingError):
             gcd(R.element(2), R.element(4))
+        with pytest.raises(UnsupportedRingError):
+            ext_gcd(R.element(2), R.element(4))
 
     @given(st.integers(-200, 200), st.integers(-200, 200))
     def test_ext_gcd_integers(self, a, b):

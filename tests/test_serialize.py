@@ -61,6 +61,9 @@ class TestElements:
         Z = integers()
         with pytest.raises(SchemaError):
             element_from_json(Z, "x")
+        for data in (True, 1.5, ["1"]):
+            with pytest.raises(SchemaError, match="expected a decimal string"):
+                element_from_json(Z, data)
         with pytest.raises(SchemaError):
             element_from_json(QX, [["nested"]])
         with pytest.raises(SchemaError):
@@ -104,6 +107,10 @@ class TestGraphs:
                              "edges": [{"u": "a", "v": "b", "ideal": []}]})
 
     def test_structural_errors_reported_as_schema(self):
+        with pytest.raises(SchemaError, match="graph: expected an object"):
+            graph_from_json([])
+        with pytest.raises(SchemaError, match="graph.vertices: expected an array of id"):
+            graph_from_json({"ring": {"kind": "integers"}, "vertices": [1, 2], "edges": []})
         with pytest.raises(SchemaError, match="self-loop"):
             graph_from_json({"ring": {"kind": "integers"},
                              "vertices": ["a"],
@@ -120,6 +127,8 @@ class TestSplines:
             spline_from_json(k4_graph, {"values": {"v1": ["0"]}})
         with pytest.raises(SchemaError):
             spline_from_json(k4_graph, {"wrong": {}})
+        with pytest.raises(SchemaError, match="spline.values: expected an object"):
+            spline_from_json(k4_graph, {"values": [["0"]] * 4})
 
     def test_value_path_in_error(self, k4_graph):
         doc = load_fixture("k4-spline.json")

@@ -73,3 +73,14 @@ def test_cli_writes_stdout_once_in_main():
                 prints.append(f"{where}:{node.lineno}")
     assert writes == ["main"], f"sys.stdout.write in {writes}"
     assert not prints, f"print to stdout in {prints}"
+
+
+def test_gkm_walks_fundamental_cycles_only_in_the_tree_reduction():
+    # the cycle rows of reduce_via_tree are the one statement of the
+    # syzygy condition; syzygy_check reads them
+    callers = []
+    for top in ast.parse((PACKAGE / "gkm.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "fundamental_cycles":
+                callers.append(getattr(top, "name", "<module>"))
+    assert callers == ["reduce_via_tree"], f"fundamental_cycles called in {callers}"

@@ -100,6 +100,8 @@ class TestRingStructure:
         h = make_graph(Z, ["a", "b", "c"], [("a", "b", 2)])
         with pytest.raises(GraphError):
             spline_add(zspline(g, 0, 0, 0), zspline(h, 0, 0, 0))
+        with pytest.raises(GraphError, match="not defined on this graph's vertices"):
+            verify(h, zspline(make_graph(Z, ["a", "b", "z"], []), 0, 0, 0))
 
     def test_restrict_spline_rejects_non_subgraph(self, k4_graph, k4_spline):
         other = triangle_z()
@@ -148,12 +150,20 @@ class TestTransport:
                        [("x", "y", 2), ("y", "z", 3), ("x", "z", 7)])
         with pytest.raises(GraphError, match="label mismatch"):
             transport(zspline(g, 0, 0, 0), h, {"v1": "x", "v2": "y", "v3": "z"})
+        path = make_graph(Z, ["x", "y", "z"], [("x", "y", 2), ("y", "z", 3)])
+        with pytest.raises(GraphError, match="does not preserve edges"):
+            transport(zspline(g, 0, 0, 0), path, {"v1": "x", "v2": "y", "v3": "z"})
+        star = make_graph(Z, ["x", "y", "z"], [("x", "y", 2), ("x", "z", 3)])
+        with pytest.raises(GraphError, match="image of edge 'y'-'z' is not an edge"):
+            transport(zspline(path, 0, 0, 0), star, {"x": "x", "y": "y", "z": "z"})
 
     def test_non_bijection_rejected(self):
         g = triangle_z()
         with pytest.raises(GraphError):
             transport(zspline(g, 0, 0, 0), g,
                       {"v1": "v1", "v2": "v1", "v3": "v3"})
+        with pytest.raises(GraphError, match="not defined on every source vertex"):
+            transport(zspline(g, 0, 0, 0), g, {"v1": "v1", "v2": "v2"})
 
 
 class TestDirectSumAndScaling:
@@ -164,6 +174,14 @@ class TestDirectSumAndScaling:
         assert len(s.graph.vertices) == 6
         assert verify(s.graph, s).ok
         assert s["0:v2"] == Z.element(10) and s["1:v3"] == Z.element(25)
+
+    def test_direct_sum_over_a_prefixed_id_verifies(self):
+        g = make_graph(Z, ["a", "0:a"], [("a", "0:a", 2)])
+        h = make_graph(Z, ["a"], [])
+        p = Spline(g, {"a": Z.element(1), "0:a": Z.element(3)})
+        s = direct_sum_spline(p, Spline(h, {"a": Z.element(7)}))
+        assert verify(s.graph, s).ok
+        assert [s[v] for v in ("0:0:a", "0:a", "1:1:a")] == [Z.element(x) for x in (1, 3, 7)]
 
     def test_scaled_labeling_carries_scaled_splines(self):
         g = triangle_z()
