@@ -6,7 +6,6 @@ checks fall back to seeded sampling of constructed splines.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -64,8 +63,7 @@ def _edge_divisors(graph: EdgeLabeledGraph, budget: int) -> dict:
         if tuples > budget:
             raise BudgetExceededError(f"{m}^{n} tuples exceed the budget of {budget}")
         tuples *= m
-    return {edge: math.gcd(ideal.canonical.payload, m)
-            for edge, ideal in graph.labels.items()}
+    return {edge: ideal.divisor for edge, ideal in graph.labels.items()}
 
 
 def _residue_search(graph: EdgeLabeledGraph, forms) -> list:

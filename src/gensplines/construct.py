@@ -153,33 +153,28 @@ def _lifted_labels(graph):
                   for e in graph.edges}
 
 
-def _bezout_step(chain, g):
-    """Extend the Bezout chain of a list by g: the chain (d, cofactors)
-    has sum(x_i * g_i) = d, the gcd; None is the chain of no elements."""
-    if chain is None:
-        return g, [g.ring.one]
-    d, coeffs = chain
-    d2, a, b = ext_gcd(d, g)
-    return d2, [a * c for c in coeffs] + [b]
-
-
 def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     """Decide spline membership on a tree through pairwise path sums.
 
     For each vertex pair the difference must split as a sum of elements
-    of the path's edge ideals; witnesses record one such splitting.  The
-    paths and Bezout chains are grown from each source u along its BFS
-    tree: the chain to w is the chain to w's parent plus one step, taken
-    for the later-declared vertices and the tree vertices above them."""
+    of the path's edge ideals; witnesses record one such splitting.  Each
+    source u grows along its BFS tree, as far as the later-declared
+    vertices need, every path's edges, the gcd d of their generators g_i
+    and the Bezout terms t_i = x_i * g_i, which sum to d: one
+    ext_gcd(d, g) = (d', a, b) step gives the child's terms
+    (a * t_1, ..., a * t_k, b * g).  The witness is t_i * diff / d, and
+    diff must be 0 when d is.  Over Z/m the generators lift divisors of
+    m, so d divides m and a residue is in the sum exactly when d divides
+    its lift."""
     if not graph.is_tree:
         raise GraphError("graph is not a tree")
-    _, gens = _lifted_labels(graph)
+    lift, gens = _lifted_labels(graph)
     witnesses = {}
     failures = []
     verts = graph.vertices
     for i, u in enumerate(verts[:-1]):
         parent = spanning_tree(graph, u).parent
-        grown = {u: ([], None)}
+        grown = {u: ((), lift.zero, ())}
         for v in verts[i + 1:]:
             climb = []
             w = v
@@ -188,33 +183,19 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
                 w = parent[w]
             for w in reversed(climb):
                 edge = graph.edge_key(parent[w], w)
-                edges, chain = grown[parent[w]]
-                grown[w] = edges + [edge], _bezout_step(chain, gens[edge])
-            edges, chain = grown[v]
-            witness = _path_sum_witness(graph, edges, gens, chain, p[v] - p[u])
-            if witness is None:
+                edges, d, terms = grown[parent[w]]
+                d, a, b = ext_gcd(d, gens[edge])
+                grown[w] = (edges + (edge,), d,
+                            tuple(a * t for t in terms) + (b * gens[edge],))
+            edges, d, terms = grown[v]
+            diff = lift.element((p[v] - p[u]).payload)
+            if not d.divides(diff):
                 failures.append((u, v))
-            else:
-                witnesses[(u, v)] = witness
+                continue
+            scale = lift.zero if d.is_zero else diff.exact_div(d)
+            witnesses[(u, v)] = {e: graph.ring.element(t * scale)
+                                 for e, t in zip(edges, terms)}
     return TreeMembershipReport(not failures, witnesses, tuple(failures))
-
-
-def _path_sum_witness(graph, edges, gens, chain, diff):
-    """Split diff as a sum of per-edge ideal members, or None, from the
-    Bezout chain (d, cofactors) of the path's generators.  Over Z/m they
-    lift divisors of m, so d divides m: a residue is in the sum exactly
-    when d divides its lift, and a chain step with m would change no
-    cofactor."""
-    d, coeffs = chain
-    diff = d.ring.element(diff.payload)
-    if d.is_zero:
-        # every generator on the path is zero
-        return {e: graph.ring.zero for e in edges} if diff.is_zero else None
-    if not d.divides(diff):
-        return None
-    scale = diff.exact_div(d)
-    return {e: graph.ring.element(coeffs[i] * gens[e] * scale)
-            for i, e in enumerate(edges)}
 
 
 _ZERO_FACTOR = ("edge {} contributes a zero factor; the extension is "
@@ -300,23 +281,22 @@ def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
     factors = []
     for v in order:
         if v == skeleton.root:
-            path, zeros_on_path, quotient = [v], set(), product
+            support, zeros_on_path, quotient = {v}, set(), product
         else:
             u = skeleton.parent[v]
             edge = graph.edge_key(u, v)
-            path, zeros_on_path, quotient = grown[u]
-            path = path + [v]
+            support, zeros_on_path, quotient = grown[u]
+            support = support | {v}
             if gens[edge].is_zero:
                 zeros_on_path = zeros_on_path | {edge}
             else:
                 quotient = quotient.exact_div(gens[edge])
-        grown[v] = path, zeros_on_path, quotient
+        grown[v] = support, zeros_on_path, quotient
         zeros_off_path = [e for e in zero_edges if e not in zeros_on_path]
         for e in zeros_off_path:
             warnings.warn(_ZERO_FACTOR.format(e), stacklevel=2)
         factor = ring.zero if zeros_off_path else ring.element(quotient)
-        inside = set(path)
-        members.append(Spline(graph, {w: (factor if w in inside else ring.zero)
+        members.append(Spline(graph, {w: (factor if w in support else ring.zero)
                                       for w in graph.vertices}))
         factors.append(factor)
     return GeneratingFamily(graph, tuple(members), tuple(order), tuple(factors))

@@ -427,10 +427,12 @@ class Ideal:
 
     All supported rings are principal settings: in Z and Q[x] the
     canonical generator is the normalized gcd of the generators, and in
-    Z/m it is gcd(generators, m) reduced mod m.
+    Z/m it is gcd(generators, m) reduced mod m.  Over Z/m, divisor is
+    that gcd before reduction (m for the zero ideal); it is None over Z
+    and Q[x].
     """
 
-    __slots__ = ("ring", "generators", "canonical", "_divisor")
+    __slots__ = ("ring", "generators", "canonical", "divisor")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -450,18 +452,17 @@ class Ideal:
             for g in generators[1:]:
                 canonical = gcd(canonical, g)
         object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "_divisor", divisor)
+        object.__setattr__(self, "divisor", divisor)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
     def contains(self, a: RingElement) -> bool:
-        """Over Z/m, a residue is in the ideal exactly when the ideal's
-        divisor of m, gcd(m, generators), divides it (m itself when every
-        generator is zero)."""
+        """Over Z/m, a residue is in the ideal exactly when divisor
+        divides it."""
         self.canonical._check(a)
-        if self._divisor is not None:
-            return a.payload % self._divisor == 0
+        if self.divisor is not None:
+            return a.payload % self.divisor == 0
         return self.canonical.divides(a)
 
     @property

@@ -146,14 +146,7 @@ def transport(p: Spline, target: EdgeLabeledGraph, vertex_map: dict) -> Spline:
 def direct_sum_spline(p1: Spline, p2: Spline) -> Spline:
     """Concatenate splines across a disjoint union of their hosts."""
     union = disjoint_union(p1.graph, p2.graph)
-    n1 = len(p1.graph.vertices)
-    values = {}
-    for i, v in enumerate(union.vertices):
-        if i < n1:
-            values[v] = p1[p1.graph.vertices[i]]
-        else:
-            values[v] = p2[p2.graph.vertices[i - n1]]
-    return Spline(union, values)
+    return Spline(union, zip(union.vertices, p1.as_tuple() + p2.as_tuple()))
 
 
 def scaled_labeling(graph: EdgeLabeledGraph, r: RingElement) -> EdgeLabeledGraph:

@@ -297,6 +297,30 @@ class TestLongIntegers:
             f"bound of {cli.INPUT_DIGITS} digits\n"))
 
 
+    def test_output_past_the_input_bound_is_refused_as_input(
+            self, capsys, tmp_path, monkeypatch):
+        # the bound applies to what is read only: products of valid
+        # labels may be longer, and are refused when read back
+        monkeypatch.setattr(cli, "INPUT_DIGITS", 640)  # CPython's least limit
+        doc = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c", "d"],
+               "edges": [{"u": u, "v": v, "ideal": [d * 250]}
+                         for (u, v), d in zip(["ab", "bc", "cd", "ad"], "2357")]}
+        graph = tmp_path / "c4.json"
+        graph.write_text(json.dumps(doc))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "flowup", str(graph))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        member = json.loads(out)["members"][0]
+        assert len(member["values"]["a"]) == 999
+        spline = tmp_path / "member0.json"
+        spline.write_text(json.dumps(member))
+        assert run(capsys, "check", str(graph), str(spline)) == (2, "", (
+            f"error: {spline}: spline.values[a]: integer of 999 digits is past "
+            f"the input bound of 640 digits\n"))
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestMatrix:
     def test_full_matrix(self, capsys):
         code, out, _ = run(capsys, "matrix", C3Z4)

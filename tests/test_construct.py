@@ -37,7 +37,9 @@ from conftest import (
     near_subgraphs,
     path_z,
     random_connected_graph,
+    random_cycle,
     random_generator_element,
+    random_path,
     random_tree,
     triangle_z,
 )
@@ -413,6 +415,31 @@ class TestFlowUpIncremental:
             assert fam_warnings == ref_warnings
 
 
+class TestScalingFactorsAreTheDiagonal:
+    """Each family's scaling factors are its members' values on the
+    vertex order: member i at vertex_order[i]."""
+
+    RINGS = [Z, integers_mod(12), poly_rational()]
+
+    @staticmethod
+    def check(family):
+        assert family.scaling_factors == tuple(
+            m[v] for m, v in zip(family.members, family.vertex_order))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_path_and_cycle_families(self, ring):
+        rng = random.Random(91)
+        for _ in range(6):
+            self.check(path_generating_family(random_path(ring, rng)))
+            self.check(cycle_generating_family(random_cycle(ring, rng)))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_flow_up_family_for_every_root(self, ring):
+        for graph in seeded_graphs(ring, 92, 6, n_max=6, e_max=10):
+            for root in graph.vertices:
+                self.check(recorded_warnings(flow_up_family, graph, root)[0])
+
+
 def reference_bezout_chain(elements):
     """gcd d of a list plus cofactors x_i with sum(x_i * g_i) = d."""
     d = elements[0]
@@ -557,6 +584,20 @@ class TestWorkCounts:
         counts = self.counting(monkeypatch)
         tree_membership(tree, p)
         assert counts["ext_gcd"] <= n * (n - 1)
+
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_tree_membership_one_multiplication_per_summand(self, monkeypatch, n):
+        # each grown path's terms cost one product per edge, and each
+        # witness summand one more: 2W in all on a path
+        rng = random.Random(83)
+        tree = path_z([rng.randint(2, 30) for _ in range(n - 1)])
+        p = trivial_spline(tree, Z.element(7))
+        counts = self.counting(monkeypatch)
+        report = tree_membership(tree, p)
+        summands = sum(len(w) for w in report.witnesses.values())
+        assert report.ok and summands == (n + 1) * n * (n - 1) // 6
+        assert counts["mul"] == 2 * summands
 
 
 class TestNontrivialExistence:

@@ -320,8 +320,23 @@ class TestIdeals:
         monkeypatch.setattr(RingElement, "divides", divides)
         for g, ideal in ideals:
             d = math.gcd(g, 12)  # 12 for the zero ideal
+            assert ideal.divisor == d
             for r in range(-12, 24):
                 assert ideal.contains(R.element(r)) == (r % d == 0)
+
+    @pytest.mark.parametrize("m", [2, 6, 12, 30, 97])
+    def test_divisor_is_the_gcd_with_m(self, m):
+        R = integers_mod(m)
+        for g in range(m):
+            ideal = Ideal([R.element(g)])
+            assert ideal.divisor == math.gcd(ideal.canonical.payload, m)
+        assert Ideal([R.zero]).divisor == m
+        with pytest.raises(AttributeError):
+            ideal.divisor = 1
+
+    def test_divisor_is_none_over_z_and_qx(self):
+        assert Ideal([Z.element(6)]).divisor is None
+        assert Ideal([P(2, 2)]).divisor is None
 
     def test_poly_canonicalization(self):
         ideal = Ideal([P(2, 2), P(-2, 0, 2)])
