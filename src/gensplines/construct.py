@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import (
     EdgeLabeledGraph,
@@ -24,10 +25,11 @@ from .rings import (
     RingElement,
     UnsupportedRingError,
     ext_gcd,
+    gcd,
     integers,
     lcm,
 )
-from .splines import Spline, verify
+from .splines import Spline, check_host, verify
 
 
 @dataclass(frozen=True)
@@ -138,13 +140,6 @@ def _nested_family(graph, order, factors) -> GeneratingFamily:
                             tuple(factors) + (ring.one,))
 
 
-@dataclass(frozen=True)
-class TreeMembershipReport:
-    ok: bool
-    witnesses: dict  # (u, v) -> {edge: summand}
-    failures: tuple  # vertex pairs with no decomposition
-
-
 def _lifted_labels(graph):
     """(ring, labels): each edge's canonical generator; over Z/m its lift
     to Z in [0, m), because residues have no Euclidean division."""
@@ -153,49 +148,74 @@ def _lifted_labels(graph):
                   for e in graph.edges}
 
 
-def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
-    """Decide spline membership on a tree through pairwise path sums.
-
-    For each vertex pair the difference must split as a sum of elements
-    of the path's edge ideals; witnesses record one such splitting.  Each
-    source u grows along its BFS tree, as far as the later-declared
-    vertices need, every path's edges, the gcd d of their generators g_i
-    and the Bezout terms t_i = x_i * g_i, which sum to d: one
-    ext_gcd(d, g) = (d', a, b) step gives the child's terms
-    (a * t_1, ..., a * t_k, b * g).  The witness is t_i * diff / d, and
-    diff must be 0 when d is.  Over Z/m the generators lift divisors of
-    m, so d divides m and a residue is in the sum exactly when d divides
-    its lift."""
-    if not graph.is_tree:
-        raise GraphError("graph is not a tree")
-    lift, gens = _lifted_labels(graph)
-    witnesses = {}
-    failures = []
+def _grown_pairs(graph, start, step):
+    """Yield (u, v, state) for every pair, u declared before v.  Each
+    source starts from start and grows along its BFS tree as far as the
+    later vertices need: a child's state is step(parent's state, edge)."""
     verts = graph.vertices
     for i, u in enumerate(verts[:-1]):
         parent = spanning_tree(graph, u).parent
-        grown = {u: ((), lift.zero, ())}
+        grown = {u: start}
         for v in verts[i + 1:]:
-            climb = []
-            w = v
+            climb, w = [], v
             while w not in grown:
                 climb.append(w)
                 w = parent[w]
             for w in reversed(climb):
-                edge = graph.edge_key(parent[w], w)
-                edges, d, terms = grown[parent[w]]
-                d, a, b = ext_gcd(d, gens[edge])
-                grown[w] = (edges + (edge,), d,
-                            tuple(a * t for t in terms) + (b * gens[edge],))
-            edges, d, terms = grown[v]
-            diff = lift.element((p[v] - p[u]).payload)
-            if not d.divides(diff):
-                failures.append((u, v))
-                continue
-            scale = lift.zero if d.is_zero else diff.exact_div(d)
-            witnesses[(u, v)] = {e: graph.ring.element(t * scale)
-                                 for e, t in zip(edges, terms)}
-    return TreeMembershipReport(not failures, witnesses, tuple(failures))
+                grown[w] = step(grown[parent[w]], graph.edge_key(parent[w], w))
+            yield u, v, grown[v]
+
+
+@dataclass(frozen=True)
+class TreeMembershipReport:
+    ok: bool
+    failures: tuple  # vertex pairs with no decomposition
+    graph: EdgeLabeledGraph = field(repr=False)
+    spline: Spline = field(repr=False)
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """(u, v) -> {edge: summand} for every pair not in failures, built
+        on first read.  Each grown path holds its edges, the gcd d of their
+        generators g_i and the Bezout terms t_i = x_i * g_i, which sum to
+        d: one ext_gcd(d, g) = (d', a, b) step gives the child's terms
+        (a * t_1, ..., a * t_k, b * g).  The witness is t_i * diff / d."""
+        graph, p = self.graph, self.spline
+        lift, gens = _lifted_labels(graph)
+
+        def grow(state, edge):
+            edges, d, terms = state
+            d, a, b = ext_gcd(d, gens[edge])
+            return (edges + (edge,), d,
+                    tuple(a * t for t in terms) + (b * gens[edge],))
+
+        failed = set(self.failures)
+        witnesses = {}
+        for u, v, (edges, d, terms) in _grown_pairs(graph, ((), lift.zero, ()), grow):
+            if (u, v) not in failed:
+                diff = lift.element((p[v] - p[u]).payload)
+                scale = lift.zero if d.is_zero else diff.exact_div(d)
+                witnesses[(u, v)] = {e: graph.ring.element(t * scale)
+                                     for e, t in zip(edges, terms)}
+        return witnesses
+
+
+def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
+    """Decide spline membership on a tree through pairwise path sums.
+
+    Each pair's difference must lie in the sum of its path's edge ideals,
+    generated by the gcd d of their generators, each path's d one gcd
+    step from its BFS parent's.  Witnesses are built on first read.  Over
+    Z/m the generators lift divisors of m, so d divides m and a residue
+    is in the sum exactly when d divides its lift."""
+    if not graph.is_tree:
+        raise GraphError("graph is not a tree")
+    check_host(graph, p)
+    lift, gens = _lifted_labels(graph)
+    failures = tuple((u, v) for u, v, d in _grown_pairs(
+                         graph, lift.zero, lambda d, e: gcd(d, gens[e]))
+                     if not d.divides(lift.element((p[v] - p[u]).payload)))
+    return TreeMembershipReport(not failures, failures, graph, p)
 
 
 _ZERO_FACTOR = ("edge {} contributes a zero factor; the extension is "

@@ -73,10 +73,18 @@ class VerificationReport:
     violations: tuple  # of (edge, difference)
 
 
-def verify(graph: EdgeLabeledGraph, spline: Spline) -> VerificationReport:
-    """Check the per-edge membership condition; report every violated edge."""
+def check_host(graph: EdgeLabeledGraph, spline: Spline) -> None:
+    """Refuse a spline on another vertex set or over another ring."""
     if set(spline.values) != set(graph.vertices):
         raise GraphError("spline is not defined on this graph's vertices")
+    ring = spline.graph.ring
+    if ring is not graph.ring and ring != graph.ring:
+        raise RingMismatchError(f"spline over {ring} on a graph over {graph.ring}")
+
+
+def verify(graph: EdgeLabeledGraph, spline: Spline) -> VerificationReport:
+    """Check the per-edge membership condition; report every violated edge."""
+    check_host(graph, spline)
     violations = []
     for u, v in graph.edges:
         diff = spline[u] - spline[v]

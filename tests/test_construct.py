@@ -28,7 +28,7 @@ from gensplines.graphs import (
     spanning_tree,
     tree_path,
 )
-from gensplines.rings import RingElement, UnsupportedRingError, ext_gcd
+from gensplines.rings import RingElement, RingMismatchError, UnsupportedRingError, ext_gcd
 from gensplines.splines import Spline, is_nontrivial
 
 from conftest import (
@@ -177,6 +177,28 @@ class TestTreeMembership:
     def test_rejects_non_tree(self):
         with pytest.raises(GraphError, match="not a tree"):
             tree_membership(triangle_z(), zspline(triangle_z(), 0, 0, 0))
+
+    # verify and tree_membership share one host check
+    @pytest.mark.parametrize("labels, host_labels", [([2, 3], [2]), ([2], [2, 3])],
+                             ids=["extra-vertex", "missing-vertex"])
+    def test_refuses_another_vertex_set(self, labels, host_labels):
+        spline_host = path_z(labels)
+        p = Spline(spline_host, {v: Z.element(0) for v in spline_host.vertices})
+        for check in (verify, tree_membership):
+            with pytest.raises(GraphError, match="not defined on this graph's vertices"):
+                check(path_z(host_labels), p)
+
+    def test_refuses_another_ring(self):
+        tree = make_graph(integers_mod(6), ["a", "b"], [("a", "b", 2)])
+        p = zspline(make_graph(Z, ["a", "b"], [("a", "b", 2)]), 0, 4)
+        for check in (verify, tree_membership):
+            with pytest.raises(RingMismatchError):
+                check(tree, p)
+        # equal rings built apart still mix
+        R = integers_mod(6)
+        q = Spline(make_graph(R, ["a", "b"], [("a", "b", 2)]),
+                   {"a": R.element(0), "b": R.element(4)})
+        assert verify(tree, q).ok and tree_membership(tree, q).ok
 
 
 class TestExtendByZero:
@@ -519,6 +541,19 @@ class TestTreeMembershipIncremental:
             tree = random_tree(ring, rng, n_max=7)
             for p in self.splines(tree, rng):
                 self.check(tree, p)
+        # the benchmark's tree shape: vertex i hangs below (i-1)//2 or its
+        # successor, labels 1..12
+        n = 30
+        verts = [f"v{i}" for i in range(n)]
+        labels = [k % 12 + 1 for k in range(n - 1)]
+        rng.shuffle(labels)
+        tree = make_graph(ring, verts, [
+            (verts[rng.randrange((i - 1) // 2, min(i, (i - 1) // 2 + 2))], verts[i],
+             labels[i - 1]) for i in range(1, n)])
+        p = self.splines(tree, rng)[0]
+        self.check(tree, p)
+        bumped = rng.choice(verts)
+        self.check(tree, Spline(tree, {**p.values, bumped: p[bumped] + ring.one}))
 
     @pytest.mark.parametrize("ring", [Z, poly_rational()], ids=str)
     def test_all_zero_paths(self, ring):
@@ -546,7 +581,7 @@ class TestWorkCounts:
 
     @staticmethod
     def counting(monkeypatch):
-        counts = {"mul": 0, "exact_div": 0, "ext_gcd": 0}
+        counts = {"mul": 0, "exact_div": 0, "gcd": 0, "ext_gcd": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -557,6 +592,7 @@ class TestWorkCounts:
         monkeypatch.setattr(RingElement, "__mul__", counted("mul", RingElement.__mul__))
         monkeypatch.setattr(RingElement, "exact_div",
                             counted("exact_div", RingElement.exact_div))
+        monkeypatch.setattr(construct, "gcd", counted("gcd", construct.gcd))
         monkeypatch.setattr(construct, "ext_gcd", counted("ext_gcd", construct.ext_gcd))
         return counts
 
@@ -574,17 +610,34 @@ class TestWorkCounts:
         assert counts["exact_div"] <= n - 1
         assert counts["mul"] <= 2 * n - 1
 
-    def test_tree_membership_one_step_per_pair(self, monkeypatch):
-        rng = random.Random(82)
-        n = 16
+    @staticmethod
+    def seeded_tree(rng, n):
         verts = [f"v{i}" for i in range(n)]
         tree = make_graph(Z, verts, [(verts[rng.randrange(max(0, i - 2), i)], verts[i],
                                       rng.randint(2, 30)) for i in range(1, n)])
-        p = Spline(tree, {v: Z.element(rng.randint(-50, 50)) for v in verts})
+        return tree, Spline(tree, {v: Z.element(rng.randint(-50, 50)) for v in verts})
+
+    def test_tree_membership_one_step_per_pair(self, monkeypatch):
+        n = 16
+        tree, p = self.seeded_tree(random.Random(82), n)
         counts = self.counting(monkeypatch)
-        tree_membership(tree, p)
+        tree_membership(tree, p).witnesses
         assert counts["ext_gcd"] <= n * (n - 1)
 
+    def test_tree_membership_decides_without_witnesses(self, monkeypatch):
+        # deciding takes one gcd per vertex grown from each source, which
+        # includes earlier-declared vertices on paths to later ones; the
+        # Bezout terms wait for the first read of witnesses, built once
+        tree, p = self.seeded_tree(random.Random(84), 16)
+        verts = tree.vertices
+        grown = sum(len({w for v in verts[i + 1:]
+                         for w in tree_path(spanning_tree(tree, u), u, v)[1:]})
+                    for i, u in enumerate(verts))
+        counts = self.counting(monkeypatch)
+        report = tree_membership(tree, p)
+        assert counts["ext_gcd"] == counts["mul"] == 0
+        assert counts["gcd"] == grown
+        assert report.witnesses is report.witnesses
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_tree_membership_one_multiplication_per_summand(self, monkeypatch, n):

@@ -2,7 +2,7 @@
 structure of the spline set."""
 import pytest
 
-from gensplines import integers, poly_rational, verify
+from gensplines import integers, integers_mod, poly_rational, verify
 from gensplines.graphs import GraphError, restrict
 from gensplines.rings import RingMismatchError
 from gensplines.splines import (
@@ -102,6 +102,12 @@ class TestRingStructure:
             spline_add(zspline(g, 0, 0, 0), zspline(h, 0, 0, 0))
         with pytest.raises(GraphError, match="not defined on this graph's vertices"):
             verify(h, zspline(make_graph(Z, ["a", "b", "z"], []), 0, 0, 0))
+
+    def test_ring_mismatch_without_edges(self):
+        # no edge ideal compares the rings here, so the host check must
+        edgeless = make_graph(integers_mod(6), ["a", "b"], [])
+        with pytest.raises(RingMismatchError):
+            verify(edgeless, zspline(make_graph(Z, ["a", "b"], []), 1, 2))
 
     def test_restrict_spline_rejects_non_subgraph(self, k4_graph, k4_spline):
         other = triangle_z()
