@@ -157,7 +157,8 @@ def _grown_pairs(graph, start, step):
         parent = spanning_tree(graph, u).parent
         grown = {u: start}
         for v in verts[i + 1:]:
-            climb, w = [], v
+            climb = []
+            w = v
             while w not in grown:
                 climb.append(w)
                 w = parent[w]
