@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .construct import GeneratingFamily, flow_up_family
-from .gkm import GkmMatrix, ReducedSystem
+from .gkm import GkmMatrix, ReducedSystem, build_gkm_matrix
 from .graphs import (
     DisconnectedGraphError,
     EdgeLabeledGraph,
@@ -81,9 +81,6 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
             closing[last].append((terms.pop(last), tuple(terms.items()), d))
     level = [()]
     for checks in closing:
-        if not checks:
-            level = [prefix + (x,) for prefix in level for x in range(m)]
-            continue
         allowed = {}  # residues of the partial sums -> values left for the slot
         grown = []
         for prefix in level:
@@ -97,18 +94,20 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     return level
 
 
-def _edge_forms(graph: EdgeLabeledGraph, edges, budget: int) -> list:
-    """Ring and budget checks, then (x_u - x_v, divisor of uv) per edge uv."""
-    divisors = _edge_divisors(graph, budget)
-    return [({graph.index(u): 1, graph.index(v): -1}, divisors[u, v]) for u, v in edges]
+def _row_search(matrix: GkmMatrix, edges, budget: int) -> list:
+    """Ring and budget checks, then _residue_search over each edge's GKM row:
+    its value must lie in the edge's ideal, whatever the row's sign."""
+    divisors = _edge_divisors(matrix.graph, budget)
+    rows = matrix.rows_by_edge()
+    return _residue_search(matrix.graph,
+                           [(dict(enumerate(rows[e])), divisors[e]) for e in edges])
 
 
 def enumerate_splines(graph: EdgeLabeledGraph,
                       budget: int = DEFAULT_BUDGET) -> SplineSet:
     """All verified residue tuples: x_u - x_v must lie in the ideal of
     each edge uv, read from the graph itself."""
-    forms = _edge_forms(graph, graph.edges, budget)
-    return SplineSet(graph, tuple(_residue_search(graph, forms)))
+    return SplineSet(graph, tuple(_row_search(build_gkm_matrix(graph), graph.edges, budget)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
     edge_sets = tuple(tuple(sub.edges) for sub in subgraphs)
     if graph.ring.kind == INTEGERS_MOD:
         whole = set(enumerate_splines(graph, budget).members)
-        inter = set(_residue_search(graph, _edge_forms(graph, keys, budget)))
+        inter = set(_row_search(build_gkm_matrix(graph), keys, budget))
         return DecompositionReport(claim, edge_sets, whole == inter,
                                    counterexample=min(whole ^ inter, default=None))
     rng = random.Random(seed)
@@ -251,10 +250,8 @@ def count_direct_sum(graph: EdgeLabeledGraph, v, *,
     forces total = m * anchored on connected graphs."""
     if not graph.is_connected:
         raise DisconnectedGraphError(graph.components())
-    if v not in set(graph.vertices):
-        raise GraphError(f"{v!r} is not a vertex")
-    spline_set = enumerate_splines(graph, budget)
     i = graph.index(v)
+    spline_set = enumerate_splines(graph, budget)
     total = len(spline_set)
     anchored = sum(1 for tup in spline_set.members if tup[i] == 0)
     if total != graph.ring.modulus * anchored:
@@ -268,11 +265,8 @@ def count_direct_sum(graph: EdgeLabeledGraph, v, *,
 def matrix_solution_set(matrix: GkmMatrix,
                         budget: int = DEFAULT_BUDGET) -> set:
     """All residue tuples solving the extended system for some valid
-    last column: each signed row's value must lie in its edge's ideal,
-    and membership is sign-invariant, so orientation cannot matter."""
-    divisors = _edge_divisors(matrix.graph, budget)
-    return set(_residue_search(matrix.graph, [
-        (dict(enumerate(row)), divisors[edge]) for edge, row in matrix.rows_by_edge().items()]))
+    last column, so orientation cannot matter."""
+    return set(_row_search(matrix, matrix.graph.edges, budget))
 
 
 def reduced_solution_set(system: ReducedSystem,

@@ -236,8 +236,9 @@ def extend_by_zero(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph,
     """Scale p by a product over the excluded edges and pad with zeros.
 
     The scaling factor is the product of one chosen element per edge of
-    the host outside the subgraph (canonical generators by default), so
-    every mixed edge's difference lands in its ideal."""
+    the host outside the subgraph (canonical generators by default; a key
+    may name its edge either way round), so every mixed edge's difference
+    lands in its ideal."""
     spline, _ = extend_by_zero_with_factor(graph, subgraph, p, element_choices)
     return spline
 
@@ -256,10 +257,11 @@ def extend_by_zero_with_factor(graph, subgraph, p, element_choices=None):
 def _excluded_product(graph, edges, element_choices=None):
     """Product of one chosen element (canonical by default) per excluded
     edge; the zero-factor warning names the public constructor's caller."""
+    choices = {graph.edge_key(*key): c for key, c in (element_choices or {}).items()}
     factor = graph.ring.one
     for edge in edges:
-        if element_choices and edge in element_choices:
-            choice = _checked_choice(graph, edge, element_choices[edge])
+        if edge in choices:
+            choice = _checked_choice(graph, edge, choices[edge])
         else:
             choice = graph.labels[edge].canonical
         if choice.is_zero:

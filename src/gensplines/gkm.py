@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .graphs import (EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles,
                      path_edges, path_order, tree_edge_keys)
-from .splines import Spline
+from .splines import Spline, check_host
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,15 @@ class GkmMatrix:
 
 
 def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -> GkmMatrix:
-    """Rows in edge declaration order; default orientation is earlier
-    declared vertex -> later declared vertex.  Re-orienting an edge only
-    negates its row, which never changes the solution set."""
+    """Rows in edge declaration order, earlier declared vertex -> later by
+    default; an orientation key may name its edge either way round.
+    Re-orienting an edge only negates its row, which never changes the solution set."""
+    orientation = {graph.edge_key(*key): ends for key, ends in (orientation or {}).items()}
     rows = []
     for u, v in graph.edges:
-        tail, head = u, v
-        if orientation and (u, v) in orientation:
-            tail, head = orientation[(u, v)]
-            if {tail, head} != {u, v}:
-                raise GraphError(f"orientation for edge {(u, v)} must use its endpoints")
+        tail, head = orientation.get((u, v), (u, v))
+        if {tail, head} != {u, v}:
+            raise GraphError(f"orientation for edge {(u, v)} must use its endpoints")
         rows.append((tail, head))
     return GkmMatrix(graph, tuple(rows))
 
@@ -59,6 +58,7 @@ def _check_last_column(graph: EdgeLabeledGraph, q: dict) -> None:
 def solves(matrix: GkmMatrix, p: Spline, q: dict) -> bool:
     """True iff M*p = q row by row; each q_e must lie in its edge ideal."""
     graph = matrix.graph
+    check_host(graph, p)
     _check_last_column(graph, q)
     for tail, head in matrix.rows:
         edge = graph.edge_key(tail, head)

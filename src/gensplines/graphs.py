@@ -89,11 +89,18 @@ class EdgeLabeledGraph:
         raise AttributeError("EdgeLabeledGraph is immutable")
 
     def index(self, v) -> int:
-        return self._index[v]
+        try:
+            return self._index[v]
+        except KeyError:
+            raise GraphError(f"{v!r} is not a vertex") from None
 
     def edge_key(self, u, v) -> tuple:
-        if self._index[u] > self._index[v]:
-            u, v = v, u
+        try:
+            if self._index[u] > self._index[v]:
+                u, v = v, u
+        except KeyError:
+            self.index(u)
+            self.index(v)
         if (u, v) not in self.labels:
             raise GraphError(f"no edge {u!r}-{v!r}")
         return (u, v)
@@ -102,6 +109,7 @@ class EdgeLabeledGraph:
         return self.labels[self.edge_key(u, v)]
 
     def neighbors(self, v):
+        self.index(v)
         return tuple(self._adj[v])
 
     def components(self) -> list[list]:

@@ -62,10 +62,6 @@ class Spline:
                           ((v, self.values[v]) for v in self.graph.vertices))
         return f"Spline({inner})"
 
-    def _check_same_host(self, other: "Spline") -> None:
-        if self.graph.vertices != other.graph.vertices or self.graph.ring != other.graph.ring:
-            raise GraphError("splines live on different graphs")
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -94,12 +90,12 @@ def verify(graph: EdgeLabeledGraph, spline: Spline) -> VerificationReport:
 
 
 def spline_add(p: Spline, q: Spline) -> Spline:
-    p._check_same_host(q)
+    check_host(p.graph, q)
     return Spline(p.graph, {v: p[v] + q[v] for v in p.graph.vertices})
 
 
 def spline_mul(p: Spline, q: Spline) -> Spline:
-    p._check_same_host(q)
+    check_host(p.graph, q)
     return Spline(p.graph, {v: p[v] * q[v] for v in p.graph.vertices})
 
 
@@ -119,8 +115,7 @@ def restrict_spline(p: Spline, subgraph: EdgeLabeledGraph) -> Spline:
 
 def decompose_at_vertex(graph: EdgeLabeledGraph, p: Spline, v):
     """Split p = r*1 + p_v_part with p_v_part vanishing at v (connected G)."""
-    if v not in set(graph.vertices):
-        raise GraphError(f"{v!r} is not a vertex")
+    graph.index(v)
     if not graph.is_connected:
         raise DisconnectedGraphError(graph.components())
     report = verify(graph, p)
