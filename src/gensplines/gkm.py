@@ -36,14 +36,11 @@ def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -
     """Rows in edge declaration order, earlier declared vertex -> later by
     default; an orientation key may name its edge either way round.
     Re-orienting an edge only negates its row, which never changes the solution set."""
-    orientation = {graph.edge_key(*key): ends for key, ends in (orientation or {}).items()}
-    rows = []
-    for u, v in graph.edges:
-        tail, head = orientation.get((u, v), (u, v))
+    orientation = {graph.edge_key(*key): tuple(ends) for key, ends in (orientation or {}).items()}
+    for (u, v), (tail, head) in orientation.items():
         if {tail, head} != {u, v}:
             raise GraphError(f"orientation for edge {(u, v)} must use its endpoints")
-        rows.append((tail, head))
-    return GkmMatrix(graph, tuple(rows))
+    return GkmMatrix(graph, tuple(orientation.get(e, e) for e in graph.edges))
 
 
 def _check_last_column(graph: EdgeLabeledGraph, q: dict) -> None:

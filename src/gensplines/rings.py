@@ -102,16 +102,16 @@ class RingSpec:
         """Build a canonical element of this ring.
 
         Integers and residues accept ints; residues are reduced mod m.
-        Polynomials accept an int, a Fraction, or a sequence of
-        coefficients in ascending degree (ints, Fractions, or "p" and
-        "p/q" strings of decimal integers).  A bool or a float is
+        Polynomials accept one coefficient or a sequence of coefficients
+        in ascending degree; a coefficient is an int, a Fraction, or a "p"
+        or "p/q" string of decimal integers.  A bool or a float is
         refused: one prints as True, the other is not exact.
         """
         if isinstance(value, RingElement):
             value = value.payload
         if self.kind == POLY_RATIONAL:
             if not isinstance(value, _Poly):
-                coeffs = (value,) if isinstance(value, (int, float, Fraction)) else value
+                coeffs = (value,) if isinstance(value, (int, float, Fraction, str)) else value
                 value = _Poly.trimmed([_coefficient(c) for c in coeffs])
         elif type(value) is not int:
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")
@@ -438,9 +438,9 @@ class Ideal:
         generators = tuple(generators)
         if not generators:
             raise ValueError("an ideal needs at least one generator")
+        for g in generators:  # the first too: it may not be a RingElement
+            RingElement._check(generators[0], g)
         ring = generators[0].ring
-        for g in generators[1:]:
-            generators[0]._check(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", generators)
         divisor = None

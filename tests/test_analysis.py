@@ -232,8 +232,13 @@ def product_splines(graph):
 
 
 def seeded_zm_graph(seed):
-    """A connected graph over Z/m, 2 <= m <= 12, with m^n <= 4096."""
+    """A connected graph over Z/m, 2 <= m <= 12, with m^n <= 4096.  Seed
+    "hub-last-star" gives a Z/4 star whose hub is declared last, so no
+    edge form closes before the last slot."""
     rng = seeded(seed)
+    if seed == "hub-last-star":
+        return rng, make_graph(integers_mod(4), ["a", "b", "c", "d", "hub"],
+                               [(v, "hub", k) for k, v in enumerate("abcd")])
     m = rng.randint(2, 12)
     n_max = max(2, int(math.log(4096, m)))
     return rng, random_connected_graph(integers_mod(m), rng, n_max=n_max, e_max=6)
@@ -258,7 +263,7 @@ def flipped_matrix(graph, rng):
 
 
 class TestIndependentOracle:
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", [*range(40), "hub-last-star"])
     def test_connected_graphs(self, seed):
         rng, g = seeded_zm_graph(seed)
         expected = product_splines(g)

@@ -221,6 +221,20 @@ class TestExtendByZero:
         assert out.as_tuple() == (Z.element(60), Z.element(60), Z.element(0))
         assert verify(g, out).ok
 
+    def test_choice_keyed_by_the_reversed_edge(self):
+        g = triangle_z()
+        sub = restrict(g, ["v1"], [])
+        _, factor = extend_by_zero_with_factor(g, sub, trivial_spline(sub, Z.element(1)),
+                                               {("v3", "v2"): Z.element(6)})
+        assert factor == Z.element(60)
+
+    def test_choice_key_must_be_an_edge(self):
+        g = make_graph(Z, ["v1", "v2", "v3"], [("v1", "v2", 2), ("v2", "v3", 3)])
+        sub = restrict(g, ["v1"], [])
+        with pytest.raises(GraphError, match="no edge"):
+            extend_by_zero(g, sub, trivial_spline(sub, Z.element(1)),
+                           {("v1", "v3"): Z.element(5)})
+
     def test_rejects_unverified_input(self):
         g = triangle_z()
         sub = restrict(g, ["v1", "v2"], [("v1", "v2")])

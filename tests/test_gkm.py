@@ -12,6 +12,7 @@ from gensplines.gkm import (
     syzygy_check,
 )
 from gensplines.graphs import GraphError, fundamental_cycles, path_order, tree_from_edges
+from gensplines.rings import RingMismatchError, integers_mod
 from gensplines.splines import Spline
 
 from conftest import (path_z, random_connected_graph, random_generator_element, random_path,
@@ -36,6 +37,15 @@ class TestBuild:
         g = path_z([2, 3])
         m = build_gkm_matrix(g, orientation={("v1", "v2"): ("v2", "v1")})
         assert list(m.rows_by_edge().items())[0] == (("v1", "v2"), (-1, 1, 0))
+
+    def test_orientation_keyed_by_the_reversed_edge(self):
+        g = path_z([2, 3])
+        m = build_gkm_matrix(g, orientation={("v2", "v1"): ("v2", "v1")})
+        assert m.rows_by_edge()[("v1", "v2")] == (-1, 1, 0)
+
+    def test_orientation_key_must_be_an_edge(self):
+        with pytest.raises(GraphError, match="no edge"):
+            build_gkm_matrix(path_z([2, 3]), orientation={("v1", "v3"): ("v1", "v3")})
 
     def test_orientation_must_use_endpoints(self):
         g = path_z([2, 3])
@@ -73,6 +83,21 @@ class TestSolves:
             solves(m, p, q)
         with pytest.raises(ValueError, match="missing q"):
             solves(m, p, {})
+
+    def test_refuses_a_spline_over_another_ring(self):
+        g = triangle_z()
+        R = integers_mod(6)
+        p = Spline(build_graph(R, g.vertices, []), {v: R.zero for v in g.vertices})
+        q = {e: Z.zero for e in g.edges}
+        with pytest.raises(RingMismatchError):
+            solves(build_gkm_matrix(g), p, q)
+
+    def test_refuses_a_spline_on_another_vertex_set(self):
+        g = triangle_z()
+        p = zspline(build_graph(Z, ["a", "b", "c"], []), 0, 0, 0)
+        q = {e: Z.zero for e in g.edges}
+        with pytest.raises(GraphError, match="not defined on this graph's vertices"):
+            solves(build_gkm_matrix(g), p, q)
 
 
 class TestReduceViaTree:

@@ -115,6 +115,22 @@ class TestConnectivity:
                               [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)]).is_tree
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.index("zz"),
+    lambda g: g.edge_key("v1", "zz"),
+    lambda g: g.label("zz", "v2"),
+    lambda g: g.neighbors("zz"),
+    lambda g: restrict(g, g.vertices, [("v1", "zz")]),
+    lambda g: spanning_subgraph(g, [("zz", "v2")]),
+    lambda g: tree_from_edges(g, [("v1", "v2"), ("v1", "zz"), ("v1", "v4")]),
+    lambda g: path_edges(g, ["v1", "v2", "zz"]),
+], ids=["index", "edge_key", "label", "neighbors", "restrict", "spanning_subgraph",
+        "tree_from_edges", "path_edges"])
+def test_unknown_vertex_id_is_a_graph_error(k4_graph, call):
+    with pytest.raises(GraphError, match="^'zz' is not a vertex$"):
+        call(k4_graph)
+
+
 class TestSpanningTree:
     def test_bfs_determinism_on_k4(self, k4_graph):
         t = spanning_tree(k4_graph)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gensplines import gcd, ideal_canonicalize, integers, integers_mod, lcm, poly_rational
+from gensplines import build_graph, gcd, ideal_canonicalize, integers, integers_mod, lcm, poly_rational
 from gensplines.rings import (
     Ideal,
     RingElement,
@@ -130,6 +130,13 @@ class TestCanonicalForms:
         # a float is not exact and a bool payload prints as True
         with pytest.raises(TypeError):
             ring.element(value)
+
+    def test_string_is_one_coefficient(self):
+        assert QX.element("12") == QX.element(12)
+        assert QX.element("1/2").payload == (Fraction(1, 2),)
+        for text in ("", "0.5"):
+            with pytest.raises(ValueError):
+                QX.element(text)
 
     def test_coefficient_grammar_accepts(self):
         assert QX.element(["1/2", "-3", "1/-2", 4, Fraction(2, 3)]).payload == (
@@ -367,6 +374,12 @@ class TestIdeals:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Ideal([])
+
+    def test_first_generator_must_be_a_ring_element(self):
+        with pytest.raises(TypeError, match="expected RingElement, got 3"):
+            Ideal([3])
+        with pytest.raises(TypeError, match="expected RingElement, got 3"):
+            build_graph(Z, ["a", "b"], [("a", "b", [3])])
 
     def test_equality_up_to_generators(self):
         assert Ideal([Z.element(2), Z.element(3)]) == Ideal([Z.element(1)])

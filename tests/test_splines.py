@@ -103,6 +103,21 @@ class TestRingStructure:
         with pytest.raises(GraphError, match="not defined on this graph's vertices"):
             verify(h, zspline(make_graph(Z, ["a", "b", "z"], []), 0, 0, 0))
 
+    @pytest.mark.parametrize("op", [spline_add, spline_mul])
+    def test_operations_refuse_another_ring(self, op):
+        R = integers_mod(6)
+        g = triangle_z()
+        other = Spline(make_graph(R, g.vertices, []), {v: R.one for v in g.vertices})
+        with pytest.raises(RingMismatchError):
+            op(zspline(g, 1, 1, 1), other)
+
+    def test_operations_on_the_vertices_declared_in_another_order(self):
+        g = triangle_z()
+        h = make_graph(Z, ["v3", "v1", "v2"], [])
+        p, q = zspline(g, 1, 2, 3), zspline(h, 30, 10, 20)
+        assert spline_add(p, q).as_tuple() == tuple(map(Z.element, (11, 22, 33)))
+        assert spline_mul(p, q).as_tuple() == tuple(map(Z.element, (10, 40, 90)))
+
     def test_ring_mismatch_without_edges(self):
         # no edge ideal compares the rings here, so the host check must
         edgeless = make_graph(integers_mod(6), ["a", "b"], [])
