@@ -5,8 +5,6 @@ from .rings import (
     RingElement,
     RingSpec,
     gcd,
-    ideal_canonicalize,
-    ideal_membership,
     integers,
     integers_mod,
     lcm,
@@ -42,9 +40,8 @@ __all__ = [
     "EdgeLabeledGraph", "Ideal", "RingElement", "RingSpec", "Spline",
     "TreeSkeleton", "VerificationReport", "build_graph",
     "decompose_at_vertex", "direct_sum_spline", "disjoint_union",
-    "erase_unit_edges", "fundamental_cycles", "gcd", "ideal_canonicalize",
-    "ideal_membership", "integers", "integers_mod", "is_nontrivial", "lcm",
-    "poly_rational", "restrict", "restrict_spline", "scalar_mul",
-    "scaled_labeling", "spanning_tree", "spline_add", "spline_mul",
-    "transport", "tree_path", "verify",
+    "erase_unit_edges", "fundamental_cycles", "gcd", "integers",
+    "integers_mod", "is_nontrivial", "lcm", "poly_rational", "restrict",
+    "restrict_spline", "scalar_mul", "scaled_labeling", "spanning_tree",
+    "spline_add", "spline_mul", "transport", "tree_path", "verify",
 ]

@@ -6,6 +6,7 @@ checks fall back to seeded sampling of constructed splines.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -69,16 +70,29 @@ def _edge_divisors(graph: EdgeLabeledGraph, budget: int) -> dict:
 def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     """Every x in (Z/m)^n, in lexicographic order, with d dividing
     sum(c * x[k] for k, c in form.items()) for each (form, d) in forms.
-    Iterative, one slot at a time: a form is tested once its last slot is
-    set, and prefixes whose partial sums agree mod each d share one
-    filtered list of values for that slot."""
-    m = graph.ring.modulus
-    closing = [[] for _ in graph.vertices]
-    for form, d in forms:
-        terms = {k: c % d for k, c in form.items() if c % d}
-        if terms:
-            last = max(terms)
-            closing[last].append((terms.pop(last), tuple(terms.items()), d))
+    Slot by slot, the lowest sharing a form with a set slot first (else the
+    lowest unset): a form is tested at its last slot, and prefixes whose
+    partial sums agree mod each d share one list of values for the slot."""
+    m, n = graph.ring.modulus, len(graph.vertices)
+    forms = [(t, d) for form, d in forms if (t := {k: c % d for k, c in form.items() if c % d})]
+    touching = [[] for _ in range(n)]  # slot -> the slots of the forms that read it
+    for terms, _ in forms:
+        for k in terms:
+            touching[k] += terms
+    at, queue = {}, list(range(n, 2 * n))  # slot -> its place in the search order; a heap
+    while queue:  # holding k once slot k shares a form with a set slot, n + k before
+        k = heapq.heappop(queue) % n
+        if k not in at:
+            at[k] = len(at)
+            for j in touching[k]:
+                if j not in at:
+                    heapq.heappush(queue, j)
+    back = [at[k] for k in range(n)]  # off declaration order, tuples map back through it
+    closing = [[] for _ in range(n)]
+    for terms, d in forms:
+        terms = {back[k]: c for k, c in terms.items()}
+        last = max(terms)
+        closing[last].append((terms.pop(last), tuple(terms.items()), d))
     level = [()]
     for checks in closing:
         allowed = {}  # residues of the partial sums -> values left for the slot
@@ -91,7 +105,7 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
                     (r + c * x) % d == 0 for r, (c, _, d) in zip(key, checks))]
             grown += [prefix + (x,) for x in allowed[key]]
         level = grown
-    return level
+    return level if back == sorted(back) else sorted(tuple(x[i] for i in back) for x in level)
 
 
 def _row_search(matrix: GkmMatrix, edges, budget: int) -> list:

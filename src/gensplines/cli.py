@@ -138,19 +138,15 @@ def _report_document(report: analysis.DecompositionReport) -> dict:
 
 
 def cmd_selfcheck(args, graph, spline):
-    reports = []
+    options = {"budget": args.budget, "seed": args.seed, "samples": args.samples}
     per_edge = [spanning_subgraph(graph, [e]) for e in graph.edges]
-    reports.append(analysis.check_union_decomposition(
-        graph, per_edge, claim="edge-by-edge",
-        budget=args.budget, seed=args.seed, samples=args.samples))
+    reports = [analysis.check_union_decomposition(
+        graph, per_edge, claim="edge-by-edge", **options)]
     if graph.is_connected and graph.edges:
-        trees = analysis.spanning_tree_cover(graph)
         reports.append(analysis.check_union_decomposition(
-            graph, trees, claim="spanning-trees",
-            budget=args.budget, seed=args.seed, samples=args.samples))
+            graph, analysis.spanning_tree_cover(graph), claim="spanning-trees", **options))
         reports.append(analysis.check_cycle_decomposition(
-            graph, spanning_tree(graph),
-            budget=args.budget, seed=args.seed, samples=args.samples))
+            graph, spanning_tree(graph), **options))
     return [_report_document(r) for r in reports], all(r.verdict for r in reports)
 
 
@@ -199,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", default=None)
     p.set_defaults(func=cmd_flowup)
 
-    p = sub.add_parser("treefam", help="generating family for a tree")
+    p = sub.add_parser("treefam", help="path generators, else the flow-up family")
     p.add_argument("graph")
     p.set_defaults(func=cmd_treefam)
 

@@ -15,6 +15,7 @@ from functools import cached_property
 from .graphs import (
     EdgeLabeledGraph,
     GraphError,
+    _bfs,
     path_edges,
     path_order,
     spanning_subgraph,
@@ -154,7 +155,7 @@ def _grown_pairs(graph, start, step):
     later vertices need: a child's state is step(parent's state, edge)."""
     verts = graph.vertices
     for i, u in enumerate(verts[:-1]):
-        parent = spanning_tree(graph, u).parent
+        parent = _bfs(graph._adj, u)[1]
         grown = {u: start}
         for v in verts[i + 1:]:
             climb = []

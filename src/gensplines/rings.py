@@ -484,11 +484,3 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"<{self.canonical}>"
-
-
-def ideal_membership(a: RingElement, ideal: Ideal) -> bool:
-    return ideal.contains(a)
-
-
-def ideal_canonicalize(generators) -> Ideal:
-    return Ideal(generators)

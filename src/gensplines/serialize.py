@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 
-from .construct import GeneratingFamily
 from .graphs import EdgeLabeledGraph, GraphError
 from .rings import (
     INTEGERS_MOD,
@@ -178,7 +177,7 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-def family_to_json(family: GeneratingFamily) -> dict:
+def family_to_json(family) -> dict:
     return {
         "vertex_order": list(family.vertex_order),
         "members": [spline_to_json(p) for p in family.members],

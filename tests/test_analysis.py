@@ -1,6 +1,7 @@
 """Enumeration oracles and the decomposition certifiers."""
 import dataclasses
 import math
+import time
 from itertools import product
 
 import pytest
@@ -76,6 +77,21 @@ class TestEnumerate:
         R = integers_mod(2)
         g = make_graph(R, ["a", "b"], [("a", "b", 0)])
         assert enumerate_splines(g).members == ((0, 0), (1, 1))
+
+    def test_hub_declared_last_is_searched_from_the_hub(self):
+        # a leaf, then the hub it shares a form with, then the leaves, each
+        # closing its edge at once; in declaration order the hub would be
+        # the last of 19 slots, so no edge closed before it
+        R = integers_mod(2)
+        leaves = [f"l{i}" for i in range(18)]
+        edges = [("hub", leaf, 0) for leaf in leaves]
+        start = time.perf_counter()
+        last = enumerate_splines(make_graph(R, leaves + ["hub"], edges)).members
+        elapsed = time.perf_counter() - start
+        first = enumerate_splines(make_graph(R, ["hub"] + leaves, edges)).members
+        assert elapsed < 1.0
+        assert last == tuple(sorted(t[1:] + t[:1] for t in first))
+        assert last == ((0,) * 19, (1,) * 19)
 
     def test_members_verify(self):
         g = triangle_mod(6, (2, 3, 0))

@@ -653,6 +653,18 @@ class TestWorkCounts:
         assert counts["gcd"] == grown
         assert report.witnesses is report.witnesses
 
+    def test_tree_membership_builds_no_spanning_tree(self, monkeypatch):
+        # each source's BFS parents come from the one BFS, not from a
+        # root-checked, edge-keyed skeleton per source
+        tree, p = self.seeded_tree(random.Random(84), 16)
+        calls = []
+        monkeypatch.setattr(construct, "spanning_tree",
+                            lambda *args: calls.append(args) or spanning_tree(*args))
+        report = tree_membership(tree, p)
+        assert calls == []
+        report.witnesses
+        assert calls == []
+
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_tree_membership_one_multiplication_per_summand(self, monkeypatch, n):
         # each grown path's terms cost one product per edge, and each

@@ -84,3 +84,10 @@ def test_gkm_walks_fundamental_cycles_only_in_the_tree_reduction():
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "fundamental_cycles":
                 callers.append(getattr(top, "name", "<module>"))
     assert callers == ["reduce_via_tree"], f"fundamental_cycles called in {callers}"
+
+
+def test_serialize_does_not_import_the_constructions():
+    # the JSON layer reads a family's fields; it needs no construct import
+    tree = ast.parse((PACKAGE / "serialize.py").read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "construct" not in modules, modules
