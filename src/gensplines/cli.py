@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import analysis, construct, gkm, serialize
-from .graphs import EdgeLabeledGraph, GraphError, spanning_subgraph, spanning_tree
+from .graphs import EdgeLabeledGraph, spanning_subgraph, spanning_tree
 from .splines import Spline, decompose_at_vertex, verify
 
 ELIDE_THRESHOLD = 1000
@@ -69,13 +69,7 @@ def cmd_flowup(args, graph, spline):
 
 
 def cmd_treefam(args, graph, spline):
-    if not graph.is_tree:
-        raise ValueError("treefam expects a tree")
-    try:
-        family = construct.path_generating_family(graph)
-    except GraphError:
-        family = construct.flow_up_family(graph)
-    return serialize.family_to_json(family), True
+    return serialize.family_to_json(construct.tree_generating_family(graph)), True
 
 
 def cmd_cyclefam(args, graph, spline):
@@ -195,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", default=None)
     p.set_defaults(func=cmd_flowup)
 
-    p = sub.add_parser("treefam", help="path generators, else the flow-up family")
+    p = sub.add_parser("treefam", help="generating family for a tree")
     p.add_argument("graph")
     p.set_defaults(func=cmd_treefam)
 

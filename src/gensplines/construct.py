@@ -17,7 +17,6 @@ from .graphs import (
     GraphError,
     _bfs,
     path_edges,
-    path_order,
     spanning_subgraph,
     spanning_tree,
 )
@@ -71,10 +70,9 @@ def _checked_choice(graph, edge, choice):
     return choice
 
 
-def _step_choices(graph, order, choices):
-    """One element per edge order[i]-order[i+1], checked against that
-    edge's ideal; the canonical generators when choices is None."""
-    edges = path_edges(graph, order)
+def _step_choices(graph, edges, choices):
+    """One element per edge, checked against that edge's ideal; the
+    canonical generators when choices is None."""
     if choices is None:
         return [graph.labels[e].canonical for e in edges]
     choices = list(choices)
@@ -91,7 +89,7 @@ def cycle_spline(graph: EdgeLabeledGraph, base: RingElement,
     base + chord_choice * (step_1 + ... + step_{k-1})."""
     order = _cycle_order(graph)
     _checked_choice(graph, graph.edge_key(order[0], order[-1]), chord_choice)
-    step_choices = _step_choices(graph, order, step_choices)
+    step_choices = _step_choices(graph, path_edges(graph, order), step_choices)
     values = {order[0]: base}
     acc = graph.ring.zero
     for i in range(1, len(order)):
@@ -112,33 +110,46 @@ def cycle_generating_family(graph: EdgeLabeledGraph,
     if chord_choice is None:
         chord_choice = graph.labels[chord].canonical
     _checked_choice(graph, chord, chord_choice)
-    step_choices = _step_choices(graph, order, step_choices)
+    step_choices = _step_choices(graph, path_edges(graph, order), step_choices)
     zero_choice = chord_choice.is_zero or any(c.is_zero for c in step_choices)
     if zero_choice and graph.ring.is_integral_domain:
         raise ValueError("zero choices cannot give a nontrivial independent family")
-    return _nested_family(graph, order[::-1],
+    order = order[::-1]
+    return _nested_family(graph, order, dict(zip(order, order[1:])),
                           [chord_choice * c for c in reversed(step_choices)])
 
 
-def path_generating_family(graph: EdgeLabeledGraph, choices=None) -> GeneratingFamily:
-    """The n generators of a path's splines: for each edge the vector
-    supported on the vertices before it, plus the unit spline.  When the
-    choices are the canonical generators these generate every path
-    spline."""
-    order = path_order(graph)
-    return _nested_family(graph, order, _step_choices(graph, order, choices))
+def tree_generating_family(graph: EdgeLabeledGraph, choices=None) -> GeneratingFamily:
+    """The n generators of a tree's splines: for each non-root vertex its
+    parent edge's choice on it and every vertex below it, then the unit
+    spline.  The root is the vertex a BFS from the first declared leaf
+    visits last; the vertex order is the reverse BFS from the root."""
+    if not graph.is_tree:
+        raise GraphError("graph is not a tree")
+    leaf = next(v for v in graph.vertices if len(graph._adj[v]) <= 1)
+    depth, parent = _bfs(graph._adj, list(_bfs(graph._adj, leaf)[0])[-1])
+    order = list(depth)[::-1]
+    edges = [graph.edge_key(v, parent[v]) for v in order[:-1]]
+    return _nested_family(graph, order, parent, _step_choices(graph, edges, choices))
 
 
-def _nested_family(graph, order, factors) -> GeneratingFamily:
-    """Member i is factors[i] on order[:i+1] and zero elsewhere, then the
-    unit spline: upper-triangular under order, factors on the diagonal."""
-    ring = graph.ring
-    members = [Spline(graph, {v: (factor if j <= i else ring.zero)
-                              for j, v in enumerate(order)})
-               for i, factor in enumerate(factors)]
-    members.append(trivial_spline(graph, ring.one))
+def _nested_family(graph, order, parent, factors) -> GeneratingFamily:
+    """Member i is factors[i] on order[i] and every vertex below it under
+    parent, then the unit spline.  Each vertex comes before its parent,
+    so the family is upper-triangular under order, factors on the diagonal."""
+    below = {v: {v} for v in order}
+    members = []
+    for v, factor in zip(order, factors):
+        members.append(_member(graph, below[v], factor))
+        below[parent[v]] |= below[v]
+    members.append(trivial_spline(graph, graph.ring.one))
     return GeneratingFamily(graph, tuple(members), tuple(order),
-                            tuple(factors) + (ring.one,))
+                            tuple(factors) + (graph.ring.one,))
+
+
+def _member(graph, support, factor) -> Spline:
+    zero = graph.ring.zero
+    return Spline(graph, {v: (factor if v in support else zero) for v in graph.vertices})
 
 
 def _lifted_labels(graph):
@@ -320,8 +331,7 @@ def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
         for e in zeros_off_path:
             warnings.warn(_ZERO_FACTOR.format(e), stacklevel=2)
         factor = ring.zero if zeros_off_path else ring.element(quotient)
-        members.append(Spline(graph, {w: (factor if w in support else ring.zero)
-                                      for w in graph.vertices}))
+        members.append(_member(graph, support, factor))
         factors.append(factor)
     return GeneratingFamily(graph, tuple(members), tuple(order), tuple(factors))
 
@@ -343,8 +353,7 @@ def is_nontrivial_exists(graph: EdgeLabeledGraph):
         return False, None
     factor = _excluded_product(
         graph, [(u, v) for u, v in graph.edges if (u in support) != (v in support)])
-    witness = Spline(graph, {v: (factor if v in support else graph.ring.zero)
-                             for v in graph.vertices})
+    witness = _member(graph, support, factor)
     if not verify(graph, witness).ok:
         raise AssertionError("extension-by-zero witness fails verification")
     return True, witness

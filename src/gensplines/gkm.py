@@ -43,20 +43,23 @@ def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -
     return GkmMatrix(graph, tuple(orientation.get(e, e) for e in graph.edges))
 
 
-def _check_last_column(graph: EdgeLabeledGraph, q: dict) -> None:
-    """Every edge needs a q entry, and each must lie in its edge ideal."""
+def _check_last_column(graph: EdgeLabeledGraph, q: dict) -> dict:
+    """q re-keyed through edge_key, so a key names its edge either way
+    round; every edge needs an entry, and each must lie in its ideal."""
+    q = {graph.edge_key(*key): value for key, value in q.items()}
     for edge in graph.edges:
         if edge not in q:
             raise ValueError(f"missing q entry for edge {edge}")
         if not graph.labels[edge].contains(q[edge]):
             raise ValueError(f"q entry {q[edge]} is outside the ideal of edge {edge}")
+    return q
 
 
 def solves(matrix: GkmMatrix, p: Spline, q: dict) -> bool:
     """True iff M*p = q row by row; each q_e must lie in its edge ideal."""
     graph = matrix.graph
     check_host(graph, p)
-    _check_last_column(graph, q)
+    q = _check_last_column(graph, q)
     for tail, head in matrix.rows:
         edge = graph.edge_key(tail, head)
         if p[tail] - p[head] != q[edge]:
@@ -131,7 +134,7 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
 def syzygy_check(graph: EdgeLabeledGraph, tree: TreeSkeleton, q: dict) -> bool:
     """True iff the extended system with this q is homogeneous in the
     cycle rows: each cycle row's signed sum of q's vanishes."""
-    _check_last_column(graph, q)
+    q = _check_last_column(graph, q)
     system = reduce_via_tree(build_gkm_matrix(graph), tree)
     return all(sum((q[e] if sign > 0 else -q[e] for sign, e in row.rhs),
                    graph.ring.zero).is_zero

@@ -38,7 +38,7 @@ from gensplines.construct import (
     extend_by_zero_with_factor,
     flow_up_family,
     lcm_scaling_factor,
-    path_generating_family,
+    tree_generating_family,
     tree_membership,
     trivial_spline,
 )
@@ -189,7 +189,7 @@ def test_criterion_5_constructor_soundness(report):
                 ok = verify(graph, p).ok
             elif kind == 1:
                 graph = random_path(ring, rng)
-                fam = path_generating_family(graph)
+                fam = tree_generating_family(graph)
                 ok = all(verify(graph, p).ok for p in fam.members)
             elif kind == 2:
                 graph = random_cycle(ring, rng, nonzero=True)

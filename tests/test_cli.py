@@ -197,16 +197,33 @@ class TestFamilies:
         fam = json.loads(out)
         assert fam["scaling_factors"] == ["3", "2", "1"]
 
-    def test_treefam_star_falls_back_to_flow_up(self, capsys, tmp_path):
+    @staticmethod
+    def star(tmp_path, labels):
         doc = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c", "d"],
                "edges": [{"u": "c", "v": w, "ideal": [label]}
-                         for w, label in [("a", "2"), ("b", "3"), ("d", "5")]]}
+                         for w, label in zip("abd", labels)]}
         path = tmp_path / "star.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "treefam", str(path))
+        return str(path)
+
+    def test_treefam_star_gives_the_tree_basis(self, capsys, tmp_path):
+        # rooted at d, the vertex a BFS from the first leaf a visits last
+        graph = self.star(tmp_path, ["2", "3", "5"])
+        code, out, err = run(capsys, "treefam", graph)
         assert code == 0 and err == ""
-        assert run(capsys, "flowup", str(path)) == (0, out, "")
-        assert json.loads(out)["vertex_order"] == ["a", "c", "b", "d"]
+        fam = json.loads(out)
+        assert fam["vertex_order"] == ["b", "a", "c", "d"]
+        assert fam["scaling_factors"] == ["3", "2", "5", "1"]
+        for i, member in enumerate(fam["members"]):
+            spline = tmp_path / f"member{i}.json"
+            spline.write_text(json.dumps(member))
+            assert run(capsys, "check", graph, str(spline))[0] == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_treefam_star_with_a_zero_label(self, capsys, tmp_path):
+        code, out, err = run(capsys, "treefam", self.star(tmp_path, ["2", "0", "5"]))
+        assert code == 0 and err == ""
+        assert json.loads(out)["scaling_factors"] == ["0", "2", "5", "1"]
 
     def test_cyclefam(self, capsys):
         code, out, _ = run(capsys, "cyclefam", C3Z4)

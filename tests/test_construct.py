@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from gensplines import construct, integers, integers_mod, poly_rational, verify
+from gensplines.analysis import enumerate_splines
 from gensplines.construct import (
     cycle_generating_family,
     cycle_spline,
@@ -16,7 +17,7 @@ from gensplines.construct import (
     flow_up_family,
     is_nontrivial_exists,
     lcm_scaling_factor,
-    path_generating_family,
+    tree_generating_family,
     tree_membership,
     trivial_spline,
 )
@@ -28,7 +29,7 @@ from gensplines.graphs import (
     spanning_tree,
     tree_path,
 )
-from gensplines.rings import RingElement, RingMismatchError, UnsupportedRingError, ext_gcd
+from gensplines.rings import Ideal, RingElement, RingMismatchError, UnsupportedRingError, ext_gcd
 from gensplines.splines import Spline, is_nontrivial
 
 from conftest import (
@@ -115,10 +116,35 @@ class TestCycleFamily:
                                     step_choices=[Z.element(c) for c in steps])
 
 
-class TestPathFamily:
+def shuffled_tree(ring, rng, n_max):
+    """A random labeled tree with its vertices and edges declared in a
+    shuffled order, each edge named either way round."""
+    n = rng.randint(1, n_max)
+    verts = [f"v{i + 1}" for i in range(n)]
+    edges = [(verts[rng.randrange(i)], verts[i]) for i in range(1, n)]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    return build_graph(ring, verts, [(u, v, Ideal([random_generator_element(ring, rng)]))
+                                     for u, v in edges])
+
+
+def zm_span(family, modulus):
+    """Every Z/m combination of the family's members, as residue tuples,
+    grown one member at a time."""
+    span = {(0,) * len(family.graph.vertices)}
+    for member in family.members:
+        values = [x.payload for x in member.as_tuple()]
+        multiples = {tuple(c * x % modulus for x in values) for c in range(modulus)}
+        span = {tuple((a + b) % modulus for a, b in zip(s, t))
+                for s in span for t in multiples}
+    return span
+
+
+class TestTreeFamily:
     def test_p3_defaults(self):
         g = path_z([3, 2])
-        fam = path_generating_family(g)
+        fam = tree_generating_family(g)
         assert fam.vertex_order == ("v1", "v2", "v3")
         tuples = [p.as_tuple() for p in fam.members]
         assert tuples[0] == (Z.element(3), Z.element(0), Z.element(0))
@@ -126,17 +152,56 @@ class TestPathFamily:
         assert tuples[2] == (Z.element(1), Z.element(1), Z.element(1))
         for p in fam.members:
             assert verify(g, p).ok
+        g = make_graph(Z, ["v2", "v3", "v1"], [("v1", "v2", 3), ("v2", "v3", 2)])
+        fam = tree_generating_family(g)
+        assert fam.vertex_order == ("v3", "v2", "v1")
+        assert fam.scaling_factors == (Z.element(2), Z.element(3), Z.element(1))
 
     def test_explicit_choices_checked(self):
         g = path_z([3, 2])
         with pytest.raises(ValueError, match="outside the ideal"):
-            path_generating_family(g, choices=[Z.element(4), Z.element(2)])
+            tree_generating_family(g, choices=[Z.element(4), Z.element(2)])
 
     @pytest.mark.parametrize("choices", [[3, 2, 6], [3]])
     def test_choice_count_checked(self, choices):
         with pytest.raises(ValueError, match=f"expected 2 step choices, got {len(choices)}"):
-            path_generating_family(path_z([3, 2]),
+            tree_generating_family(path_z([3, 2]),
                                    choices=[Z.element(c) for c in choices])
+
+    def test_star_is_rooted_at_the_last_vertex_reached(self):
+        g = make_graph(Z, ["a", "b", "c", "d"],
+                       [("c", "a", 2), ("c", "b", 3), ("c", "d", 5)])
+        fam = tree_generating_family(g)
+        assert fam.vertex_order == ("b", "a", "c", "d")
+        assert fam.scaling_factors == tuple(map(Z.element, (3, 2, 5, 1)))
+        assert fam.members[2].as_tuple() == tuple(map(Z.element, (5, 5, 5, 0)))
+
+    def test_single_vertex_gives_the_unit_spline(self):
+        fam = tree_generating_family(make_graph(Z, ["a"], []))
+        assert [p.as_tuple() for p in fam.members] == [(Z.one,)]
+        assert fam.vertex_order == ("a",)
+
+    @pytest.mark.parametrize("vertices, edges", [
+        (["a", "b", "c"], [("a", "b", 2), ("b", "c", 3), ("a", "c", 5)]),
+        (["a", "b", "c", "d"], [("a", "b", 2), ("c", "d", 3)]),
+        ([], []),
+    ], ids=["cycle", "forest", "empty"])
+    def test_non_tree_rejected(self, vertices, edges):
+        with pytest.raises(GraphError, match="graph is not a tree"):
+            tree_generating_family(make_graph(Z, vertices, edges))
+
+    def test_zm_span_is_every_spline(self):
+        """The tree theorem over Z/m, checked against the exhaustive
+        enumeration on seeded trees, paths and non-paths alike."""
+        rng = random.Random(17)
+        non_paths = 0
+        for _ in range(120):
+            modulus = rng.randint(2, 12)
+            graph = shuffled_tree(integers_mod(modulus), rng, n_max=5)
+            non_paths += any(len(graph.neighbors(v)) > 2 for v in graph.vertices)
+            fam = tree_generating_family(graph)
+            assert zm_span(fam, modulus) == set(enumerate_splines(graph).members)
+        assert non_paths >= 10
 
 
 class TestTreeMembership:
@@ -466,8 +531,9 @@ class TestScalingFactorsAreTheDiagonal:
     def test_path_and_cycle_families(self, ring):
         rng = random.Random(91)
         for _ in range(6):
-            self.check(path_generating_family(random_path(ring, rng)))
+            self.check(tree_generating_family(random_path(ring, rng)))
             self.check(cycle_generating_family(random_cycle(ring, rng)))
+            self.check(tree_generating_family(random_tree(ring, rng)))
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     def test_flow_up_family_for_every_root(self, ring):

@@ -84,6 +84,24 @@ class TestSolves:
         with pytest.raises(ValueError, match="missing q"):
             solves(m, p, {})
 
+    @pytest.mark.parametrize("q12, verdict", [(-10, True), (10, False)])
+    def test_a_key_names_its_edge_either_way_round(self, q12, verdict):
+        # the key only names the edge: q stays p_tail - p_head of the row
+        g = triangle_z()
+        m = build_gkm_matrix(g)
+        p = zspline(g, 0, 10, 25)
+        rest = {("v3", "v2"): Z.element(-15), ("v1", "v3"): Z.element(-25)}
+        for key in (("v1", "v2"), ("v2", "v1")):
+            assert solves(m, p, {key: Z.element(q12), **rest}) is verdict
+
+    def test_non_edge_key_raises(self):
+        g = path_z([2, 3])
+        q = {e: Z.zero for e in g.edges}
+        with pytest.raises(GraphError, match="no edge"):
+            solves(build_gkm_matrix(g), zspline(g, 0, 0, 0), {**q, ("v1", "v3"): Z.zero})
+        with pytest.raises(GraphError, match="is not a vertex"):
+            solves(build_gkm_matrix(g), zspline(g, 0, 0, 0), {**q, ("v1", "zz"): Z.zero})
+
     def test_refuses_a_spline_over_another_ring(self):
         g = triangle_z()
         R = integers_mod(6)
@@ -179,6 +197,20 @@ class TestSyzygy:
         t = spanning_tree(g)
         with pytest.raises(ValueError):
             syzygy_check(g, t, {})
+
+    @pytest.mark.parametrize("q13, verdict", [(5, True), (10, False)])
+    def test_a_key_names_its_edge_either_way_round(self, q13, verdict):
+        g = triangle_z()
+        t = spanning_tree(g)
+        rest = {("v2", "v1"): Z.element(2), ("v2", "v3"): Z.element(3)}
+        for key in (("v1", "v3"), ("v3", "v1")):
+            assert syzygy_check(g, t, {key: Z.element(q13), **rest}) is verdict
+
+    def test_non_edge_key_raises(self):
+        g = triangle_z()
+        q = {e: Z.zero for e in g.edges}
+        with pytest.raises(GraphError, match="is not a vertex"):
+            syzygy_check(g, spanning_tree(g), {**q, ("v1", "zz"): Z.zero})
 
     @staticmethod
     def edge_key_walk(graph, tree, q):
