@@ -16,6 +16,7 @@ from .graphs import (
     EdgeLabeledGraph,
     GraphError,
     _bfs,
+    keyed_by_edge,
     path_edges,
     spanning_subgraph,
     spanning_tree,
@@ -160,15 +161,20 @@ def _lifted_labels(graph):
                   for e in graph.edges}
 
 
-def _grown_pairs(graph, start, step):
-    """Yield (u, v, state) for every pair, u declared before v.  Each
-    source starts from start and grows along its BFS tree as far as the
-    later vertices need: a child's state is step(parent's state, edge)."""
+def _grown_pairs(graph, start, step, part=None):
+    """Yield (u, v, state) for every pair, u declared before v, or, given
+    a part map, for the pairs whose ends lie in different parts.  Each
+    source starts from start and grows along its BFS tree as far as those
+    later vertices need, one step per vertex grown: a child's state is
+    step(parent's state, edge).  A source with no such vertex runs no BFS."""
     verts = graph.vertices
     for i, u in enumerate(verts[:-1]):
+        later = [v for v in verts[i + 1:] if part is None or part[v] != part[u]]
+        if not later:
+            continue
         parent = _bfs(graph._adj, u)[1]
         grown = {u: start}
-        for v in verts[i + 1:]:
+        for v in later:
             climb = []
             w = v
             while w not in grown:
@@ -217,17 +223,33 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     """Decide spline membership on a tree through pairwise path sums.
 
     Each pair's difference must lie in the sum of its path's edge ideals,
-    generated by the gcd d of their generators, each path's d one gcd
-    step from its BFS parent's.  Witnesses are built on first read.  Over
-    Z/m the generators lift divisors of m, so d divides m and a residue
-    is in the sum exactly when d divides its lift."""
+    generated by the gcd d of their generators.  A path's difference is
+    the sum of its edges' differences, so a pair whose path holds at every
+    edge passes: the n - 1 edge tests, one divides each, decide a spline
+    with no gcd.  Otherwise the edges that hold split the tree into parts,
+    and only pairs in different parts are tested, each path's d one gcd
+    step from its BFS parent's, one step per vertex grown toward a vertex
+    in another part.  Witnesses are built on first read.  Over Z/m the
+    generators lift divisors of m, so d divides m and a residue is in the
+    sum exactly when d divides its lift."""
     if not graph.is_tree:
         raise GraphError("graph is not a tree")
     check_host(graph, p)
     lift, gens = _lifted_labels(graph)
+
+    def diff(u, v):
+        return lift.element((p[v] - p[u]).payload)
+
+    failing = {e for e in graph.edges if not gens[e].divides(diff(*e))}
+    if not failing:
+        return TreeMembershipReport(True, (), graph, p)
+    root = graph.vertices[0]
+    part = {root: root}
+    for v, w in _bfs(graph._adj, root)[1].items():
+        part[v] = v if graph.edge_key(w, v) in failing else part[w]
     failures = tuple((u, v) for u, v, d in _grown_pairs(
-                         graph, lift.zero, lambda d, e: gcd(d, gens[e]))
-                     if not d.divides(lift.element((p[v] - p[u]).payload)))
+                         graph, lift.zero, lambda d, e: gcd(d, gens[e]), part)
+                     if not d.divides(diff(u, v)))
     return TreeMembershipReport(not failures, failures, graph, p)
 
 
@@ -249,8 +271,8 @@ def extend_by_zero(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph,
 
     The scaling factor is the product of one chosen element per edge of
     the host outside the subgraph (canonical generators by default; a key
-    may name its edge either way round), so every mixed edge's difference
-    lands in its ideal."""
+    may name its edge either way round, but only one key may name it), so
+    every mixed edge's difference lands in its ideal."""
     spline, _ = extend_by_zero_with_factor(graph, subgraph, p, element_choices)
     return spline
 
@@ -269,7 +291,7 @@ def extend_by_zero_with_factor(graph, subgraph, p, element_choices=None):
 def _excluded_product(graph, edges, element_choices=None):
     """Product of one chosen element (canonical by default) per excluded
     edge; the zero-factor warning names the public constructor's caller."""
-    choices = {graph.edge_key(*key): c for key, c in (element_choices or {}).items()}
+    choices = keyed_by_edge(graph, element_choices)
     factor = graph.ring.one
     for edge in edges:
         if edge in choices:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles,
-                     path_edges, path_order, tree_edge_keys)
+                     keyed_by_edge, path_edges, path_order, tree_edge_keys)
 from .splines import Spline, check_host
 
 
@@ -34,9 +34,10 @@ class GkmMatrix:
 
 def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -> GkmMatrix:
     """Rows in edge declaration order, earlier declared vertex -> later by
-    default; an orientation key may name its edge either way round.
-    Re-orienting an edge only negates its row, which never changes the solution set."""
-    orientation = {graph.edge_key(*key): tuple(ends) for key, ends in (orientation or {}).items()}
+    default; an orientation key may name its edge either way round, but
+    only one key may name it.  Re-orienting an edge only negates its row,
+    which never changes the solution set."""
+    orientation = {e: tuple(ends) for e, ends in keyed_by_edge(graph, orientation).items()}
     for (u, v), (tail, head) in orientation.items():
         if {tail, head} != {u, v}:
             raise GraphError(f"orientation for edge {(u, v)} must use its endpoints")
@@ -45,8 +46,9 @@ def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -
 
 def _check_last_column(graph: EdgeLabeledGraph, q: dict) -> dict:
     """q re-keyed through edge_key, so a key names its edge either way
-    round; every edge needs an entry, and each must lie in its ideal."""
-    q = {graph.edge_key(*key): value for key, value in q.items()}
+    round but only once; every edge needs an entry, and each must lie in
+    its ideal."""
+    q = keyed_by_edge(graph, q)
     for edge in graph.edges:
         if edge not in q:
             raise ValueError(f"missing q entry for edge {edge}")

@@ -251,6 +251,19 @@ class CycleDescriptor:
         return [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
 
 
+def keyed_by_edge(graph: EdgeLabeledGraph, named) -> dict:
+    """A caller's {(u, v): value} re-keyed through edge_key, so a key may
+    name its edge either way round; GraphError for a pair that is not an
+    edge, or for two keys that name one edge."""
+    out = {}
+    for key, value in (named or {}).items():
+        edge = graph.edge_key(*key)
+        if edge in out:
+            raise GraphError(f"edge {edge[0]!r}-{edge[1]!r} is named twice")
+        out[edge] = value
+    return out
+
+
 def tree_edge_keys(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> tuple:
     """The tree's edges named by graph's keys, in tree order; a tree of a
     graph declared in another vertex order names them the other way

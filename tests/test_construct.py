@@ -1,5 +1,6 @@
 """Constructive families: cycles, paths, trees, extension by zero, and
 flow-up splines."""
+import itertools
 import math
 import random
 import warnings
@@ -292,6 +293,15 @@ class TestExtendByZero:
         _, factor = extend_by_zero_with_factor(g, sub, trivial_spline(sub, Z.element(1)),
                                                {("v3", "v2"): Z.element(6)})
         assert factor == Z.element(60)
+
+    @pytest.mark.parametrize("keys", [[("v2", "v3"), ("v3", "v2")],
+                                      [("v3", "v2"), ("v2", "v3")]], ids=["23-32", "32-23"])
+    def test_choice_naming_an_edge_twice_raises(self, keys):
+        g = triangle_z()
+        sub = restrict(g, ["v1"], [])
+        with pytest.raises(GraphError, match="'v2'-'v3' is named twice"):
+            extend_by_zero(g, sub, trivial_spline(sub, Z.element(1)),
+                           dict(zip(keys, [Z.element(3), Z.element(6)])))
 
     def test_choice_key_must_be_an_edge(self):
         g = make_graph(Z, ["v1", "v2", "v3"], [("v1", "v2", 2), ("v2", "v3", 3)])
@@ -587,6 +597,21 @@ def reference_tree_membership(graph, p):
     return witnesses, tuple(failures)
 
 
+def tree_family_spline(tree, coeff):
+    """The tree generating family's members summed with weights coeff()."""
+    members = tree_generating_family(tree).members
+    coeffs = [coeff() for _ in members]
+    return Spline(tree, {v: sum((c * m[v] for c, m in zip(coeffs, members)), tree.ring.zero)
+                         for v in tree.vertices})
+
+
+def holding_parts(tree, p):
+    """(failing edges, the vertex sets of the edges that verify accepts)."""
+    failing = {e for e, _ in verify(tree, p).violations}
+    holding = spanning_subgraph(tree, [e for e in tree.edges if e not in failing])
+    return failing, holding.components()
+
+
 class TestTreeMembershipIncremental:
     """tree_membership grows each source's chains along its BFS tree; the
     witnesses and failures must be those of the per-pair chains."""
@@ -654,6 +679,58 @@ class TestTreeMembershipIncremental:
             self.check(tree, Spline(tree, {v: R.element(x)
                                            for v, x in zip(tree.vertices, values)}))
 
+    # deciding tests only the pairs that a failing edge separates; the
+    # pairs within a part of the holding edges pass unseen
+
+    @staticmethod
+    def hub_tree(ring):
+        """Hub h with a unit-labeled arm to a, a zero-labeled arm b-f, and
+        a path c-d-e whose last edge is unit-labeled; the hub is declared
+        neither first nor last.  Over Q[x] the labels are x - k, since
+        nonzero constants are units there."""
+        def label(k):
+            return P(-k, 1) if ring.kind == "poly-rational" else k
+        return make_graph(ring, ["a", "c", "h", "e", "b", "d", "f"], [
+            ("h", "a", 1), ("h", "b", 0), ("b", "f", label(4)),
+            ("h", "c", label(2)), ("c", "d", label(3)), ("d", "e", 1)])
+
+    def check_parts(self, tree, p):
+        """check, and every pair within a part of the holding edges has a
+        witness."""
+        self.check(tree, p)
+        failing, parts = holding_parts(tree, p)
+        witnesses = tree_membership(tree, p).witnesses
+        for part in parts:
+            for u, v in itertools.combinations(sorted(part, key=tree.index), 2):
+                assert (u, v) in witnesses
+        return failing
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_bumps_against_the_per_pair_chains(self, ring):
+        rng = random.Random(73)
+        tree = self.hub_tree(ring)
+
+        def coeff():
+            return random_generator_element(ring, rng)
+
+        for _ in range(3):
+            p = tree_family_spline(tree, coeff)
+            assert self.check_parts(tree, p) == set()
+            for bumped in (["e"], ["a"], ["h"], ["f", "c"], ["e", "h"]):
+                q = Spline(tree, {**p.values,
+                                  **{v: p[v] + tree.ring.one for v in bumped}})
+                # unit-labeled edges hold, so a lone bump at a passes
+                assert self.check_parts(tree, q) == {
+                    e for e in tree.edges
+                    if (e[0] in bumped) != (e[1] in bumped) and not tree.labels[e].is_unit}
+        for _ in range(12):
+            tree = random_tree(ring, rng, n_max=7)
+            p = tree_family_spline(tree, coeff)
+            for k in (1, 2):
+                bumped = rng.sample(tree.vertices, min(k, len(tree.vertices)))
+                self.check_parts(tree, Spline(tree, {**p.values,
+                                                     **{v: p[v] + coeff() for v in bumped}}))
+
 
 class TestWorkCounts:
     """Each flow-up factor and Bezout chain extends its BFS parent's, so
@@ -704,20 +781,58 @@ class TestWorkCounts:
         tree_membership(tree, p).witnesses
         assert counts["ext_gcd"] <= n * (n - 1)
 
-    def test_tree_membership_decides_without_witnesses(self, monkeypatch):
-        # deciding takes one gcd per vertex grown from each source, which
-        # includes earlier-declared vertices on paths to later ones; the
-        # Bezout terms wait for the first read of witnesses, built once
-        tree, p = self.seeded_tree(random.Random(84), 16)
+    @staticmethod
+    def valid_spline(tree, rng):
+        return tree_family_spline(tree, lambda: Z.element(rng.randint(-9, 9)))
+
+    @staticmethod
+    def separated_growth(tree, p, every_pair=False):
+        """Vertices grown from each source toward the later vertices in
+        other parts of the edges verify accepts (or toward every later
+        vertex), earlier-declared vertices on the paths included."""
+        part = {v: k for k, comp in enumerate(holding_parts(tree, p)[1]) for v in comp}
         verts = tree.vertices
-        grown = sum(len({w for v in verts[i + 1:]
-                         for w in tree_path(spanning_tree(tree, u), u, v)[1:]})
-                    for i, u in enumerate(verts))
+        return sum(len({w for v in verts[i + 1:] if every_pair or part[v] != part[u]
+                        for w in tree_path(spanning_tree(tree, u), u, v)[1:]})
+                   for i, u in enumerate(verts))
+
+    def test_tree_membership_decides_without_witnesses(self, monkeypatch):
+        # deciding takes one gcd per vertex grown from each source toward
+        # the later vertices a failing edge separates from it; the Bezout
+        # terms wait for the first read of witnesses, built once
+        tree, p = self.seeded_tree(random.Random(84), 16)
+        grown = self.separated_growth(tree, p)
         counts = self.counting(monkeypatch)
         report = tree_membership(tree, p)
         assert counts["ext_gcd"] == counts["mul"] == 0
         assert counts["gcd"] == grown
         assert report.witnesses is report.witnesses
+
+    def test_tree_membership_decides_a_spline_without_gcd(self, monkeypatch):
+        # every edge holds, so every path does: n - 1 divides decide
+        rng = random.Random(85)
+        tree, _ = self.seeded_tree(rng, 16)
+        p = self.valid_spline(tree, rng)
+        counts = self.counting(monkeypatch)
+        report = tree_membership(tree, p)
+        assert report.ok and report.failures == ()
+        assert counts == {"mul": 0, "exact_div": 0, "gcd": 0, "ext_gcd": 0}
+
+    @pytest.mark.parametrize("seed", [86, 87, 88])
+    def test_tree_membership_grows_only_separated_pairs(self, monkeypatch, seed):
+        # a bump by 1 fails every edge at the bumped vertex (labels >= 2),
+        # and only the pairs those edges separate grow a gcd
+        rng = random.Random(seed)
+        tree, _ = self.seeded_tree(rng, 16)
+        p = self.valid_spline(tree, rng)
+        bumped = rng.choice(tree.vertices)
+        q = Spline(tree, {**p.values, bumped: p[bumped] + Z.one})
+        grown = self.separated_growth(tree, q)
+        assert 0 < grown < self.separated_growth(tree, q, every_pair=True)
+        counts = self.counting(monkeypatch)
+        report = tree_membership(tree, q)
+        assert not report.ok
+        assert counts["gcd"] == grown
 
     def test_tree_membership_builds_no_spanning_tree(self, monkeypatch):
         # each source's BFS parents come from the one BFS, not from a

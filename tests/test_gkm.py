@@ -52,6 +52,13 @@ class TestBuild:
         with pytest.raises(GraphError):
             build_gkm_matrix(g, orientation={("v1", "v2"): ("v1", "v3")})
 
+    @pytest.mark.parametrize("keys", [[("v1", "v2"), ("v2", "v1")],
+                                      [("v2", "v1"), ("v1", "v2")]], ids=["12-21", "21-12"])
+    def test_orientation_naming_an_edge_twice_raises(self, keys):
+        g = path_z([2, 3])
+        with pytest.raises(GraphError, match="'v1'-'v2' is named twice"):
+            build_gkm_matrix(g, orientation=dict(zip(keys, [("v1", "v2"), ("v2", "v1")])))
+
 
 class TestSolves:
     def test_accepts_matching_q(self):
@@ -93,6 +100,18 @@ class TestSolves:
         rest = {("v3", "v2"): Z.element(-15), ("v1", "v3"): Z.element(-25)}
         for key in (("v1", "v2"), ("v2", "v1")):
             assert solves(m, p, {key: Z.element(q12), **rest}) is verdict
+
+    @pytest.mark.parametrize("keys", [[("v1", "v2"), ("v2", "v1")],
+                                      [("v2", "v1"), ("v1", "v2")]], ids=["12-21", "21-12"])
+    def test_naming_an_edge_twice_raises(self, keys):
+        # one of the two values solves and the other does not, whichever
+        # key comes first
+        g = triangle_z()
+        p = zspline(g, 0, 10, 25)
+        q = {**dict(zip(keys, [Z.element(-10), Z.element(10)])),
+             ("v2", "v3"): Z.element(-15), ("v1", "v3"): Z.element(-25)}
+        with pytest.raises(GraphError, match="'v1'-'v2' is named twice"):
+            solves(build_gkm_matrix(g), p, q)
 
     def test_non_edge_key_raises(self):
         g = path_z([2, 3])
@@ -205,6 +224,15 @@ class TestSyzygy:
         rest = {("v2", "v1"): Z.element(2), ("v2", "v3"): Z.element(3)}
         for key in (("v1", "v3"), ("v3", "v1")):
             assert syzygy_check(g, t, {key: Z.element(q13), **rest}) is verdict
+
+    @pytest.mark.parametrize("keys", [[("v1", "v3"), ("v3", "v1")],
+                                      [("v3", "v1"), ("v1", "v3")]], ids=["13-31", "31-13"])
+    def test_naming_an_edge_twice_raises(self, keys):
+        g = triangle_z()
+        q = {**dict(zip(keys, [Z.element(5), Z.element(10)])),
+             ("v2", "v1"): Z.element(2), ("v2", "v3"): Z.element(3)}
+        with pytest.raises(GraphError, match="'v1'-'v3' is named twice"):
+            syzygy_check(g, spanning_tree(g), q)
 
     def test_non_edge_key_raises(self):
         g = triangle_z()

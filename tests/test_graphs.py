@@ -9,6 +9,7 @@ from gensplines.graphs import (
     erase_unit_edges,
     fundamental_cycles,
     induced_subgraph,
+    keyed_by_edge,
     path_edges,
     path_order,
     restrict,
@@ -54,6 +55,17 @@ class TestConstruction:
         g = triangle_z()
         with pytest.raises(GraphError, match="no edge"):
             g.edge_key("v1", "v1")
+
+    def test_keyed_by_edge(self):
+        g = triangle_z()
+        assert keyed_by_edge(g, None) == {}
+        assert keyed_by_edge(g, {("v3", "v1"): 1, ("v1", "v2"): 2}) == {
+            ("v1", "v3"): 1, ("v1", "v2"): 2}
+        for keys in [("v1", "v2"), ("v2", "v1")], [("v2", "v1"), ("v1", "v2")]:
+            with pytest.raises(GraphError, match="'v1'-'v2' is named twice"):
+                keyed_by_edge(g, dict(zip(keys, [1, 2])))
+        with pytest.raises(GraphError, match="no edge"):
+            keyed_by_edge(path_z([2, 3]), {("v1", "v3"): 1})
 
     def test_neighbors_in_declaration_order(self):
         g = make_graph(Z, ["c", "a", "b"],
