@@ -161,25 +161,31 @@ def _lifted_labels(graph):
                   for e in graph.edges}
 
 
-def _grown_pairs(graph, start, step, part=None):
+def _grown_pairs(graph, rooted, start, step, part=None):
     """Yield (u, v, state) for every pair, u declared before v, or, given
     a part map, for the pairs whose ends lie in different parts.  Each
-    source starts from start and grows along its BFS tree as far as those
-    later vertices need, one step per vertex grown: a child's state is
-    step(parent's state, edge).  A source with no such vertex runs no BFS."""
+    source starts from start and grows along its paths to those later
+    vertices, one step per vertex grown: a vertex's state is step(state
+    of its neighbour toward u, edge).  rooted is the tree's one
+    (depth, parent) BFS; a later vertex climbs it until it meets a grown
+    vertex or u's ancestor chain, u's chain grows up to that meeting
+    vertex, and the climb grows down from it."""
+    depth, parent = rooted
     verts = graph.vertices
     for i, u in enumerate(verts[:-1]):
-        later = [v for v in verts[i + 1:] if part is None or part[v] != part[u]]
-        if not later:
-            continue
-        parent = _bfs(graph._adj, u)[1]
         grown = {u: start}
-        for v in later:
-            climb = []
-            w = v
+        top = u  # u's highest grown ancestor; every other grown vertex is deeper
+        for v in verts[i + 1:]:
+            if part is not None and part[v] == part[u]:
+                continue
+            climb, w = [], v
             while w not in grown:
-                climb.append(w)
-                w = parent[w]
+                if depth[w] >= depth[top]:
+                    climb.append(w)
+                    w = parent[w]
+                else:  # v's climb is above u's chain: grow the chain up to meet it
+                    below, top = top, parent[top]
+                    grown[top] = step(grown[below], graph.edge_key(below, top))
             for w in reversed(climb):
                 grown[w] = step(grown[parent[w]], graph.edge_key(parent[w], w))
             yield u, v, grown[v]
@@ -210,7 +216,8 @@ class TreeMembershipReport:
 
         failed = set(self.failures)
         witnesses = {}
-        for u, v, (edges, d, terms) in _grown_pairs(graph, ((), lift.zero, ()), grow):
+        rooted = _bfs(graph._adj, graph.vertices[0])
+        for u, v, (edges, d, terms) in _grown_pairs(graph, rooted, ((), lift.zero, ()), grow):
             if (u, v) not in failed:
                 diff = lift.element((p[v] - p[u]).payload)
                 scale = lift.zero if d.is_zero else diff.exact_div(d)
@@ -228,10 +235,11 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     edge passes: the n - 1 edge tests, one divides each, decide a spline
     with no gcd.  Otherwise the edges that hold split the tree into parts,
     and only pairs in different parts are tested, each path's d one gcd
-    step from its BFS parent's, one step per vertex grown toward a vertex
-    in another part.  Witnesses are built on first read.  Over Z/m the
-    generators lift divisors of m, so d divides m and a residue is in the
-    sum exactly when d divides its lift."""
+    step from its neighbour's toward the source, one step per vertex grown
+    toward a vertex in another part; one BFS from the first declared
+    vertex gives the parts and every path.  Witnesses are built on first
+    read.  Over Z/m the generators lift divisors of m, so d divides m and
+    a residue is in the sum exactly when d divides its lift."""
     if not graph.is_tree:
         raise GraphError("graph is not a tree")
     check_host(graph, p)
@@ -244,11 +252,12 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     if not failing:
         return TreeMembershipReport(True, (), graph, p)
     root = graph.vertices[0]
+    rooted = _bfs(graph._adj, root)
     part = {root: root}
-    for v, w in _bfs(graph._adj, root)[1].items():
+    for v, w in rooted[1].items():
         part[v] = v if graph.edge_key(w, v) in failing else part[w]
     failures = tuple((u, v) for u, v, d in _grown_pairs(
-                         graph, lift.zero, lambda d, e: gcd(d, gens[e]), part)
+                         graph, rooted, lift.zero, lambda d, e: gcd(d, gens[e]), part)
                      if not d.divides(diff(u, v)))
     return TreeMembershipReport(not failures, failures, graph, p)
 

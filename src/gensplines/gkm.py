@@ -134,13 +134,21 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
 
 
 def syzygy_check(graph: EdgeLabeledGraph, tree: TreeSkeleton, q: dict) -> bool:
-    """True iff the extended system with this q is homogeneous in the
-    cycle rows: each cycle row's signed sum of q's vanishes."""
+    """True iff M*p = q has a solution p, which is the statement that each
+    cycle row's signed sum of q's vanishes.  The tree rows fix p from
+    p_root = 0 in one pass over the tree's parents, and every chord row
+    must then hold: one ring subtraction per edge, no reduction."""
     q = _check_last_column(graph, q)
-    system = reduce_via_tree(build_gkm_matrix(graph), tree)
-    return all(sum((q[e] if sign > 0 else -q[e] for sign, e in row.rhs),
-                   graph.ring.zero).is_zero
-               for row in system.cycle_rows)
+    if set(tree.depth) != set(graph.vertices):
+        raise GraphError("tree does not span the graph")
+    p = {tree.root: graph.ring.zero}
+    tree_set = set()
+    for child, up in tree.parent.items():  # BFS order: up is solved first
+        edge = graph.edge_key(up, child)
+        tree_set.add(edge)
+        p[child] = p[up] - q[edge] if edge[0] == up else p[up] + q[edge]
+    return all(p[tail] - p[head] == q[(tail, head)]
+               for tail, head in graph.edges if (tail, head) not in tree_set)
 
 
 def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:

@@ -272,7 +272,7 @@ def tree_edge_keys(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> tuple:
 
 
 def fundamental_cycles(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> list[CycleDescriptor]:
-    """One cycle per chord; the one check that tree spans graph."""
+    """One cycle per chord; GraphError if tree does not span graph."""
     if set(tree.depth) != set(graph.vertices):
         raise GraphError("tree does not span the graph")
     tree_set = set(tree_edge_keys(graph, tree))

@@ -24,6 +24,7 @@ from gensplines.construct import (
 )
 from gensplines.graphs import (
     GraphError,
+    _bfs,
     build_graph,
     restrict,
     spanning_subgraph,
@@ -845,6 +846,27 @@ class TestWorkCounts:
         assert calls == []
         report.witnesses
         assert calls == []
+
+    def test_tree_membership_walks_one_bfs(self, monkeypatch):
+        # the part map and every source's climb read one rooted BFS, so a
+        # failing spline takes the same walks at n = 16 and n = 32, and the
+        # first read of witnesses takes at most one more
+        walks = {}
+        for n in (16, 32):
+            rng = random.Random(89)
+            tree, _ = self.seeded_tree(rng, n)
+            p = self.valid_spline(tree, rng)
+            bumped = rng.choice(tree.vertices)
+            q = Spline(tree, {**p.values, bumped: p[bumped] + Z.one})
+            calls = []
+            monkeypatch.setattr(construct, "_bfs", lambda *args: calls.append(args) or _bfs(*args))
+            report = tree_membership(tree, q)
+            assert not report.ok
+            decided = len(calls)
+            report.witnesses
+            walks[n] = decided, len(calls) - decided
+        assert walks[16][0] == walks[32][0] == 1
+        assert walks[16][1] <= 1 and walks[32][1] <= 1
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_tree_membership_one_multiplication_per_summand(self, monkeypatch, n):

@@ -2,7 +2,7 @@
 and the path suffix-sum form."""
 import pytest
 
-from gensplines import build_graph, integers, poly_rational, spanning_tree
+from gensplines import build_graph, gkm, graphs, integers, poly_rational, spanning_tree
 from gensplines.gkm import (
     _check_last_column,
     build_gkm_matrix,
@@ -262,7 +262,27 @@ class TestSyzygy:
         except ValueError as exc:
             return type(exc), str(exc)
 
-    @pytest.mark.parametrize("ring", [Z, poly_rational()], ids=str)
+    @staticmethod
+    def shuffled_tree(graph, rng):
+        """A spanning tree grown from the edges in random order, each named
+        either way round, at a random root: mostly not a BFS tree of graph."""
+        edges = list(graph.edges)
+        rng.shuffle(edges)
+        comp = {v: v for v in graph.vertices}
+
+        def find(v):
+            while comp[v] != v:
+                v = comp[v]
+            return v
+
+        keep = []
+        for u, v in edges:
+            if find(u) != find(v):
+                comp[find(u)] = find(v)
+                keep.append((v, u) if rng.random() < 0.5 else (u, v))
+        return tree_from_edges(graph, keep, root=rng.choice(graph.vertices))
+
+    @pytest.mark.parametrize("ring", [Z, integers_mod(12), poly_rational()], ids=str)
     def test_matches_the_edge_key_walk(self, ring):
         rng = seeded(83)
         verdicts = set()
@@ -286,11 +306,31 @@ class TestSyzygy:
             perturbed[e] += gens[e] * random_generator_element(ring, rng, nonzero=True)
             del missing[e]
             outside[e] += ring.one
-            for q in (balanced, perturbed, arbitrary, missing, outside):
-                got = self.outcome(syzygy_check, g, tree, q)
-                assert got == self.outcome(self.edge_key_walk, g, tree, q)
-                verdicts.add(got if isinstance(got, bool) else got[0])
+            for t in (tree, self.shuffled_tree(g, rng)):
+                for q in (balanced, perturbed, arbitrary, missing, outside):
+                    got = self.outcome(syzygy_check, g, t, q)
+                    assert got == self.outcome(self.edge_key_walk, g, t, q)
+                    verdicts.add(got if isinstance(got, bool) else got[0])
         assert verdicts == {True, False, ValueError, GraphError}
+
+    def test_solves_the_tree_rows_without_reducing(self, monkeypatch):
+        # p comes from the tree rows and each chord row is tested once:
+        # no matrix, no reduction, no fundamental cycle is built
+        calls = []
+        for module, name in [(gkm, "build_gkm_matrix"), (gkm, "reduce_via_tree"),
+                             (gkm, "fundamental_cycles"), (graphs, "fundamental_cycles")]:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _name=name, _fn=fn: calls.append(_name) or _fn(*args))
+        rng = seeded(84)
+        verdicts = set()
+        for _ in range(20):
+            g = random_connected_graph(Z, rng, n_max=6)
+            p = {v: random_generator_element(Z, rng) for v in g.vertices}
+            q = {(u, v): (p[u] - p[v]) * g.labels[(u, v)].canonical for u, v in g.edges}
+            verdicts.add(syzygy_check(g, self.shuffled_tree(g, rng), q))
+        assert verdicts == {True, False}
+        assert calls == []
 
 
 class TestPathReducedForm:

@@ -76,8 +76,9 @@ def test_cli_writes_stdout_once_in_main():
 
 
 def test_gkm_walks_fundamental_cycles_only_in_the_tree_reduction():
-    # the cycle rows of reduce_via_tree are the one statement of the
-    # syzygy condition; syzygy_check reads them
+    # the cycle rows of reduce_via_tree are the one place that walks the
+    # fundamental cycles; syzygy_check solves the tree rows and tests each
+    # chord row instead
     callers = []
     for top in ast.parse((PACKAGE / "gkm.py").read_text()).body:
         for node in ast.walk(top):
