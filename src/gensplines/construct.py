@@ -7,7 +7,6 @@ outputs are deterministic.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -301,7 +300,7 @@ def _excluded_product(graph, edges, element_choices=None):
     """Product of one chosen element (canonical by default) per excluded
     edge; the zero-factor warning names the public constructor's caller."""
     choices = keyed_by_edge(graph, element_choices)
-    factor = graph.ring.one
+    factors = []
     for edge in edges:
         if edge in choices:
             choice = _checked_choice(graph, edge, choices[edge])
@@ -309,8 +308,22 @@ def _excluded_product(graph, edges, element_choices=None):
             choice = graph.labels[edge].canonical
         if choice.is_zero:
             warnings.warn(_ZERO_FACTOR.format(edge), stacklevel=3)
-        factor = factor * choice
-    return factor
+        factors.append(choice)
+    return _product(factors, graph.ring.one)
+
+
+def _product(factors: list, one: RingElement) -> RingElement:
+    """The product of factors, one for none, multiplied pairwise:
+    neighbours are multiplied until one is left (a product tree, von zur
+    Gathen and Gerhard, Modern Computer Algebra, 10.1).  It makes the
+    same len(factors) - 1 multiplications as a running product, but over
+    Q[x] its partial products hold at most deg * ceil(log2 E) + E
+    coefficients in all, E factors of total degree deg, not about
+    deg * E / 2."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[2 * len(paired):]
+    return factors[0] if factors else one
 
 
 def lcm_scaling_factor(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> RingElement:
@@ -332,16 +345,17 @@ def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
     over every edge off the path.
 
     N_i is grown from the parent's: with P the product of the nonzero
-    labels, N_v is P over the nonzero labels on the path, one exact
-    division more than its parent, or zero when a zero label lies off the
-    path.  Over Z/m the division runs on lifts to Z and N_v is reduced."""
+    labels, multiplied pairwise (_product), N_v is P over the nonzero
+    labels on the path, one exact division more than its parent, or zero
+    when a zero label lies off the path.  Over Z/m the division runs on
+    lifts to Z and N_v is reduced."""
     skeleton = spanning_tree(graph, root)
     order = sorted(graph.vertices,
                    key=lambda v: (skeleton.depth[v], graph.index(v)))
     ring = graph.ring
     lift, gens = _lifted_labels(graph)
     zero_edges = [e for e in graph.edges if gens[e].is_zero]
-    product = math.prod((g for g in gens.values() if not g.is_zero), start=lift.one)
+    product = _product([g for g in gens.values() if not g.is_zero], lift.one)
     grown = {}
     members = []
     factors = []

@@ -12,9 +12,10 @@ with +, -, *, divmod and % and wraps the result through _element, which
 only reduces mod m; RingSpec.element, which validates and converts
 input, is for values from outside the ring layer.  int supplies the
 payload arithmetic for Z and Z/m, and the private _Poly tuple supplies it
-for Q[x].  The ring kind is read only where the rings differ: canonical
-form, units, divisibility mod m, the normalizing unit and the operations
-Z/m refuses.
+for Q[x]: it computes on integer numerators over one denominator, keeps
+that form from birth and builds Fractions once per result.  The ring
+kind is read only where the rings differ: canonical form, units,
+divisibility mod m, the normalizing unit and the operations Z/m refuses.
 """
 from __future__ import annotations
 
@@ -51,7 +52,10 @@ def _coefficient(c) -> Fraction:
         raise TypeError(f"expected an int, a Fraction or a string coefficient, got {c!r}")
     if c.count("/") > 1:
         raise ValueError("expected an integer or a 'p/q' coefficient string")
-    return Fraction(*(int(part, 10) for part in c.split("/")))
+    parts = [int(part, 10) for part in c.split("/")]
+    if parts[1:] == [0]:
+        raise ZeroDivisionError(f"zero denominator in {c!r}")
+    return Fraction(*parts)
 
 
 def _is_prime(n: int) -> bool:
@@ -112,7 +116,7 @@ class RingSpec:
         if self.kind == POLY_RATIONAL:
             if not isinstance(value, _Poly):
                 coeffs = (value,) if isinstance(value, (int, float, Fraction, str)) else value
-                value = _Poly.trimmed([_coefficient(c) for c in coeffs])
+                value = _Poly(_trimmed([_coefficient(c) for c in coeffs]))
         elif type(value) is not int:
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")
         return _element(self, value)
@@ -143,45 +147,60 @@ def poly_rational() -> RingSpec:
     return RingSpec(POLY_RATIONAL)
 
 
+def _trimmed(coeffs: list) -> list:
+    """coeffs without its trailing zeros, trimmed in place."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    del coeffs[n:]
+    return coeffs
+
+
 class _Poly(tuple):
     """A Q[x] payload: Fraction coefficients in ascending degree with no
     trailing zeros, and the arithmetic that int has for Z and Z/m.
 
     +, -, * and divmod run on integer numerators over one common
-    denominator, the lcm of the coefficients' denominators, and build
-    Fractions only for the result.  divmod is pseudo-division (von zur
-    Gathen and Gerhard, Modern Computer Algebra, ch. 6): with L the
-    divisor's leading numerator, the dividend's numerators are scaled
-    once by L^k, k = deg a - deg b + 1, so that every quotient step is an
-    exact integer division.  When the coefficients have many unrelated
-    denominators, their lcm is large and so is L^k."""
+    denominator, the lcm of the coefficients' denominators (_numerators).
+    A result keeps the form it was computed in, reduced, from birth, and
+    builds its Fractions once; only a _Poly built from Fractions computes
+    its form, on first use.  divmod is pseudo-division (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 6): with L the divisor's
+    leading numerator, the dividend's numerators are scaled once by L^k,
+    k = deg a - deg b + 1, so that every quotient step is an exact
+    integer division.  When the coefficients have many unrelated
+    denominators, their lcm is large and so is L^k.
 
-    __slots__ = ()
+    The kept form lives in the instance dict, so _Poly has no __slots__;
+    equality and hashing are the tuple's."""
 
-    @classmethod
-    def trimmed(cls, coeffs: list) -> "_Poly":
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
-        del coeffs[n:]
-        return cls(coeffs)
-
-    def _numerators(self) -> tuple[list, int]:
+    @cached_property
+    def _numerators(self) -> tuple[tuple, int]:
         """(numerators, denominator): the coefficients over the lcm of
         their denominators."""
         ratios = [c.as_integer_ratio() for c in self]
         den = math.lcm(*[d for _, d in ratios])
-        return [n * (den // d) for n, d in ratios], den
+        return tuple(n * (den // d) for n, d in ratios), den
 
     @staticmethod
     def _over(numerators: list, den: int) -> "_Poly":
-        """The trimmed _Poly with coefficients numerators[i] / den."""
-        return _Poly.trimmed([Fraction(c, den) for c in numerators])
+        """The trimmed _Poly with coefficients numerators[i] / den.  Its
+        kept form is that divided by g = gcd(den, *numerators), sign
+        included, so den > 0 is then the lcm of its coefficients'
+        denominators."""
+        numerators = _trimmed(numerators)
+        g = math.gcd(den, *numerators)
+        if den < 0:
+            g = -g
+        numerators, den = tuple(c // g for c in numerators), den // g
+        poly = _Poly(Fraction(c, den) for c in numerators)
+        poly._numerators = numerators, den
+        return poly
 
     def _combine(self, other: "_Poly", sign: int) -> "_Poly":
         """self + sign * other."""
-        a, da = self._numerators()
-        b, db = other._numerators()
+        a, da = self._numerators
+        b, db = other._numerators
         den = math.lcm(da, db)
         sa, sb = den // da, sign * (den // db)
         out = [x * sa for x in a] + [0] * (len(b) - len(a))
@@ -201,8 +220,8 @@ class _Poly(tuple):
     def __mul__(self, other: "_Poly") -> "_Poly":
         if not self or not other:
             return _Poly()
-        a, da = self._numerators()
-        b, db = other._numerators()
+        a, da = self._numerators
+        b, db = other._numerators
         if len(a) < len(b):
             a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
@@ -217,8 +236,8 @@ class _Poly(tuple):
         integer lists and R shorter than other."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        a, da = self._numerators()
-        b, db = other._numerators()
+        a, da = self._numerators
+        b, db = other._numerators
         nb = len(b) - 1
         k = max(len(a) - nb, 0)
         lead = b[-1]

@@ -764,9 +764,24 @@ class TestWorkCounts:
                            [(f"v{i}", f"v{j}", [P(rng.randint(-3, 3), 1)])
                             for i, j in sorted(pairs)])
         counts = self.counting(monkeypatch)
+        products = []
+        mul = RingElement.__mul__
+
+        def recorded(a, b):
+            products.append(mul(a, b))
+            return products[-1]
+
+        monkeypatch.setattr(RingElement, "__mul__", recorded)
         flow_up_family(graph)
-        assert counts["exact_div"] <= n - 1
-        assert counts["mul"] <= 2 * n - 1
+        assert counts["exact_div"] == n - 1
+        assert counts["mul"] == 2 * n - 2
+        # the pairwise product's partial products hold at most
+        # deg P * ceil(log2 E) + E coefficients (138 here: it builds 129,
+        # a running product from one 299)
+        labels = len(graph.edges)
+        degree = sum(len(graph.labels[e].canonical.payload) - 1 for e in graph.edges)
+        assert (sum(len(r.payload) for r in products)
+                <= degree * math.ceil(math.log2(labels)) + labels)
 
     @staticmethod
     def seeded_tree(rng, n):

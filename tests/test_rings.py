@@ -15,6 +15,7 @@ from gensplines.rings import (
     RingMismatchError,
     RingSpec,
     UnsupportedRingError,
+    _Poly,
     ext_gcd,
 )
 
@@ -433,14 +434,30 @@ class TestPolynomialsAgainstSympy:
     @staticmethod
     def canonical(*elements):
         """Every payload is a tuple of exact Fractions in lowest terms with
-        no trailing zero."""
+        no trailing zero, and its kept integer form is the one a fresh
+        _Poly of those Fractions computes: numerators with no trailing
+        zero over a positive denominator, their gcd with it 1."""
         for e in elements:
             assert isinstance(e.payload, tuple)
             assert not e.payload or e.payload[-1] != 0
             for c in e.payload:
                 assert type(c) is Fraction
                 assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+            numerators, den = e.payload._numerators
+            assert (numerators, den) == _Poly(e.payload)._numerators
+            assert type(numerators) is tuple and all(type(c) is int for c in numerators)
+            assert den > 0 and math.gcd(den, *numerators) == 1
+            assert not numerators or numerators[-1] != 0
         return True
+
+    def test_results_keep_their_form(self):
+        """An arithmetic result is born with its integer form."""
+        a, b = P(Fraction(1, 2), 3), P(Fraction(-2, 3), 0, Fraction(5, 4))
+        q, r = divmod(b.payload, a.payload)
+        for payload in ((a + b).payload, (a - b).payload, (a * b).payload, q, r,
+                        b.payload % a.payload):
+            assert "_numerators" in vars(payload)
+        assert "_numerators" not in vars(P(Fraction(1, 2)).payload)
 
     def check_pair(self, sympy_qq, a, b, gcds=True):
         sympy, to_sympy, from_sympy = sympy_qq
