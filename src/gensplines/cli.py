@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 
-from . import analysis, construct, gkm, serialize
+from . import analysis, construct, gkm, rings, serialize
 from .graphs import EdgeLabeledGraph, spanning_subgraph, spanning_tree
 from .splines import Spline, decompose_at_vertex, verify
 
@@ -36,7 +36,7 @@ def _load(path: str, parse):
     becomes a ValueError naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle, parse_int=lambda s: int(serialize.check_digits(s)))
+            data = json.load(handle, parse_int=rings.read_decimal)
     except FileNotFoundError:
         raise ValueError(f"{path}: no such file")
     except OSError as exc:

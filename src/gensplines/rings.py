@@ -3,23 +3,24 @@
 Supported rings: the integers, integers mod m (m >= 2), and univariate
 polynomials with rational coefficients.  All values are immutable and
 kept in canonical form, so structural equality decides ring equality:
-residues live in [0, m), polynomial coefficient tuples carry no trailing
-zeros, and ideal generators are collapsed to a single normalized gcd
-generator.
+residues live in [0, m), a polynomial is a rational content times a
+primitive integer part, and ideal generators are collapsed to a single
+normalized gcd generator.
 
 RingElement has one arithmetic path for every ring: it combines payloads
 with +, -, *, divmod and % and wraps the result through _element, which
 only reduces mod m; RingSpec.element, which validates and converts
 input, is for values from outside the ring layer.  int supplies the
-payload arithmetic for Z and Z/m, and the private _Poly tuple supplies it
-for Q[x]: it computes on integer numerators over one denominator, keeps
-that form from birth and builds Fractions once per result.  The ring
+payload arithmetic for Z and Z/m, and the private _Poly supplies it for
+Q[x]: it is born and computed in its one form, and reads as a tuple of
+Fractions that are built only when read.  The ring
 kind is read only where the rings differ: canonical form, units,
 divisibility mod m, the normalizing unit and the operations Z/m refuses.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -43,19 +44,32 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_TEST_BOUND = 3317044064679887385961981
 
 
-def _coefficient(c) -> Fraction:
-    """A Q[x] coefficient from an int, a Fraction or a "p" or "p/q" string of
-    decimal integers; Fraction("1e100000000") would build 10^8 digits."""
+def read_decimal(text: str) -> int:
+    """The int that text spells in ASCII decimal digits after an optional
+    sign; int() also takes spaces, underscores and other digits.  An
+    integer past the interpreter's int <-> str limit is refused in words a
+    document's reader can act on, not with CPython's advice to raise it."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected a decimal integer, got {text[:40]!r}")
+    n, limit = len(digits), sys.get_int_max_str_digits()
+    if 0 < limit < n:
+        raise ValueError(f"integer of {n} digits is past the input bound of {limit} digits")
+    return int(text)
+
+
+def _coefficient(c) -> tuple[int, int]:
+    """A Q[x] coefficient's integer ratio from an int, a Fraction or a "p" or
+    "p/q" string of decimal integers, not Fraction("1e100000000")'s 10^8 digits."""
     if type(c) in (int, Fraction):
-        return Fraction(c)
+        return c.as_integer_ratio()
     if not isinstance(c, str):
         raise TypeError(f"expected an int, a Fraction or a string coefficient, got {c!r}")
-    if c.count("/") > 1:
-        raise ValueError("expected an integer or a 'p/q' coefficient string")
-    parts = [int(part, 10) for part in c.split("/")]
-    if parts[1:] == [0]:
+    num, slash, den = c.partition("/")
+    n, d = read_decimal(num), read_decimal(den) if slash else 1
+    if not d:
         raise ZeroDivisionError(f"zero denominator in {c!r}")
-    return Fraction(*parts)
+    return n, d
 
 
 def _is_prime(n: int) -> bool:
@@ -116,7 +130,9 @@ class RingSpec:
         if self.kind == POLY_RATIONAL:
             if not isinstance(value, _Poly):
                 coeffs = (value,) if isinstance(value, (int, float, Fraction, str)) else value
-                value = _Poly(_trimmed([_coefficient(c) for c in coeffs]))
+                ratios = [_coefficient(c) for c in coeffs]
+                den = math.lcm(*[d for _, d in ratios])
+                value = _Poly._canonical([n * (den // d) for n, d in ratios], 1, den)
         elif type(value) is not int:
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")
         return _element(self, value)
@@ -147,66 +163,65 @@ def poly_rational() -> RingSpec:
     return RingSpec(POLY_RATIONAL)
 
 
-def _trimmed(coeffs: list) -> list:
-    """coeffs without its trailing zeros, trimmed in place."""
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    del coeffs[n:]
-    return coeffs
+class _Poly:
+    """A Q[x] payload, content times primitive part, and the arithmetic
+    that int has for Z and Z/m.  content is a Fraction with the sign, 0
+    for the zero polynomial; prim holds ints in ascending degree with gcd
+    1, a positive last entry and no trailing zero, () for zero.
 
+    _canonical builds that form from integer coefficients: + and - take
+    one gcd over the result, * none, since a product of primitive parts
+    is primitive (Gauss's lemma; von zur Gathen and Gerhard, Modern
+    Computer Algebra, 6.2).  divmod pseudo-divides the primitive parts:
+    with L the divisor's last entry, the dividend's is scaled once by L^k,
+    k = deg a - deg b + 1, so that every quotient step divides exactly.
+    The payload reads as the tuple of its lowest-terms Fractions, built
+    only when read: len, iteration, indexing, == and hash are its."""
 
-class _Poly(tuple):
-    """A Q[x] payload: Fraction coefficients in ascending degree with no
-    trailing zeros, and the arithmetic that int has for Z and Z/m.
+    __slots__ = ("content", "prim")
 
-    +, -, * and divmod run on integer numerators over one common
-    denominator, the lcm of the coefficients' denominators (_numerators).
-    A result keeps the form it was computed in, reduced, from birth, and
-    builds its Fractions once; only a _Poly built from Fractions computes
-    its form, on first use.  divmod is pseudo-division (von zur Gathen
-    and Gerhard, Modern Computer Algebra, ch. 6): with L the divisor's
-    leading numerator, the dividend's numerators are scaled once by L^k,
-    k = deg a - deg b + 1, so that every quotient step is an exact
-    integer division.  When the coefficients have many unrelated
-    denominators, their lcm is large and so is L^k.
-
-    The kept form lives in the instance dict, so _Poly has no __slots__;
-    equality and hashing are the tuple's."""
-
-    @cached_property
-    def _numerators(self) -> tuple[tuple, int]:
-        """(numerators, denominator): the coefficients over the lcm of
-        their denominators."""
-        ratios = [c.as_integer_ratio() for c in self]
-        den = math.lcm(*[d for _, d in ratios])
-        return tuple(n * (den // d) for n, d in ratios), den
+    def __init__(self, content: Fraction, prim: tuple):
+        self.content, self.prim = content, prim
 
     @staticmethod
-    def _over(numerators: list, den: int) -> "_Poly":
-        """The trimmed _Poly with coefficients numerators[i] / den.  Its
-        kept form is that divided by g = gcd(den, *numerators), sign
-        included, so den > 0 is then the lcm of its coefficients'
-        denominators."""
-        numerators = _trimmed(numerators)
-        g = math.gcd(den, *numerators)
-        if den < 0:
-            g = -g
-        numerators, den = tuple(c // g for c in numerators), den // g
-        poly = _Poly(Fraction(c, den) for c in numerators)
-        poly._numerators = numerators, den
-        return poly
+    def _canonical(coeffs: list, num: int, den: int) -> "_Poly":
+        """The _Poly with coefficients coeffs[i] * num / den, coeffs ints:
+        their gcd, signed as the last nonzero one, joins the content."""
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        if not n:
+            return _Poly(0, ())
+        g = -math.gcd(*coeffs) if coeffs[n - 1] < 0 else math.gcd(*coeffs)
+        return _Poly(Fraction(num * g, den), tuple(c // g for c in coeffs[:n]))
+
+    def __len__(self) -> int:
+        return len(self.prim)
+
+    def __iter__(self):
+        return (self.content * c for c in self.prim)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.content * self.prim[i]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _Poly:
+            return self.prim == other.prim and self.content == other.content
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
     def _combine(self, other: "_Poly", sign: int) -> "_Poly":
-        """self + sign * other."""
-        a, da = self._numerators
-        b, db = other._numerators
-        den = math.lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
+        """self + sign * other, the contents' numerator gcd taken out."""
+        (n, d), (m, e) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        h, den = math.gcd(n, m) or 1, math.lcm(d, e)
+        sa, sb = n // h * (den // d), sign * (m // h) * (den // e)
+        a, b = self.prim, other.prim
         out = [x * sa for x in a] + [0] * (len(b) - len(a))
         for i, y in enumerate(b):
             out[i] += y * sb
-        return _Poly._over(out, den)
+        return _Poly._canonical(out, h, den)
 
     def __add__(self, other: "_Poly") -> "_Poly":
         return self._combine(other, 1)
@@ -215,13 +230,12 @@ class _Poly(tuple):
         return self._combine(other, -1)
 
     def __neg__(self) -> "_Poly":
-        return _Poly(-c for c in self)
+        return _Poly(-self.content, self.prim)
 
     def __mul__(self, other: "_Poly") -> "_Poly":
-        if not self or not other:
-            return _Poly()
-        a, da = self._numerators
-        b, db = other._numerators
+        a, b = self.prim, other.prim
+        if not a or not b:
+            return self if not a else other
         if len(a) < len(b):
             a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
@@ -229,15 +243,14 @@ class _Poly(tuple):
             if y:
                 for i, x in enumerate(a, j):
                     out[i] += x * y
-        return _Poly._over(out, da * db)
+        return _Poly(self.content * other.content, tuple(out))
 
     def _pseudo_divide(self, other: "_Poly") -> tuple[list, list, int]:
-        """(Q, R, den) with self = (Q / den) * other + R / den, Q and R
-        integer lists and R shorter than other."""
+        """(Q, R, L^k) with L^k * A = Q * B + R for the primitive parts A
+        of self and B of other, Q and R integer lists and R shorter than B."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        a, da = self._numerators
-        b, db = other._numerators
+        a, b = self.prim, other.prim
         nb = len(b) - 1
         k = max(len(a) - nb, 0)
         lead = b[-1]
@@ -247,18 +260,20 @@ class _Poly(tuple):
         for i in range(len(a) - 1, nb - 1, -1):
             f = rem[i] // lead
             if f:
-                quot[i - nb] = f * db
+                quot[i - nb] = f
                 for j in range(nb):
                     rem[i - nb + j] -= f * b[j]
-        return quot, rem[:nb], scale * da
+        return quot, rem[:nb], scale
 
     def __divmod__(self, other: "_Poly") -> tuple["_Poly", "_Poly"]:
-        quot, rem, den = self._pseudo_divide(other)
-        return _Poly._over(quot, den), _Poly._over(rem, den)
+        quot, rem, scale = self._pseudo_divide(other)
+        (n, d), (m, e) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        return _Poly._canonical(quot, n * e, d * m * scale), _Poly._canonical(rem, n, d * scale)
 
     def __mod__(self, other: "_Poly") -> "_Poly":
-        _, rem, den = self._pseudo_divide(other)
-        return _Poly._over(rem, den)
+        _, rem, scale = self._pseudo_divide(other)
+        n, d = self.content.as_integer_ratio()
+        return _Poly._canonical(rem, n, d * scale)
 
     def __str__(self) -> str:
         text = ""
@@ -386,7 +401,7 @@ def _normalizing_unit(a: RingElement) -> RingElement | None:
     polynomials); None when u is one."""
     if a.ring.kind == POLY_RATIONAL:
         if a.payload and a.payload[-1] != 1:
-            return _element(a.ring, _Poly((1 / a.payload[-1],)))
+            return _element(a.ring, _Poly(1 / a.payload[-1], (1,)))
     elif a.ring.kind == INTEGERS and a.payload < 0:
         return _element(a.ring, -1)
     return None

@@ -7,8 +7,6 @@ serialization sorts edges by endpoints in vertex declaration order.
 """
 from __future__ import annotations
 
-import sys
-
 from .graphs import EdgeLabeledGraph, GraphError
 from .rings import (
     INTEGERS_MOD,
@@ -16,6 +14,7 @@ from .rings import (
     Ideal,
     RingElement,
     RingSpec,
+    read_decimal,
 )
 from .splines import Spline, VerificationReport
 
@@ -27,18 +26,6 @@ class SchemaError(ValueError):
 def _is_int(data) -> bool:
     """A JSON integer: bool is an int subclass in Python, not in JSON."""
     return isinstance(data, int) and not isinstance(data, bool)
-
-
-def check_digits(text: str) -> str:
-    """text, unless an integer in it ("p/q" holds two) has more digits than
-    the interpreter's int <-> str limit: refused here in words a document's
-    reader can act on, not with CPython's advice to raise that limit."""
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < len(text):  # a shorter text holds no integer past the limit
-        n = max(len(part.strip().lstrip("+-").replace("_", "")) for part in text.split("/"))
-        if n > limit:
-            raise ValueError(f"integer of {n} digits is past the input bound of {limit} digits")
-    return text
 
 
 def ring_to_json(ring: RingSpec) -> dict:
@@ -79,10 +66,9 @@ def element_from_json(ring: RingSpec, data, where: str = "element") -> RingEleme
             if not all(_is_int(c) or isinstance(c, str) for c in data):
                 raise SchemaError(
                     f"{where}: expected an integer or a 'p/q' coefficient string")
-            return ring.element([check_digits(c) if isinstance(c, str) else c
-                                 for c in data])
+            return ring.element(data)
         if isinstance(data, str):
-            data = int(check_digits(data), 10)
+            data = read_decimal(data)
         if not _is_int(data):
             raise SchemaError(f"{where}: expected a decimal string")
         if ring.kind == INTEGERS_MOD and not 0 <= data < ring.modulus:

@@ -131,6 +131,18 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == f"error: {FIXTURES}: Is a directory\n"
 
+    @pytest.mark.parametrize("text", ["1_000", " 3", "1/ 2", "\u0663"])
+    def test_integer_outside_the_decimal_grammar_exits_two(self, capsys, tmp_path, text):
+        # int() takes underscores, spaces and non-ASCII digits; documents do not
+        spline = tmp_path / "spline.json"
+        spline.write_text(json.dumps({"values": {"v1": [], "v2": [text]}}))
+        graph = tmp_path / "z4.json"
+        graph.write_text(json.dumps(_with(["edges", 0, "ideal"], [text])))
+        for argv, field in (([K4, str(spline)], f"{spline}: spline.values[v2]: "),
+                            ([str(graph), K4_SPLINE], f"{graph}: graph.edges[0].ideal[0]: ")):
+            code, out, err = run(capsys, "check", *argv)
+            assert (code, out) == (2, "") and err.startswith(f"error: {field}"), err
+
 
 GOOD_Z4 = {"ring": {"kind": "integers-mod", "modulus": 4}, "vertices": ["a", "b"],
            "edges": [{"u": "a", "v": "b", "ideal": ["2"]}]}

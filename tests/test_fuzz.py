@@ -32,7 +32,7 @@ SCALARS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["", "0", "1", "2", "3", "-1", "1/2", "1/0", "0.5", "1e5",
                      "x", "v1", "v2", "v3", "v4", 'a"b', "c\\", "integers",
-                     "integers-mod", "poly-rational"]),
+                     "integers-mod", "poly-rational", "1_000", " 3", "1/ 2", "\u0663"]),
 )
 KEYS = st.sampled_from(["ring", "kind", "modulus", "vertices", "edges", "u", "v",
                         "ideal", "values", "v1", "v2", "v3", "v4"])

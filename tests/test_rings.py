@@ -116,7 +116,8 @@ class TestCanonicalForms:
         p = QX.element([Fraction(1, 2), 1])
         assert (p + p).payload == (Fraction(1), Fraction(2))
 
-    @pytest.mark.parametrize("coeff", ["1e100000000", "0.5", "1/2/3", "x", "1/"])
+    @pytest.mark.parametrize("coeff", ["1e100000000", "0.5", "1/2/3", "x", "1/",
+                                       "1_000", " 3", "1/ 2", "\u0663"])
     def test_coefficient_grammar_rejects(self, coeff):
         # the library takes the JSON grammar too: "p" or "p/q" decimal integers
         with pytest.raises(ValueError):
@@ -433,35 +434,51 @@ class TestPolynomialsAgainstSympy:
 
     @staticmethod
     def canonical(*elements):
-        """Every payload is a tuple of exact Fractions in lowest terms with
-        no trailing zero, and its kept integer form is the one a fresh
-        _Poly of those Fractions computes: numerators with no trailing
-        zero over a positive denominator, their gcd with it 1."""
+        """Every payload is a content times a primitive part: a tuple of
+        ints with gcd 1, a positive last entry and no trailing zero, times
+        a nonzero Fraction, or 0 over ().  It reads as the tuple of its
+        lowest-terms Fractions: len, iteration, [i], [-1], == and hash
+        agree with tuple(payload)."""
         for e in elements:
-            assert isinstance(e.payload, tuple)
-            assert not e.payload or e.payload[-1] != 0
-            for c in e.payload:
+            p = e.payload
+            content, prim = p.content, p.prim
+            assert type(prim) is tuple and all(type(c) is int for c in prim)
+            if prim:
+                assert type(content) is Fraction and content != 0
+                assert math.gcd(*prim) == 1 and prim[-1] > 0
+            else:
+                assert content == 0
+            view = tuple(p)
+            assert len(p) == len(view) and list(iter(p)) == list(view)
+            assert [p[i] for i in range(len(view))] == list(view)
+            assert not view or p[-1] == view[-1]
+            assert p == view and hash(p) == hash(view)
+            for c in view:
                 assert type(c) is Fraction
                 assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
-            numerators, den = e.payload._numerators
-            assert (numerators, den) == _Poly(e.payload)._numerators
-            assert type(numerators) is tuple and all(type(c) is int for c in numerators)
-            assert den > 0 and math.gcd(den, *numerators) == 1
-            assert not numerators or numerators[-1] != 0
         return True
 
-    def test_results_keep_their_form(self):
-        """An arithmetic result is born with its integer form."""
+    def test_one_form(self, monkeypatch):
+        """A payload keeps its content and primitive part in slots, with no
+        instance dict; * builds its result without the canonicalizer and +
+        calls it once."""
         a, b = P(Fraction(1, 2), 3), P(Fraction(-2, 3), 0, Fraction(5, 4))
         q, r = divmod(b.payload, a.payload)
-        for payload in ((a + b).payload, (a - b).payload, (a * b).payload, q, r,
-                        b.payload % a.payload):
-            assert "_numerators" in vars(payload)
-        assert "_numerators" not in vars(P(Fraction(1, 2)).payload)
+        for payload in (a.payload, (a + b).payload, (a * b).payload, (-a).payload, q, r,
+                        b.payload % a.payload, QX.zero.payload):
+            assert not hasattr(payload, "__dict__")
+        calls = []
+        canonical = _Poly._canonical
+        monkeypatch.setattr(_Poly, "_canonical",
+                            staticmethod(lambda *args: calls.append(args) or canonical(*args)))
+        assert a.payload * b.payload == (a * b).payload and calls == []
+        a.payload + b.payload
+        assert len(calls) == 1
 
     def check_pair(self, sympy_qq, a, b, gcds=True):
         sympy, to_sympy, from_sympy = sympy_qq
         canonical = self.canonical
+        assert canonical(a, b)
         sa, sb = to_sympy(a), to_sympy(b)
         assert a + b == from_sympy(sa + sb) and canonical(a + b)
         assert a - b == from_sympy(sa - sb) and canonical(a - b, -b)
@@ -480,7 +497,8 @@ class TestPolynomialsAgainstSympy:
         q, r = (QX.element(c) for c in divmod(a.payload, b.payload))
         sq, sr = sa.div(sb)
         assert q == from_sympy(sq) and r == from_sympy(sr) and canonical(q, r)
-        assert QX.element(a.payload % b.payload) == r
+        rem = QX.element(a.payload % b.payload)
+        assert rem == r and canonical(rem)
 
     def test_matches_sympy(self, sympy_qq):
         polys = self.random_polys(random.Random(20130604), 24)

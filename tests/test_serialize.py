@@ -69,7 +69,8 @@ class TestElements:
         with pytest.raises(SchemaError, match="zero denominator in '1/0'"):
             element_from_json(QX, ["1/0"])
 
-    @pytest.mark.parametrize("coeff", ["1e100000000", "0.5", 1.5, "1/2/3", True])
+    @pytest.mark.parametrize("coeff", ["1e100000000", "0.5", 1.5, "1/2/3", True,
+                                       "1_000", " 3", "1/ 2", "\u0663"])
     def test_coefficient_grammar_rejects(self, coeff):
         with pytest.raises(SchemaError, match="spline.values"):
             element_from_json(QX, [coeff], "spline.values[v1]")
