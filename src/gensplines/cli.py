@@ -7,6 +7,11 @@ and turns its verdict into the exit code.  A cmd_* takes (args, graph,
 spline) and returns (result, ok), result being a JSON document or the
 finished text.
 
+Each run is one process, so its start-up counts.  The module level loads
+rings, graphs, splines and serialize, which main and every subcommand
+need; a cmd_* imports the module it runs: construct in flowup, treefam
+and cyclefam, gkm in matrix, analysis in enumerate and selfcheck.
+
 Exit codes: 0 for success / true verdicts, 1 for false verdicts, 2 for
 input errors (unreadable files, malformed JSON, schema violations,
 unsupported rings, exceeded budgets), 3 for an internal error, whose
@@ -19,7 +24,7 @@ import functools
 import json
 import sys
 
-from . import analysis, construct, gkm, rings, serialize
+from . import rings, serialize
 from .graphs import EdgeLabeledGraph, spanning_subgraph, spanning_tree
 from .splines import Spline, decompose_at_vertex, verify
 
@@ -65,18 +70,22 @@ def cmd_check(args, graph, spline):
 
 
 def cmd_flowup(args, graph, spline):
+    from . import construct
     return serialize.family_to_json(construct.flow_up_family(graph, args.root)), True
 
 
 def cmd_treefam(args, graph, spline):
+    from . import construct
     return serialize.family_to_json(construct.tree_generating_family(graph)), True
 
 
 def cmd_cyclefam(args, graph, spline):
+    from . import construct
     return serialize.family_to_json(construct.cycle_generating_family(graph)), True
 
 
 def cmd_matrix(args, graph, spline):
+    from . import gkm
     matrix = gkm.build_gkm_matrix(graph)
     if args.reduced:
         system = gkm.reduce_via_tree(matrix, spanning_tree(graph))
@@ -93,7 +102,9 @@ def cmd_matrix(args, graph, spline):
 
 
 def cmd_enumerate(args, graph, spline):
-    spline_set = analysis.enumerate_splines(graph, args.budget)
+    from . import analysis
+    budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
+    spline_set = analysis.enumerate_splines(graph, budget)
     document = {"count": len(spline_set)}
     if len(spline_set) <= ELIDE_THRESHOLD:
         document["members"] = [list(t) for t in spline_set.members]
@@ -114,7 +125,8 @@ def cmd_decompose(args, graph, spline):
     }, True
 
 
-def _report_document(report: analysis.DecompositionReport) -> dict:
+def _report_document(report) -> dict:
+    """The JSON document of an analysis.DecompositionReport."""
     out = {
         "claim": report.claim,
         "verdict": report.verdict,
@@ -132,7 +144,9 @@ def _report_document(report: analysis.DecompositionReport) -> dict:
 
 
 def cmd_selfcheck(args, graph, spline):
-    options = {"budget": args.budget, "seed": args.seed, "samples": args.samples}
+    from . import analysis
+    budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
+    options = {"budget": budget, "seed": args.seed, "samples": args.samples}
     per_edge = [spanning_subgraph(graph, [e]) for e in graph.edges]
     reports = [analysis.check_union_decomposition(
         graph, per_edge, claim="edge-by-edge", **options)]
@@ -205,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all splines over Z/m")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
+    # None stands for analysis.DEFAULT_BUDGET, which parsing does not load
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("decompose", help="split off the constant part at a vertex")
@@ -218,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_selfcheck)
 
     p = sub.add_parser("dot", help="emit the graph (and spline) as DOT")

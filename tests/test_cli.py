@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -410,16 +411,20 @@ class TestEnumerate:
         assert doc["members"] == [[0] * 1100, [1] * 1100]
 
     def test_budget_stops_before_the_full_power(self, capsys, tmp_path):
-        # m^n here has ten million digits; the guard must not compute it
-        modulus = 10**1000 + 7
-        names = [f"v{i}" for i in range(10_000)]
-        doc = {"ring": {"kind": "integers-mod", "modulus": modulus},
-               "vertices": names, "edges": []}
-        path = tmp_path / "edgeless.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "enumerate", str(path))
+        modulus, path = _edgeless_big_modulus(tmp_path)
+        code, out, err = run(capsys, "enumerate", path)
         assert code == 2 and out == ""
         assert err == f"error: {modulus}^10000 tuples exceed the budget of 10000000\n"
+
+
+def _edgeless_big_modulus(tmp_path):
+    # m^n has ten million digits; the budget guard must not compute it
+    modulus = 10**1000 + 7
+    doc = {"ring": {"kind": "integers-mod", "modulus": modulus},
+           "vertices": [f"v{i}" for i in range(10_000)], "edges": []}
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps(doc))
+    return modulus, str(path)
 
 
 class TestDecompose:
@@ -471,6 +476,12 @@ class TestSelfcheck:
         assert [r["claim"] for r in reports] == ["edge-by-edge"]
         assert reports[0]["verdict"] is True
 
+    def test_default_budget_stops_before_the_full_power(self, capsys, tmp_path):
+        modulus, path = _edgeless_big_modulus(tmp_path)
+        code, out, err = run(capsys, "selfcheck", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {modulus}^10000 tuples exceed the budget of 10000000\n"
+
     def test_sampled_over_polynomials(self, capsys):
         code, out, _ = run(capsys, "selfcheck", K4, "--samples", "3")
         assert code == 0
@@ -520,6 +531,53 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *entry["argv"])
         assert code == entry["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+
+
+# Runs a command as `python -m gensplines.cli ARGV` does, then writes the
+# names of the loaded modules to stderr as its last line.
+LIST_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("gensplines.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(*sorted(sys.modules), file=sys.stderr)
+"""
+# the modules that main leaves to the cmd_* that run them
+DEFERRED = {"analysis", "construct", "gkm"}
+DEFERRED_LOADED = {
+    "check": set(), "dot": set(), "decompose": set(),
+    "flowup": {"construct"}, "treefam": {"construct"}, "cyclefam": {"construct"},
+    "matrix": {"gkm"}, "enumerate": DEFERRED, "selfcheck": DEFERRED,
+}
+TREE = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "ideal": ["2"]},
+                  {"u": "b", "v": "c", "ideal": ["3"]}]}
+FRESH = GOLDEN + [{
+    "argv": ["treefam", "TREE"], "exit": 0,
+    "stdout_sha256": "2b625c910b2f3bf6a547434caa681b0115e0e381ed986a59fcfd2f985620d320"}]
+
+
+class TestFreshProcess:
+    """Each command in its own interpreter.  In-process tests cannot miss
+    an import inside a cmd_*: earlier tests have loaded every module."""
+
+    @pytest.mark.parametrize("entry", FRESH, ids=[" ".join(e["argv"]) for e in FRESH])
+    def test_loads_only_what_it_runs(self, tmp_path, entry):
+        argv = entry["argv"]
+        if argv[0] == "treefam":
+            tree = tmp_path / "tree.json"
+            tree.write_text(json.dumps(TREE))
+            argv = ["treefam", str(tree)]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv], cwd=ROOT,
+                              env=env, capture_output=True, timeout=60)
+        assert done.returncode == entry["exit"], done.stderr.decode()
+        assert hashlib.sha256(done.stdout).hexdigest() == entry["stdout_sha256"]
+        loaded = {name.removeprefix("gensplines.")
+                  for name in done.stderr.decode().splitlines()[-1].split()
+                  if name.startswith("gensplines.")}
+        assert {"rings", "graphs", "splines", "serialize"} <= loaded
+        assert loaded & DEFERRED == DEFERRED_LOADED[argv[0]]
 
 
 def readme_usage():

@@ -75,6 +75,32 @@ def test_cli_writes_stdout_once_in_main():
     assert not prints, f"print to stdout in {prints}"
 
 
+def test_cli_loads_only_the_shared_modules_at_module_level():
+    # each cmd_* imports construct, gkm or analysis itself, so a subcommand
+    # that runs none of them does not pay for loading them
+    shared = {"rings", "serialize", "graphs", "splines"}
+    found = []
+    for node in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found += [name for name in names if name not in shared]
+    assert not found, f"cli.py imports {found} at module level"
+
+
+def test_budget_default_is_defined_once():
+    # the CLI's --budget resolves to analysis.DEFAULT_BUDGET; no module
+    # writes the value out again
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and node.id == "DEFAULT_BUDGET" \
+                    and isinstance(node.ctx, ast.Store):
+                found.append(f"{path.name} DEFAULT_BUDGET =")
+            elif isinstance(node, ast.Constant) and node.value == 10_000_000:
+                found.append(f"{path.name} 10_000_000")
+    assert found == ["analysis.py DEFAULT_BUDGET =", "analysis.py 10_000_000"], found
+
+
 def test_gkm_walks_fundamental_cycles_only_in_the_tree_reduction():
     # the cycle rows of reduce_via_tree are the one place that walks the
     # fundamental cycles; syzygy_check solves the tree rows and tests each
