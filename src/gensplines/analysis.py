@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .construct import GeneratingFamily, flow_up_family
 from .gkm import GkmMatrix, ReducedSystem, build_gkm_matrix
@@ -71,8 +72,10 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     """Every x in (Z/m)^n, in lexicographic order, with d dividing
     sum(c * x[k] for k, c in form.items()) for each (form, d) in forms.
     Slot by slot, the lowest sharing a form with a set slot first (else the
-    lowest unset): a form is tested at its last slot, and prefixes whose
-    partial sums agree mod each d share one list of values for the slot."""
+    lowest unset): a form is tested at its last slot.  Each level computes
+    its prefixes' partial sums one form at a time, and prefixes whose sums
+    agree mod each d share one list of values for the slot; each prefix is
+    extended in place, values ascending, so the level stays sorted."""
     m, n = graph.ring.modulus, len(graph.vertices)
     forms = [(t, d) for form, d in forms if (t := {k: c % d for k, c in form.items() if c % d})]
     touching = [[] for _ in range(n)]  # slot -> the slots of the forms that read it
@@ -95,16 +98,20 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
         closing[last].append((terms.pop(last), tuple(terms.items()), d))
     level = [()]
     for checks in closing:
+        sums = []  # per check, every prefix's partial sum mod d
+        for _, terms, d in checks:
+            s = [0] * len(level)
+            for k, c in terms:
+                s = [a + c * v for a, v in zip(s, map(itemgetter(k), level))]
+            sums.append([a % d for a in s])
+        keys = list(zip(*sums)) or [()] * len(level)  # one per prefix, () if no checks
         allowed = {}  # residues of the partial sums -> values left for the slot
-        grown = []
-        for prefix in level:
-            key = tuple([sum([c * prefix[k] for k, c in terms]) % d
-                         for _, terms, d in checks])
-            if key not in allowed:
-                allowed[key] = [x for x in range(m) if all(
-                    (r + c * x) % d == 0 for r, (c, _, d) in zip(key, checks))]
-            grown += [prefix + (x,) for x in allowed[key]]
-        level = grown
+        for key in set(keys):
+            values = range(m)
+            for r, (c, _, d) in zip(key, checks):
+                values = [x for x in values if (r + c * x) % d == 0]
+            allowed[key] = values
+        level = [p + (x,) for p, key in zip(level, keys) for x in allowed[key]]
     return level if back == sorted(back) else sorted(tuple(x[i] for i in back) for x in level)
 
 

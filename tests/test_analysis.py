@@ -315,6 +315,76 @@ class TestIndependentOracle:
         assert report.verdict and report.mode == "exhaustive"
 
 
+def residue_forms(rng, m, n):
+    """Up to n + 2 random (form, d) conditions over n slots, each of 1 to
+    4 terms as reduced_solution_set makes them.  A coefficient may be 0 or
+    a multiple of d, d is any divisor of m (1 and m included), and now and
+    then a condition is repeated."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    forms = []
+    for _ in range(rng.randint(0, n + 2)):
+        if forms and rng.random() < 0.2:
+            forms.append(rng.choice(forms))
+            continue
+        d = rng.choice(divisors)
+        slots = rng.sample(range(n), rng.randint(1, min(4, n)))
+        forms.append(({k: rng.choice([0, d * rng.randint(-2, 2), rng.randint(-2 * m, 2 * m)])
+                       for k in slots}, d))
+    return forms
+
+
+def product_search(m, n, forms):
+    """What _residue_search promises, by itertools.product: the tuples
+    whose every form is divisible by its d, in lexicographic order."""
+    return [x for x in product(range(m), repeat=n)
+            if all(sum(c * x[k] for k, c in form.items()) % d == 0 for form, d in forms)]
+
+
+def residue_search(m, n, forms):
+    g = make_graph(integers_mod(m), [f"v{i}" for i in range(n)], [])
+    return analysis._residue_search(g, forms)
+
+
+class TestResidueSearch:
+    """The search's list, order included, against the product filter."""
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_seeded_forms(self, seed):
+        rng = seeded(seed)
+        m = rng.randint(2, 12)
+        n = rng.randint(1, max(n for n in range(1, 13) if m ** n <= 4096))
+        forms = residue_forms(rng, m, n)
+        assert residue_search(m, n, forms) == product_search(m, n, forms)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_chains_off_declaration_order(self, seed):
+        """Two-term forms along a shuffled chain of the slots mostly take
+        the search off declaration order, so its tuples are sorted back."""
+        rng = seeded(seed)
+        m = rng.randint(2, 6)
+        n = max(n for n in range(1, 13) if m ** n <= 4096)
+        chain = rng.sample(range(n), n)
+        divisors = [d for d in range(2, m + 1) if m % d == 0]
+        forms = []
+        for a, b in zip(chain, chain[1:]):
+            d = rng.choice(divisors)
+            forms.append(({a: rng.randrange(1, d), b: rng.randrange(1, d) - d}, d))
+        forms += residue_forms(rng, m, n)
+        assert residue_search(m, n, forms) == product_search(m, n, forms)
+
+    @pytest.mark.parametrize("m, n, forms", [
+        (3, 3, []),  # every tuple
+        (4, 4, [({0: 1, 3: -1}, 2), ({3: 1, 1: 3}, 4)]),  # slots 0, 3, 1, 2
+        (6, 4, [({2: 1, 3: 5}, 3), ({3: 2, 0: 1}, 6), ({1: 4, 2: 3, 0: 6}, 6)]),  # 0, 3, 2, 1
+        # d = 1 and multiples of d drop two forms; slots 0, 1, 3, 2
+        (5, 4, [({1: 1, 0: 0}, 1), ({0: 5, 2: 10}, 5), ({3: 1, 1: 4}, 5)]),
+        (6, 3, [({0: 2, 2: 4}, 6)] * 3 + [({1: 3}, 2), ({1: 9, 0: 3}, 6)]),  # repeated
+        (12, 3, [({0: 1, 2: -1}, 12), ({2: 6}, 12), ({1: 4, 0: 8}, 12)]),  # d = m
+    ])
+    def test_chosen_forms(self, m, n, forms):
+        assert residue_search(m, n, forms) == product_search(m, n, forms)
+
+
 def recorded_searches(monkeypatch):
     """Wrap analysis._residue_search; the list it returns fills with each
     search's result as a set, in call order."""
