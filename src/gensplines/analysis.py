@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .construct import GeneratingFamily, flow_up_family
@@ -24,7 +23,7 @@ from .graphs import (
     spanning_subgraph,
     spanning_tree,
 )
-from .rings import INTEGERS, INTEGERS_MOD, UnsupportedRingError
+from .rings import INTEGERS, INTEGERS_MOD, Record, UnsupportedRingError
 from .splines import Spline, verify
 
 DEFAULT_BUDGET = 10_000_000
@@ -34,13 +33,14 @@ class BudgetExceededError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SplineSet:
+class SplineSet(Record):
     """All splines of a graph over Z/m, as residue tuples in vertex
     declaration order, lexicographically sorted."""
 
-    graph: EdgeLabeledGraph
-    members: tuple
+    __slots__ = ("graph", "members")
+
+    def __init__(self, graph: EdgeLabeledGraph, members: tuple):
+        self._set(graph, members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -131,14 +131,14 @@ def enumerate_splines(graph: EdgeLabeledGraph,
     return SplineSet(graph, tuple(_row_search(build_gkm_matrix(graph), graph.edges, budget)))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    claim: str
-    subgraphs: tuple  # edge sets, for reference
-    verdict: bool
-    counterexample: object = None
-    mode: str = "exhaustive"
-    seed: int | None = None
+class DecompositionReport(Record):
+    """subgraphs holds the edge sets, for reference."""
+
+    __slots__ = ("claim", "subgraphs", "verdict", "counterexample", "mode", "seed")
+
+    def __init__(self, claim: str, subgraphs: tuple, verdict: bool, counterexample=None,
+                 mode: str = "exhaustive", seed: int | None = None):
+        self._set(claim, subgraphs, verdict, counterexample, mode, seed)
 
 
 def _check_cover(graph: EdgeLabeledGraph, subgraphs) -> list:

@@ -8,7 +8,6 @@ outputs are deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphs import (
@@ -22,6 +21,7 @@ from .graphs import (
 )
 from .rings import (
     INTEGERS_MOD,
+    Record,
     RingElement,
     UnsupportedRingError,
     ext_gcd,
@@ -32,8 +32,7 @@ from .rings import (
 from .splines import Spline, check_host, verify
 
 
-@dataclass(frozen=True)
-class GeneratingFamily:
+class GeneratingFamily(Record):
     """An ordered family of verified splines, triangular under vertex_order.
 
     The matrix with (j, i) entry members[i](vertex_order[j]) is
@@ -41,10 +40,11 @@ class GeneratingFamily:
     certifies linear independence (free rank-n submodule).
     """
 
-    graph: EdgeLabeledGraph
-    members: tuple
-    vertex_order: tuple
-    scaling_factors: tuple
+    __slots__ = ("graph", "members", "vertex_order", "scaling_factors")
+
+    def __init__(self, graph: EdgeLabeledGraph, members: tuple, vertex_order: tuple,
+                 scaling_factors: tuple):
+        self._set(graph, members, vertex_order, scaling_factors)
 
 
 def trivial_spline(graph: EdgeLabeledGraph, r: RingElement) -> Spline:
@@ -190,12 +190,14 @@ def _grown_pairs(graph, rooted, start, step, part=None):
             yield u, v, grown[v]
 
 
-@dataclass(frozen=True)
-class TreeMembershipReport:
-    ok: bool
-    failures: tuple  # vertex pairs with no decomposition
-    graph: EdgeLabeledGraph = field(repr=False)
-    spline: Spline = field(repr=False)
+class TreeMembershipReport(Record):
+    """failures holds the vertex pairs with no decomposition."""
+
+    __slots__ = ("ok", "failures", "graph", "spline", "__dict__")  # __dict__ holds witnesses
+    _unshown = ("graph", "spline")
+
+    def __init__(self, ok: bool, failures: tuple, graph: EdgeLabeledGraph, spline: Spline):
+        self._set(ok, failures, graph, spline)
 
     @cached_property
     def witnesses(self) -> dict:

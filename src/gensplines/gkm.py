@@ -7,17 +7,17 @@ row reduction stays exact and reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import (EdgeLabeledGraph, GraphError, TreeSkeleton, fundamental_cycles,
                      keyed_by_edge, path_edges, path_order, tree_edge_keys)
+from .rings import Record
 from .splines import Spline, check_host
 
 
-@dataclass(frozen=True)
-class GkmMatrix:
-    graph: EdgeLabeledGraph
-    rows: tuple  # directed edges (tail, head), one per graph edge
+class GkmMatrix(Record):
+    __slots__ = ("graph", "rows")  # rows: directed edges (tail, head), one per graph edge
+
+    def __init__(self, graph: EdgeLabeledGraph, rows: tuple):
+        self._set(graph, rows)
 
     def rows_by_edge(self) -> dict:
         """Each edge's signed incidence row, in row order: +1 at the tail,
@@ -69,17 +69,24 @@ def solves(matrix: GkmMatrix, p: Spline, q: dict) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SystemRow:
+class SystemRow(Record):
     """One row of a (reduced) extended system.
 
     rhs is a sum of symbolic slots: (sign, edge) stands for
     sign * q_edge with q_edge ranging over the ideal of that edge.
     """
 
-    edge: tuple
-    coeffs: tuple
-    rhs: tuple
+    __slots__ = ("edge", "coeffs", "rhs")
+
+    def __init__(self, edge: tuple, coeffs: tuple, rhs: tuple):
+        self._set(edge, coeffs, rhs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SystemRow and (self.edge, self.coeffs, self.rhs) == (
+            other.edge, other.coeffs, other.rhs)
+
+    def __hash__(self) -> int:
+        return hash((self.edge, self.coeffs, self.rhs))
 
     def rhs_text(self, graph: EdgeLabeledGraph) -> str:
         parts = []
@@ -93,12 +100,12 @@ class SystemRow:
         return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    graph: EdgeLabeledGraph
-    tree_rows: tuple
-    cycle_rows: tuple
-    transform_log: tuple
+class ReducedSystem(Record):
+    __slots__ = ("graph", "tree_rows", "cycle_rows", "transform_log")
+
+    def __init__(self, graph: EdgeLabeledGraph, tree_rows: tuple, cycle_rows: tuple,
+                 transform_log: tuple):
+        self._set(graph, tree_rows, cycle_rows, transform_log)
 
 
 def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:

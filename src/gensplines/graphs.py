@@ -7,10 +7,9 @@ default edge orientation (earlier vertex -> later vertex).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
 
-from .rings import Ideal, RingMismatchError, RingSpec
+from .rings import Ideal, Record, RingMismatchError, RingSpec
 
 
 class GraphError(ValueError):
@@ -40,7 +39,7 @@ def _bfs(adj, root):
     return depth, parent
 
 
-class EdgeLabeledGraph:
+class EdgeLabeledGraph(Record):
     """A finite simple graph with an ideal attached to every edge."""
 
     __slots__ = ("ring", "vertices", "edges", "labels", "_index", "_adj")
@@ -78,15 +77,7 @@ class EdgeLabeledGraph:
             adj[v].append(u)
         for v in adj:
             adj[v].sort(key=index.__getitem__)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", adj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EdgeLabeledGraph is immutable")
+        self._set(ring, vertices, tuple(edges), labels, index, adj)
 
     def index(self, v) -> int:
         try:
@@ -149,15 +140,14 @@ def build_graph(ring: RingSpec, vertices, edges_with_generators) -> EdgeLabeledG
     return EdgeLabeledGraph(ring, vertices, edges_with_generators)
 
 
-@dataclass(frozen=True)
-class TreeSkeleton:
+class TreeSkeleton(Record):
     """A rooted spanning tree of a host graph."""
 
-    host: EdgeLabeledGraph
-    root: object
-    parent: dict
-    tree_edges: tuple
-    depth: dict
+    __slots__ = ("host", "root", "parent", "tree_edges", "depth")
+
+    def __init__(self, host: EdgeLabeledGraph, root, parent: dict, tree_edges: tuple,
+                 depth: dict):
+        self._set(host, root, parent, tree_edges, depth)
 
 
 def _skeleton(graph: EdgeLabeledGraph, adj, root) -> TreeSkeleton | None:
@@ -234,16 +224,17 @@ def path_edges(graph: EdgeLabeledGraph, walk) -> list:
     return [graph.edge_key(a, b) for a, b in zip(walk, walk[1:])]
 
 
-@dataclass(frozen=True)
-class CycleDescriptor:
+class CycleDescriptor(Record):
     """The fundamental cycle of a chord: chord first, then tree edges.
 
     vertex_sequence starts at the chord's tail, crosses the chord, and
     walks back to the tail through the tree.
     """
 
-    chord: tuple
-    vertex_sequence: tuple
+    __slots__ = ("chord", "vertex_sequence")
+
+    def __init__(self, chord: tuple, vertex_sequence: tuple):
+        self._set(chord, vertex_sequence)
 
     def steps(self):
         """Consecutive (a, b) traversal steps around the cycle."""

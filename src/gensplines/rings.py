@@ -13,15 +13,19 @@ only reduces mod m; RingSpec.element, which validates and converts
 input, is for values from outside the ring layer.  int supplies the
 payload arithmetic for Z and Z/m, and the private _Poly supplies it for
 Q[x]: it is born and computed in its one form, and reads as a tuple of
-Fractions that are built only when read.  The ring
-kind is read only where the rings differ: canonical form, units,
-divisibility mod m, the normalizing unit and the operations Z/m refuses.
+Fractions that are built only when read.  The ring kind is read only
+where the rings differ: canonical form, units, divisibility mod m, exact
+division in Q[x] (on primitive parts, with no scaling), the normalizing
+unit and the operations Z/m refuses.
+
+The library's classes keep their fields immutable through Record, not
+@dataclass(frozen=True), whose module imports inspect, which nothing else
+in a CLI process loads.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -90,21 +94,50 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    kind: str
-    modulus: int | None = None
+class Record:
+    """An immutable record: __init__ sets its fields once, through _set in
+    __slots__ order, and assigning or deleting a field raises.  repr shows
+    every field but the private ones and those named in _unshown."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in (INTEGERS, INTEGERS_MOD, POLY_RATIONAL):
-            raise ValueError(f"unknown ring kind: {self.kind!r}")
-        if self.kind == INTEGERS_MOD:
-            if self.modulus is not None and type(self.modulus) is not int:
-                raise ValueError(f"integers-mod requires an int modulus, got {self.modulus!r}")
-            if self.modulus is None or self.modulus < 2:
+    __slots__ = ()
+    _unshown = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                 if name[0] != "_" and name not in self._unshown)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class RingSpec(Record):
+    __slots__ = ("kind", "modulus", "__dict__")  # __dict__ holds zero and one
+
+    def __init__(self, kind: str, modulus: int | None = None):
+        if kind not in (INTEGERS, INTEGERS_MOD, POLY_RATIONAL):
+            raise ValueError(f"unknown ring kind: {kind!r}")
+        if kind == INTEGERS_MOD:
+            if modulus is not None and type(modulus) is not int:
+                raise ValueError(f"integers-mod requires an int modulus, got {modulus!r}")
+            if modulus is None or modulus < 2:
                 raise ValueError("integers-mod requires a modulus >= 2")
-        elif self.modulus is not None:
-            raise ValueError(f"{self.kind} does not take a modulus")
+        elif modulus is not None:
+            raise ValueError(f"{kind} does not take a modulus")
+        self._set(kind, modulus)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is RingSpec and self.kind == other.kind
+                and self.modulus == other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.modulus))
 
     @property
     def is_euclidean(self) -> bool:
@@ -172,9 +205,11 @@ class _Poly:
     _canonical builds that form from integer coefficients: + and - take
     one gcd over the result, * none, since a product of primitive parts
     is primitive (Gauss's lemma; von zur Gathen and Gerhard, Modern
-    Computer Algebra, 6.2).  divmod pseudo-divides the primitive parts:
-    with L the divisor's last entry, the dividend's is scaled once by L^k,
-    k = deg a - deg b + 1, so that every quotient step divides exactly.
+    Computer Algebra, 6.2).  exact_quotient divides the primitive parts
+    exactly, with no scaling.  divmod and %, which gcd and ext_gcd need,
+    pseudo-divide them: with L the divisor's last entry, the dividend's
+    is scaled once by L^k, k = deg a - deg b + 1, so that every quotient
+    step divides exactly.
     The payload reads as the tuple of its lowest-terms Fractions, built
     only when read: len, iteration, indexing, == and hash are its."""
 
@@ -275,6 +310,33 @@ class _Poly:
         n, d = self.content.as_integer_ratio()
         return _Poly._canonical(rem, n, d * scale)
 
+    def exact_quotient(self, other: "_Poly") -> "_Poly | None":
+        """self / other when other divides self, else None.  If B divides
+        A, primitive parts, the quotient is primitive with a positive last
+        entry (Gauss's lemma), so long division of A by B divides every step
+        exactly: a step that does not, or a nonzero final remainder, shows
+        that B does not divide A.  The quotient's content is the contents'."""
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        a, b = self.prim, other.prim
+        nb = len(b) - 1
+        if len(a) <= nb:
+            return None if a else self
+        lead = b[-1]
+        rem = list(a)
+        quot = [0] * (len(a) - nb)
+        for i in range(len(a) - 1, nb - 1, -1):
+            f, r = divmod(rem[i], lead)
+            if r:
+                return None
+            if f:
+                quot[i - nb] = f
+                for j in range(nb):
+                    rem[i - nb + j] -= f * b[j]
+        if any(rem[:nb]):
+            return None
+        return _Poly(self.content / other.content, tuple(quot))
+
     def __str__(self) -> str:
         text = ""
         for deg in range(len(self) - 1, -1, -1):
@@ -300,7 +362,7 @@ class _Poly:
         return text or "0"
 
 
-class RingElement:
+class RingElement(Record):
     """An exact, canonical element of one of the supported rings."""
 
     __slots__ = ("ring", "payload")
@@ -308,9 +370,6 @@ class RingElement:
     def __init__(self, ring: RingSpec, payload):
         _SET_RING(self, ring)
         _SET_PAYLOAD(self, payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
 
     def _check(self, other: "RingElement") -> None:
         if not isinstance(other, RingElement):
@@ -353,6 +412,8 @@ class RingElement:
             return other.payload % math.gcd(self.payload, self.ring.modulus) == 0
         if not self.payload:
             return not other.payload
+        if self.ring.kind == POLY_RATIONAL:
+            return other.payload.exact_quotient(self.payload) is not None
         return not other.payload % self.payload
 
     def exact_div(self, other: "RingElement") -> "RingElement":
@@ -360,8 +421,12 @@ class RingElement:
         self._check(other)
         if not self.ring.is_euclidean:
             raise UnsupportedRingError("exact division is not defined mod m")
-        q, r = divmod(self.payload, other.payload)
-        if r:
+        if self.ring.kind == POLY_RATIONAL:
+            q = self.payload.exact_quotient(other.payload)
+        else:
+            q, r = divmod(self.payload, other.payload)
+            q = None if r else q
+        if q is None:
             raise ValueError(f"{other} does not divide {self}")
         return _element(self.ring, q)
 
@@ -456,7 +521,7 @@ def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, R
     return g, x, y
 
 
-class Ideal:
+class Ideal(Record):
     """A finitely generated ideal with a canonical single generator.
 
     All supported rings are principal settings: in Z and Q[x] the
@@ -475,8 +540,6 @@ class Ideal:
         for g in generators:  # the first too: it may not be a RingElement
             RingElement._check(generators[0], g)
         ring = generators[0].ring
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", generators)
         divisor = None
         if ring.kind == INTEGERS_MOD:
             divisor = math.gcd(ring.modulus, *(g.payload for g in generators))
@@ -485,11 +548,7 @@ class Ideal:
             canonical = _normalized(generators[0])
             for g in generators[1:]:
                 canonical = gcd(canonical, g)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "divisor", divisor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
+        self._set(ring, generators, canonical, divisor)
 
     def contains(self, a: RingElement) -> bool:
         """Over Z/m, a residue is in the ideal exactly when divisor

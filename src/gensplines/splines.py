@@ -6,7 +6,6 @@ is checked by verify(), never assumed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .graphs import (
     DisconnectedGraphError,
@@ -14,10 +13,10 @@ from .graphs import (
     GraphError,
     disjoint_union,
 )
-from .rings import RingElement, RingMismatchError
+from .rings import Record, RingElement, RingMismatchError
 
 
-class Spline:
+class Spline(Record):
     """A total map from the host graph's vertices to ring elements."""
 
     __slots__ = ("graph", "values")
@@ -35,11 +34,7 @@ class Spline:
         for v, x in values.items():
             if not isinstance(x, RingElement) or (x.ring is not ring and x.ring != ring):
                 raise RingMismatchError(f"value at {v!r} is not over {ring}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Spline is immutable")
+        self._set(graph, values)
 
     def __getitem__(self, v) -> RingElement:
         return self.values[v]
@@ -63,10 +58,11 @@ class Spline:
         return f"Spline({inner})"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    violations: tuple  # of (edge, difference)
+class VerificationReport(Record):
+    __slots__ = ("ok", "violations")  # violations: (edge, difference) pairs
+
+    def __init__(self, ok: bool, violations: tuple):
+        self._set(ok, violations)
 
 
 def check_host(graph: EdgeLabeledGraph, spline: Spline) -> None:

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: exit codes, JSON output, DOT emission."""
 import argparse
-import dataclasses
 import errno
 import hashlib
 import json
@@ -12,7 +11,7 @@ import sys
 
 import pytest
 
-from gensplines import analysis, cli, serialize
+from gensplines import VerificationReport, analysis, cli, serialize
 from gensplines.cli import main
 
 from conftest import FIXTURES
@@ -500,7 +499,7 @@ class TestSelfcheck:
 
         def padded(graph, budget):
             found = enumerate_splines(graph, budget)
-            return dataclasses.replace(found, members=found.members + ((1, 2, 3),))
+            return analysis.SplineSet(found.graph, found.members + ((1, 2, 3),))
 
         monkeypatch.setattr(analysis, "enumerate_splines", padded)
         code, out, _ = run(capsys, "selfcheck", C3Z4)
@@ -512,8 +511,8 @@ class TestSelfcheck:
     def test_refuted_sampled_claims_exit_one(self, capsys, monkeypatch, k4_graph):
         first_draw = analysis.random_member(k4_graph, random.Random(4))
         verify = analysis.verify
-        monkeypatch.setattr(analysis, "verify",
-                            lambda graph, p: dataclasses.replace(verify(graph, p), ok=False))
+        monkeypatch.setattr(analysis, "verify", lambda graph, p: VerificationReport(
+            False, verify(graph, p).violations))
         code, out, _ = run(capsys, "selfcheck", K4, "--seed", "4")
         assert code == 1
         reports = json.loads(out)
@@ -573,11 +572,13 @@ class TestFreshProcess:
                               env=env, capture_output=True, timeout=60)
         assert done.returncode == entry["exit"], done.stderr.decode()
         assert hashlib.sha256(done.stdout).hexdigest() == entry["stdout_sha256"]
-        loaded = {name.removeprefix("gensplines.")
-                  for name in done.stderr.decode().splitlines()[-1].split()
+        modules = set(done.stderr.decode().splitlines()[-1].split())
+        loaded = {name.removeprefix("gensplines.") for name in modules
                   if name.startswith("gensplines.")}
         assert {"rings", "graphs", "splines", "serialize"} <= loaded
         assert loaded & DEFERRED == DEFERRED_LOADED[argv[0]]
+        # the records are plain classes: dataclasses would load inspect
+        assert not modules & {"dataclasses", "inspect"}
 
 
 def readme_usage():

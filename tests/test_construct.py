@@ -207,6 +207,26 @@ class TestTreeFamily:
 
 
 class TestTreeMembership:
+    def test_records_are_frozen_and_keep_their_semantics(self):
+        # the library's records are plain classes: RingSpec still compares
+        # and hashes by value, no field can be set or deleted, and the
+        # report's witnesses are built once
+        assert integers_mod(6) == integers_mod(6) and integers_mod(6) != integers_mod(7)
+        assert integers() == Z and hash(integers_mod(6)) == hash(integers_mod(6))
+        assert len({poly_rational(), poly_rational(), Z, integers()}) == 2
+        g = make_graph(Z, ["c", "a", "b"], [("c", "a", 2), ("c", "b", 3)])
+        p = Spline(g, {"c": Z.element(0), "a": Z.element(4), "b": Z.element(9)})
+        report = tree_membership(g, p)
+        for record, name in ((Z, "kind"), (Z, "modulus"), (report, "ok"),
+                             (report, "witnesses"), (verify(g, p), "ok"),
+                             (spanning_tree(g), "root"), (g, "edges"), (p, "values")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert report.witnesses is report.witnesses
+        assert repr(report) == "TreeMembershipReport(ok=True, failures=())"
+
     def test_star_positive_with_witnesses(self):
         g = make_graph(Z, ["c", "a", "b"], [("c", "a", 2), ("c", "b", 3)])
         p = Spline(g, {"c": Z.element(0), "a": Z.element(4), "b": Z.element(9)})

@@ -202,8 +202,17 @@ class TestArithmetic:
     def test_exact_div(self):
         assert Z.element(-12).exact_div(Z.element(4)) == Z.element(-3)
         assert P(1, 0, 0, 0, 0, 1).exact_div(P(1, 1)) == P(1, -1, 1, -1, 1)
+        assert P(0, 0, 1, 2).exact_div(P(1, 2)) == P(0, 0, 1)
+        assert P(2, 4).exact_div(P(Fraction(-2, 3))) == P(-3, -6)
+        assert QX.zero.exact_div(P(1, 1)) == QX.zero
         with pytest.raises(ValueError):
             Z.element(5).exact_div(Z.element(2))
+        # (2x + 1) * x^2 + 1 by 2x + 1, x^2 + 1 by x + 1 and 1 by x: every
+        # quotient step divides, only the remainder does not
+        for a, b in ((P(1, 0, 1, 2), P(1, 2)), (P(1, 0, 1), P(1, 1)), (P(1), P(0, 1))):
+            assert not b.divides(a)
+            with pytest.raises(ValueError, match="does not divide"):
+                a.exact_div(b)
         with pytest.raises(UnsupportedRingError):
             integers_mod(4).element(2).exact_div(integers_mod(4).element(2))
         with pytest.raises(ZeroDivisionError):
@@ -492,19 +501,56 @@ class TestPolynomialsAgainstSympy:
             assert b.divides(a) == a.is_zero
             return
         assert (a * b).exact_div(b) == a == from_sympy((sa * sb).exquo(sb))
-        assert b.divides(a) == sa.rem(sb).is_zero
-        assert b.divides(a * b)
-        q, r = (QX.element(c) for c in divmod(a.payload, b.payload))
+        assert canonical((a * b).exact_div(b))
         sq, sr = sa.div(sb)
+        assert b.divides(a) == sr.is_zero
+        assert b.divides(a * b)
+        if sr.is_zero:
+            assert a.exact_div(b) == from_sympy(sq) and canonical(a.exact_div(b))
+        else:
+            with pytest.raises(ValueError, match="does not divide"):
+                a.exact_div(b)
+        q, r = (QX.element(c) for c in divmod(a.payload, b.payload))
         assert q == from_sympy(sq) and r == from_sympy(sr) and canonical(q, r)
         rem = QX.element(a.payload % b.payload)
         assert rem == r and canonical(rem)
 
+    @staticmethod
+    def near_multiples(rng, count):
+        """(q * b + c * x^k, b) pairs with k < deg b, integer coefficients
+        with gcd 1 and a positive lead, and b's lead above 1: long division
+        of the primitive parts divides at every step, and only the final
+        remainder shows that b does not divide."""
+        pairs = []
+        while len(pairs) < count:
+            b = P(*(rng.randint(-9, 9) for _ in range(rng.randint(1, 5))), rng.randint(2, 9))
+            q = P(*(rng.randint(-9, 9) for _ in range(rng.randint(0, 5))), rng.randint(1, 9))
+            k = rng.randrange(len(b.payload) - 1)
+            a = q * b + P(*[0] * k, rng.choice((-3, -1, 1, 2)))
+            if a.payload.content == 1 and b.payload.content == 1:
+                pairs.append((a, b))
+        return pairs
+
     def test_matches_sympy(self, sympy_qq):
-        polys = self.random_polys(random.Random(20130604), 24)
+        rng = random.Random(20130604)
+        polys = self.random_polys(rng, 24)
         for a in polys:
             for b in polys:
                 self.check_pair(sympy_qq, a, b)
+        for a, b in self.near_multiples(rng, 40):
+            assert not b.divides(a)
+            self.check_pair(sympy_qq, a, b)
+
+    def test_large_exact_division_at_once(self):
+        # exact division of primitive parts needs no L^k scaling: with it,
+        # these three divisions took about 0.4 s
+        rng = random.Random(60)
+        a, b = (p for p in self.large_polys(rng) + self.large_polys(rng) if len(p.payload) == 31)
+        product = a * b
+        start = time.perf_counter()
+        assert product.exact_div(b) == a and b.divides(product)
+        assert not b.divides(product + QX.one)
+        assert time.perf_counter() - start < 0.1
 
     def test_large_polynomials_match_sympy(self, sympy_qq):
         # Euclid over Q on two random degree-25 polynomials with 10^20

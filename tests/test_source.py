@@ -55,6 +55,22 @@ def test_library_imports_only_the_standard_library():
     assert not found, f"imports outside the standard library {found}"
 
 
+def test_library_does_not_import_dataclasses():
+    # dataclasses imports inspect, which a CLI process otherwise never
+    # loads; the records build on rings.Record instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "dataclasses"]
+    assert not found, f"dataclasses imported at {found}"
+
+
 def test_cli_writes_stdout_once_in_main():
     # main loads, runs and emits every subcommand, so stdout stays empty
     # on exits 2 and 3
