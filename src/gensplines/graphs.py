@@ -65,7 +65,7 @@ class EdgeLabeledGraph(Record):
                 raise GraphError(f"duplicate edge {u!r}-{v!r}")
             if not isinstance(ideal, Ideal):
                 ideal = Ideal(ideal)
-            if ideal.ring != ring:
+            if ideal.ring is not ring and ideal.ring != ring:
                 raise RingMismatchError(
                     f"edge {u!r}-{v!r} labeled over {ideal.ring}, graph over {ring}"
                 )

@@ -3,17 +3,21 @@
 Supported rings: the integers, integers mod m (m >= 2), and univariate
 polynomials with rational coefficients.  All values are immutable and
 kept in canonical form, so structural equality decides ring equality:
-residues live in [0, m), a polynomial is a rational content times a
-primitive integer part, and ideal generators are collapsed to a single
-normalized gcd generator.
+residues live in [0, m), a polynomial is a rational content, held as a
+lowest-terms pair of ints, times a primitive integer part, and ideal
+generators are collapsed to a single normalized gcd generator.
 
 RingElement has one arithmetic path for every ring: it combines payloads
 with +, -, *, divmod and % and wraps the result through _element, which
 only reduces mod m; RingSpec.element, which validates and converts
 input, is for values from outside the ring layer.  int supplies the
 payload arithmetic for Z and Z/m, and the private _Poly supplies it for
-Q[x]: it is born and computed in its one form, and reads as a tuple of
-Fractions that are built only when read.  The ring kind is read only
+Q[x]: it is born and computed in its one form, with ints and math.gcd
+alone.  It reads as a tuple of Fractions; only those reads and
+_coefficient, given a Fraction, build one, and they import fractions
+(which loads decimal and numbers) inside the method, so a command that
+reads no coefficient as a Fraction does not load it.  _coefficient_text
+writes a coefficient for str and JSON.  The ring kind is read only
 where the rings differ: canonical form, units, divisibility mod m, exact
 division in Q[x] (on primitive parts, with no scaling), the normalizing
 unit and the operations Z/m refuses.
@@ -27,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
-from fractions import Fraction
 
 INTEGERS = "integers"
 INTEGERS_MOD = "integers-mod"
@@ -65,15 +68,32 @@ def read_decimal(text: str) -> int:
 def _coefficient(c) -> tuple[int, int]:
     """A Q[x] coefficient's integer ratio from an int, a Fraction or a "p" or
     "p/q" string of decimal integers, not Fraction("1e100000000")'s 10^8 digits."""
-    if type(c) in (int, Fraction):
-        return c.as_integer_ratio()
+    if type(c) is int:
+        return c, 1
     if not isinstance(c, str):
-        raise TypeError(f"expected an int, a Fraction or a string coefficient, got {c!r}")
+        from fractions import Fraction
+        if type(c) is not Fraction:
+            raise TypeError(f"expected an int, a Fraction or a string coefficient, got {c!r}")
+        return c.as_integer_ratio()
     num, slash, den = c.partition("/")
     n, d = read_decimal(num), read_decimal(den) if slash else 1
     if not d:
         raise ZeroDivisionError(f"zero denominator in {c!r}")
     return n, d
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den, den nonzero, in lowest terms with den > 0."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _coefficient_text(num: int, den: int) -> str:
+    """A Q[x] coefficient num/den, in lowest terms with den > 0, as str and
+    JSON write it: "p", or "p/q" when den is not 1."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def _is_prime(n: int) -> bool:
@@ -162,7 +182,10 @@ class RingSpec(Record):
             value = value.payload
         if self.kind == POLY_RATIONAL:
             if not isinstance(value, _Poly):
-                coeffs = (value,) if isinstance(value, (int, float, Fraction, str)) else value
+                # a str is one coefficient; so is any other value with no
+                # __iter__, which _coefficient takes or refuses
+                iterable = hasattr(value, "__iter__") and not isinstance(value, str)
+                coeffs = value if iterable else (value,)
                 ratios = [_coefficient(c) for c in coeffs]
                 den = math.lcm(*[d for _, d in ratios])
                 value = _Poly._canonical([n * (den // d) for n, d in ratios], 1, den)
@@ -198,9 +221,10 @@ def poly_rational() -> RingSpec:
 
 class _Poly:
     """A Q[x] payload, content times primitive part, and the arithmetic
-    that int has for Z and Z/m.  content is a Fraction with the sign, 0
-    for the zero polynomial; prim holds ints in ascending degree with gcd
-    1, a positive last entry and no trailing zero, () for zero.
+    that int has for Z and Z/m.  The content is num/den in lowest terms,
+    den > 0 and the sign on num, 0/1 for the zero polynomial; prim holds
+    ints in ascending degree with gcd 1, a positive last entry and no
+    trailing zero, () for zero.
 
     _canonical builds that form from integer coefficients: + and - take
     one gcd over the result, * none, since a product of primitive parts
@@ -209,39 +233,53 @@ class _Poly:
     exactly, with no scaling.  divmod and %, which gcd and ext_gcd need,
     pseudo-divide them: with L the divisor's last entry, the dividend's
     is scaled once by L^k, k = deg a - deg b + 1, so that every quotient
-    step divides exactly.
+    step divides exactly.  The contents are combined with ints and
+    math.gcd alone.
     The payload reads as the tuple of its lowest-terms Fractions, built
-    only when read: len, iteration, indexing, == and hash are its."""
+    only when read: len, iteration, indexing, == and hash are its.
+    ratios() reads the same coefficients as integer pairs."""
 
-    __slots__ = ("content", "prim")
+    __slots__ = ("num", "den", "prim")
 
-    def __init__(self, content: Fraction, prim: tuple):
-        self.content, self.prim = content, prim
+    def __init__(self, num: int, den: int, prim: tuple):
+        self.num, self.den, self.prim = num, den, prim
 
     @staticmethod
     def _canonical(coeffs: list, num: int, den: int) -> "_Poly":
-        """The _Poly with coefficients coeffs[i] * num / den, coeffs ints:
-        their gcd, signed as the last nonzero one, joins the content."""
+        """The _Poly with coefficients coeffs[i] * num / den, coeffs ints
+        and num, den nonzero: their gcd, signed as the last nonzero one,
+        joins the content."""
         n = len(coeffs)
         while n and not coeffs[n - 1]:
             n -= 1
         if not n:
-            return _Poly(0, ())
+            return _Poly(0, 1, ())
         g = -math.gcd(*coeffs) if coeffs[n - 1] < 0 else math.gcd(*coeffs)
-        return _Poly(Fraction(num * g, den), tuple(c // g for c in coeffs[:n]))
+        num, den = _ratio(num * g, den)
+        return _Poly(num, den, tuple(c // g for c in coeffs[:n]))
+
+    def ratios(self):
+        """The coefficients in ascending degree as lowest-terms
+        (numerator, denominator) pairs, denominator > 0."""
+        num, den = self.num, self.den
+        return (_ratio(num * c, den) for c in self.prim)
 
     def __len__(self) -> int:
         return len(self.prim)
 
     def __iter__(self):
-        return (self.content * c for c in self.prim)
+        from fractions import Fraction
+        num, den = self.num, self.den
+        return (Fraction(num * c, den) for c in self.prim)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.content * self.prim[i]
+    def __getitem__(self, i: int):
+        from fractions import Fraction
+        return Fraction(self.num * self.prim[i], self.den)
 
     def __eq__(self, other) -> bool:
         if type(other) is _Poly:
-            return self.prim == other.prim and self.content == other.content
+            return (self.prim == other.prim and self.num == other.num
+                    and self.den == other.den)
         return tuple(self) == other
 
     def __hash__(self) -> int:
@@ -249,7 +287,7 @@ class _Poly:
 
     def _combine(self, other: "_Poly", sign: int) -> "_Poly":
         """self + sign * other, the contents' numerator gcd taken out."""
-        (n, d), (m, e) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        n, d, m, e = self.num, self.den, other.num, other.den
         h, den = math.gcd(n, m) or 1, math.lcm(d, e)
         sa, sb = n // h * (den // d), sign * (m // h) * (den // e)
         a, b = self.prim, other.prim
@@ -265,7 +303,7 @@ class _Poly:
         return self._combine(other, -1)
 
     def __neg__(self) -> "_Poly":
-        return _Poly(-self.content, self.prim)
+        return _Poly(-self.num, self.den, self.prim)
 
     def __mul__(self, other: "_Poly") -> "_Poly":
         a, b = self.prim, other.prim
@@ -278,7 +316,8 @@ class _Poly:
             if y:
                 for i, x in enumerate(a, j):
                     out[i] += x * y
-        return _Poly(self.content * other.content, tuple(out))
+        num, den = _ratio(self.num * other.num, self.den * other.den)
+        return _Poly(num, den, tuple(out))
 
     def _pseudo_divide(self, other: "_Poly") -> tuple[list, list, int]:
         """(Q, R, L^k) with L^k * A = Q * B + R for the primitive parts A
@@ -302,13 +341,13 @@ class _Poly:
 
     def __divmod__(self, other: "_Poly") -> tuple["_Poly", "_Poly"]:
         quot, rem, scale = self._pseudo_divide(other)
-        (n, d), (m, e) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
-        return _Poly._canonical(quot, n * e, d * m * scale), _Poly._canonical(rem, n, d * scale)
+        n, d = self.num, self.den
+        return (_Poly._canonical(quot, n * other.den, d * other.num * scale),
+                _Poly._canonical(rem, n, d * scale))
 
     def __mod__(self, other: "_Poly") -> "_Poly":
         _, rem, scale = self._pseudo_divide(other)
-        n, d = self.content.as_integer_ratio()
-        return _Poly._canonical(rem, n, d * scale)
+        return _Poly._canonical(rem, self.num, self.den * scale)
 
     def exact_quotient(self, other: "_Poly") -> "_Poly | None":
         """self / other when other divides self, else None.  If B divides
@@ -335,28 +374,21 @@ class _Poly:
                     rem[i - nb + j] -= f * b[j]
         if any(rem[:nb]):
             return None
-        return _Poly(self.content / other.content, tuple(quot))
+        num, den = _ratio(self.num * other.den, self.den * other.num)
+        return _Poly(num, den, tuple(quot))
 
     def __str__(self) -> str:
         text = ""
-        for deg in range(len(self) - 1, -1, -1):
-            c = self[deg]
-            if c == 0:
+        for deg, (n, d) in reversed(list(enumerate(self.ratios()))):
+            if not n:
                 continue
-            mag = abs(c)
-            if deg == 0:
-                body = str(mag)
-            else:
+            body = _coefficient_text(abs(n), d)
+            if deg:
                 x = "x" if deg == 1 else f"x^{deg}"
-                if mag == 1:
-                    body = x
-                elif mag.denominator == 1:
-                    body = f"{mag}{x}"
-                else:
-                    body = f"({mag}){x}"
+                body = x if body == "1" else f"{body}{x}" if d == 1 else f"({body}){x}"
             if text:
-                text += " - " if c < 0 else " + "
-            elif c < 0:
+                text += " - " if n < 0 else " + "
+            elif n < 0:
                 text = "-"
             text += body
         return text or "0"
@@ -465,8 +497,10 @@ def _normalizing_unit(a: RingElement) -> RingElement | None:
     """The unit u with u * a nonnegative (integers) or monic (nonzero
     polynomials); None when u is one."""
     if a.ring.kind == POLY_RATIONAL:
-        if a.payload and a.payload[-1] != 1:
-            return _element(a.ring, _Poly(1 / a.payload[-1], (1,)))
+        p = a.payload
+        if p and p.num * p.prim[-1] != p.den:
+            num, den = _ratio(p.den, p.num * p.prim[-1])
+            return _element(a.ring, _Poly(num, den, (1,)))
     elif a.ring.kind == INTEGERS and a.payload < 0:
         return _element(a.ring, -1)
     return None

@@ -14,6 +14,7 @@ from .rings import (
     Ideal,
     RingElement,
     RingSpec,
+    _coefficient_text,
     read_decimal,
 )
 from .splines import Spline, VerificationReport
@@ -50,7 +51,7 @@ def ring_from_json(data) -> RingSpec:
 
 def element_to_json(x: RingElement):
     if x.ring.kind == POLY_RATIONAL:
-        return [str(c) for c in x.payload]
+        return [_coefficient_text(n, d) for n, d in x.payload.ratios()]
     return str(x.payload)
 
 

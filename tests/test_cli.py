@@ -577,8 +577,10 @@ class TestFreshProcess:
                   if name.startswith("gensplines.")}
         assert {"rings", "graphs", "splines", "serialize"} <= loaded
         assert loaded & DEFERRED == DEFERRED_LOADED[argv[0]]
-        # the records are plain classes: dataclasses would load inspect
-        assert not modules & {"dataclasses", "inspect"}
+        # the records are plain classes: dataclasses would load inspect.  A
+        # Q[x] content is an int pair: only a Fraction read loads fractions
+        # and, through it, decimal
+        assert not modules & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def readme_usage():

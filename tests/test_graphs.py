@@ -43,8 +43,10 @@ class TestConstruction:
 
     def test_ring_mismatch(self):
         bad = Ideal([integers_mod(5).element(2)])
-        with pytest.raises(RingMismatchError):
+        with pytest.raises(RingMismatchError, match="edge 'a'-'b' labeled over Z/5, graph over Z$"):
             build_graph(Z, ["a", "b"], [("a", "b", bad)])
+        # a ring equal to the label's but built apart is the same ring
+        assert build_graph(integers_mod(5), ["a", "b"], [("a", "b", bad)]).labels[("a", "b")] is bad
 
     def test_edge_normalized_to_declaration_order(self):
         g = make_graph(Z, ["a", "b"], [("b", "a", 2)])

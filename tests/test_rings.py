@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from gensplines.rings import (
     _Poly,
     ext_gcd,
 )
+from gensplines.serialize import element_to_json
 
 Z = integers()
 QX = poly_rational()
@@ -25,6 +27,33 @@ QX = poly_rational()
 
 def P(*coeffs):
     return QX.element(list(coeffs))
+
+
+def fraction_str(coeffs):
+    """A Q[x] value's text from its Fraction coefficients, ascending: the
+    reference that str of a payload, which builds no Fraction, must equal."""
+    text = ""
+    for deg in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[deg]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if deg == 0:
+            body = str(mag)
+        else:
+            x = "x" if deg == 1 else f"x^{deg}"
+            if mag == 1:
+                body = x
+            elif mag.denominator == 1:
+                body = f"{mag}{x}"
+            else:
+                body = f"({mag}){x}"
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += body
+    return text or "0"
 
 
 class TestRingSpec:
@@ -132,6 +161,24 @@ class TestCanonicalForms:
         # a float is not exact and a bool payload prints as True
         with pytest.raises(TypeError):
             ring.element(value)
+
+    @pytest.mark.parametrize("value, expected", [
+        (7, (7,)),
+        (Fraction(-3, 4), (Fraction(-3, 4),)),
+        ("5/-10", (Fraction(-1, 2),)),
+        ([1, Fraction(1, 2), "0", "2/3"], (1, Fraction(1, 2), 0, Fraction(2, 3))),
+        ((c for c in (0, "-2/4", Fraction(2, 3))), (0, Fraction(-1, 2), Fraction(2, 3))),
+        (range(3), (0, 1, 2)),
+        (True, TypeError), (1.0, TypeError), (Decimal(1), TypeError), (None, TypeError),
+        ([1, False], TypeError), ([1, 2.0], TypeError), ([Decimal("0.5")], TypeError),
+    ], ids=["int", "fraction", "text", "list", "generator", "range", "bool", "float",
+            "decimal", "none", "bool-coeff", "float-coeff", "decimal-coeff"])
+    def test_element_input_contract(self, value, expected):
+        if expected is TypeError:
+            with pytest.raises(TypeError):
+                QX.element(value)
+        else:
+            assert QX.element(value).payload == expected
 
     def test_string_is_one_coefficient(self):
         assert QX.element("12") == QX.element(12)
@@ -402,7 +449,10 @@ class TestPolynomialsAgainstSympy:
 
     @staticmethod
     def random_polys(rng, count):
-        polys = [P(), P(0), P(1), P(Fraction(-3, 2))]
+        big = 10 ** 25
+        polys = [P(), P(0), P(1), P(Fraction(-3, 2)), P(Fraction(-1, big)),
+                 P(Fraction(7, 3 * 10 ** 24), 0, 0, Fraction(-5, big - 1)),
+                 P(0, Fraction(-2, 9), 0, Fraction(-4, big))]
         while len(polys) < count:
             degree = rng.randint(0, 6)
             polys.append(QX.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -445,23 +495,27 @@ class TestPolynomialsAgainstSympy:
     def canonical(*elements):
         """Every payload is a content times a primitive part: a tuple of
         ints with gcd 1, a positive last entry and no trailing zero, times
-        a nonzero Fraction, or 0 over ().  It reads as the tuple of its
-        lowest-terms Fractions: len, iteration, [i], [-1], == and hash
-        agree with tuple(payload)."""
+        a nonzero content num/den, both ints in lowest terms with den > 0,
+        or 0/1 over ().  It reads as the tuple of its lowest-terms
+        Fractions: len, iteration, [i], [-1], == and hash agree with
+        tuple(payload)."""
         for e in elements:
             p = e.payload
-            content, prim = p.content, p.prim
+            num, den, prim = p.num, p.den, p.prim
+            assert type(num) is int and type(den) is int
+            assert den > 0 and math.gcd(num, den) == 1
             assert type(prim) is tuple and all(type(c) is int for c in prim)
             if prim:
-                assert type(content) is Fraction and content != 0
+                assert num != 0
                 assert math.gcd(*prim) == 1 and prim[-1] > 0
             else:
-                assert content == 0
+                assert (num, den) == (0, 1)
             view = tuple(p)
             assert len(p) == len(view) and list(iter(p)) == list(view)
             assert [p[i] for i in range(len(view))] == list(view)
             assert not view or p[-1] == view[-1]
             assert p == view and hash(p) == hash(view)
+            assert view == tuple(Fraction(num * c, den) for c in prim)
             for c in view:
                 assert type(c) is Fraction
                 assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
@@ -484,19 +538,31 @@ class TestPolynomialsAgainstSympy:
         a.payload + b.payload
         assert len(calls) == 1
 
+    @staticmethod
+    def written(*elements):
+        """JSON writes each coefficient as str of its Fraction, str equals
+        fraction_str, and the ideal an element generates is monic."""
+        for e in elements:
+            assert element_to_json(e) == [str(c) for c in e.payload]
+            assert str(e) == fraction_str(tuple(e.payload))
+            assert e.is_zero or Ideal([e]).canonical.payload[-1] == 1
+        return True
+
     def check_pair(self, sympy_qq, a, b, gcds=True):
         sympy, to_sympy, from_sympy = sympy_qq
-        canonical = self.canonical
-        assert canonical(a, b)
+        canonical, written = self.canonical, self.written
+        assert canonical(a, b) and written(a, b)
         sa, sb = to_sympy(a), to_sympy(b)
-        assert a + b == from_sympy(sa + sb) and canonical(a + b)
-        assert a - b == from_sympy(sa - sb) and canonical(a - b, -b)
-        assert a * b == from_sympy(sa * sb) and canonical(a * b)
+        assert a + b == from_sympy(sa + sb) and canonical(a + b) and written(a + b)
+        assert a - b == from_sympy(sa - sb) and canonical(a - b, -b) and written(a - b, -b)
+        assert a * b == from_sympy(sa * sb) and canonical(a * b) and written(a * b)
         if gcds:
             g = gcd(a, b)
             assert g == from_sympy(sympy.gcd(sa, sb))
             eg, s, t = ext_gcd(a, b)
             assert eg == g and s * a + t * b == g and canonical(eg, s, t)
+            assert g.is_zero or g.payload[-1] == 1
+            assert a.is_zero and b.is_zero or Ideal([a, b]).canonical == g
         if b.is_zero:
             assert b.divides(a) == a.is_zero
             return
@@ -512,6 +578,7 @@ class TestPolynomialsAgainstSympy:
                 a.exact_div(b)
         q, r = (QX.element(c) for c in divmod(a.payload, b.payload))
         assert q == from_sympy(sq) and r == from_sympy(sr) and canonical(q, r)
+        assert written(q, r)
         rem = QX.element(a.payload % b.payload)
         assert rem == r and canonical(rem)
 
@@ -527,13 +594,13 @@ class TestPolynomialsAgainstSympy:
             q = P(*(rng.randint(-9, 9) for _ in range(rng.randint(0, 5))), rng.randint(1, 9))
             k = rng.randrange(len(b.payload) - 1)
             a = q * b + P(*[0] * k, rng.choice((-3, -1, 1, 2)))
-            if a.payload.content == 1 and b.payload.content == 1:
+            if (a.payload.num, a.payload.den, b.payload.num, b.payload.den) == (1, 1, 1, 1):
                 pairs.append((a, b))
         return pairs
 
     def test_matches_sympy(self, sympy_qq):
         rng = random.Random(20130604)
-        polys = self.random_polys(rng, 24)
+        polys = self.random_polys(rng, 27)
         for a in polys:
             for b in polys:
                 self.check_pair(sympy_qq, a, b)

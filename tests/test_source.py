@@ -71,6 +71,27 @@ def test_library_does_not_import_dataclasses():
     assert not found, f"dataclasses imported at {found}"
 
 
+def test_library_imports_fractions_only_inside_functions():
+    # a Q[x] content is a pair of ints; fractions, which loads decimal and
+    # numbers, is imported only by the functions that read or take a
+    # Fraction, so a command that never does so does not load it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.parse(path.read_text(), str(path)).body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    nodes.extend(ast.iter_child_nodes(node))
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "fractions"]
+    assert not found, f"fractions imported at module level at {found}"
+
+
 def test_cli_writes_stdout_once_in_main():
     # main loads, runs and emits every subcommand, so stdout stays empty
     # on exits 2 and 3
