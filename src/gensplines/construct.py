@@ -25,7 +25,6 @@ from .rings import (
     RingElement,
     UnsupportedRingError,
     ext_gcd,
-    gcd,
     integers,
     lcm,
 )
@@ -160,10 +159,9 @@ def _lifted_labels(graph):
                   for e in graph.edges}
 
 
-def _grown_pairs(graph, rooted, start, step, part=None):
-    """Yield (u, v, state) for every pair, u declared before v, or, given
-    a part map, for the pairs whose ends lie in different parts.  Each
-    source starts from start and grows along its paths to those later
+def _grown_pairs(graph, rooted, start, step):
+    """Yield (u, v, state) for every pair, u declared before v.  Each
+    source starts from start and grows along its paths to the later
     vertices, one step per vertex grown: a vertex's state is step(state
     of its neighbour toward u, edge).  rooted is the tree's one
     (depth, parent) BFS; a later vertex climbs it until it meets a grown
@@ -175,8 +173,6 @@ def _grown_pairs(graph, rooted, start, step, part=None):
         grown = {u: start}
         top = u  # u's highest grown ancestor; every other grown vertex is deeper
         for v in verts[i + 1:]:
-            if part is not None and part[v] == part[u]:
-                continue
             climb, w = [], v
             while w not in grown:
                 if depth[w] >= depth[top]:
@@ -231,35 +227,21 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     """Decide spline membership on a tree through pairwise path sums.
 
     Each pair's difference must lie in the sum of its path's edge ideals,
-    generated by the gcd d of their generators.  A path's difference is
-    the sum of its edges' differences, so a pair whose path holds at every
-    edge passes: the n - 1 edge tests, one divides each, decide a spline
-    with no gcd.  Otherwise the edges that hold split the tree into parts,
-    and only pairs in different parts are tested, each path's d one gcd
-    step from its neighbour's toward the source, one step per vertex grown
-    toward a vertex in another part; one BFS from the first declared
-    vertex gives the parts and every path.  Witnesses are built on first
-    read.  Over Z/m the generators lift divisors of m, so d divides m and
-    a residue is in the sum exactly when d divides its lift."""
+    generated by the gcd of their generators.  A path's difference is the
+    sum of its edges' differences, so when the n - 1 edge tests, one
+    division each, all hold, every pair passes and no gcd is taken.
+    Otherwise levels.tree_failures reads the failing pairs from local
+    levels: a coprime base q of the labels and, for each q, one
+    union-find over the edges whose label q^(j+1) divides, level j from
+    the top down; a pair fails when it shares such a component and its
+    values differ mod q^(j+1), or, joined by zero labels alone, differ at
+    all.  No gcd is taken per pair, and all of it runs on payloads.
+    Witnesses are built on first read."""
     if not graph.is_tree:
         raise GraphError("graph is not a tree")
     check_host(graph, p)
-    lift, gens = _lifted_labels(graph)
-
-    def diff(u, v):
-        return lift.element((p[v] - p[u]).payload)
-
-    failing = {e for e in graph.edges if not gens[e].divides(diff(*e))}
-    if not failing:
-        return TreeMembershipReport(True, (), graph, p)
-    root = graph.vertices[0]
-    rooted = _bfs(graph._adj, root)
-    part = {root: root}
-    for v, w in rooted[1].items():
-        part[v] = v if graph.edge_key(w, v) in failing else part[w]
-    failures = tuple((u, v) for u, v, d in _grown_pairs(
-                         graph, rooted, lift.zero, lambda d, e: gcd(d, gens[e]), part)
-                     if not d.divides(diff(u, v)))
+    from .levels import tree_failures
+    failures = tree_failures(graph, p)
     return TreeMembershipReport(not failures, failures, graph, p)
 
 

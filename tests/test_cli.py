@@ -542,11 +542,13 @@ finally:
     print(*sorted(sys.modules), file=sys.stderr)
 """
 # the modules that main leaves to the cmd_* that run them
-DEFERRED = {"analysis", "construct", "gkm"}
+# levels loads only inside tree_membership, which no command calls
+DEFERRED = {"analysis", "construct", "gkm", "levels"}
 DEFERRED_LOADED = {
     "check": set(), "dot": set(), "decompose": set(),
     "flowup": {"construct"}, "treefam": {"construct"}, "cyclefam": {"construct"},
-    "matrix": {"gkm"}, "enumerate": DEFERRED, "selfcheck": DEFERRED,
+    "matrix": {"gkm"}, "enumerate": {"analysis", "construct", "gkm"},
+    "selfcheck": {"analysis", "construct", "gkm"},
 }
 TREE = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c"],
         "edges": [{"u": "a", "v": "b", "ideal": ["2"]},

@@ -3,11 +3,12 @@ flow-up splines."""
 import itertools
 import math
 import random
+import time
 import warnings
 
 import pytest
 
-from gensplines import construct, integers, integers_mod, poly_rational, verify
+from gensplines import construct, graphs, integers, integers_mod, levels, poly_rational, verify
 from gensplines.analysis import enumerate_splines
 from gensplines.construct import (
     cycle_generating_family,
@@ -118,17 +119,17 @@ class TestCycleFamily:
                                     step_choices=[Z.element(c) for c in steps])
 
 
-def shuffled_tree(ring, rng, n_max):
+def shuffled_tree(ring, rng, n_max, label=random_generator_element):
     """A random labeled tree with its vertices and edges declared in a
-    shuffled order, each edge named either way round."""
+    shuffled order, each edge named either way round; label(ring, rng)
+    draws each edge's generator."""
     n = rng.randint(1, n_max)
     verts = [f"v{i + 1}" for i in range(n)]
     edges = [(verts[rng.randrange(i)], verts[i]) for i in range(1, n)]
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
     rng.shuffle(verts)
     rng.shuffle(edges)
-    return build_graph(ring, verts, [(u, v, Ideal([random_generator_element(ring, rng)]))
-                                     for u, v in edges])
+    return build_graph(ring, verts, [(u, v, Ideal([label(ring, rng)])) for u, v in edges])
 
 
 def zm_span(family, modulus):
@@ -753,9 +754,134 @@ class TestTreeMembershipIncremental:
                                                      **{v: p[v] + coeff() for v in bumped}}))
 
 
+def product_of_roots(rng):
+    """A product of (x - a)^k, a in {-1, 0, 1, 2}, k <= 2, times a
+    nonzero rational; the constant alone when every k is 0."""
+    coeffs = [rng.choice((-2, -1, 1, 3))]
+    for a in (-1, 0, 1, 2):
+        for _ in range(rng.randint(0, 2)):
+            coeffs = [x - a * y for x, y in zip([0] + coeffs, coeffs + [0])]
+    return [f"{c}/2" for c in coeffs] if rng.random() < 0.5 else coeffs
+
+
+class TestTreeMembershipLevels:
+    """The levels decide tree membership: their failures equal the per-pair
+    Bezout chains' of reference_tree_membership, in the same order, and do
+    not depend on the declaration order."""
+
+    RINGS = [Z, integers_mod(12), integers_mod(36), integers_mod(360), poly_rational()]
+    Z_LABELS = (0, 1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 5, 10, 25)
+
+    @classmethod
+    def label(cls, ring, rng):
+        """Zero, a unit, or a non-unit: a product of small prime powers
+        over Z, a divisor of m or a residue over Z/m, a product_of_roots
+        over Q[x]."""
+        if ring.kind == "integers":
+            return ring.element(rng.choice(cls.Z_LABELS))
+        if ring.kind == "integers-mod":
+            m = ring.modulus
+            divisor = rng.choice([d for d in range(1, m) if m % d == 0])
+            return ring.element(rng.choice((0, divisor, divisor, rng.randrange(m))))
+        return rng.choice((ring.zero, ring.element(rng.choice((-2, 1, "1/3"))),
+                           *[ring.element(product_of_roots(rng))] * 8))
+
+    @classmethod
+    def value(cls, ring, rng):
+        if ring.kind == "poly-rational":
+            return rng.choice((ring.zero, ring.one, ring.element(product_of_roots(rng)),
+                               ring.element([rng.randint(-3, 3) for _ in range(3)])))
+        if ring.kind == "integers" and rng.random() < 0.5:
+            return ring.element(rng.choice(cls.Z_LABELS) * rng.randint(-3, 3))
+        return ring.element(rng.randint(-40, 40))
+
+    @classmethod
+    def tree(cls, ring, rng):
+        return shuffled_tree(ring, rng, 12, label=cls.label)
+
+    @classmethod
+    def tuples(cls, tree, rng):
+        """A random tuple, a spline, and the spline bumped at one and at two
+        vertices."""
+        ring = tree.ring
+
+        def value():
+            return cls.value(ring, rng)
+
+        p = tree_family_spline(tree, value)
+        out = [Spline(tree, {v: value() for v in tree.vertices}), p]
+        for k in (1, 2):
+            bumped = rng.sample(tree.vertices, min(k, len(tree.vertices)))
+            out.append(Spline(tree, {**p.values, **{v: p[v] + value() for v in bumped}}))
+        return out
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_failures_match_the_per_pair_chains(self, ring):
+        rng = random.Random(260)
+        seen = {"failed": 0, "passed": 0, "zero": 0, "unit": 0}
+        for _ in range(64):
+            tree = self.tree(ring, rng)
+            labels = [tree.labels[e] for e in tree.edges]
+            seen["zero"] += any(label.is_zero for label in labels)
+            seen["unit"] += any(label.is_unit for label in labels)
+            for p in self.tuples(tree, rng):
+                failures = tree_membership(tree, p).failures
+                assert failures == reference_tree_membership(tree, p)[1]
+                seen["failed" if failures else "passed"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("ring", [Z, integers_mod(12), poly_rational()], ids=str)
+    def test_failures_do_not_depend_on_declaration_order(self, ring):
+        # permuting the vertex and edge declarations, and naming edges
+        # the other way round, leaves the failures as unordered pairs
+        rng = random.Random(261)
+        failing = 0
+        for _ in range(40):
+            tree = self.tree(ring, rng)
+            for p in self.tuples(tree, rng):
+                failures = {frozenset(f) for f in tree_membership(tree, p).failures}
+                failing += bool(failures)
+                for _ in range(2):
+                    verts = list(tree.vertices)
+                    rng.shuffle(verts)
+                    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree.edges]
+                    rng.shuffle(edges)
+                    permuted = build_graph(ring, verts, [
+                        (u, v, tree.labels[tree.edge_key(u, v)]) for u, v in edges])
+                    report = tree_membership(permuted, Spline(permuted, p.values))
+                    assert {frozenset(f) for f in report.failures} == failures
+        assert failing >= 40
+
+    def test_scale_gate(self):
+        # n = 3,200 on the benchmark's tree shape, vertex i below (i-1)//2
+        # or its successor, with labels in {2, 3, 4, 6, 9, 12} and a random
+        # tuple; the per-pair path gcds took seconds at n = 800
+        rng = random.Random(3200)
+        n = 3200
+        verts = [f"v{i}" for i in range(n)]
+        tree = make_graph(Z, verts, [
+            (verts[rng.randrange((i - 1) // 2, min(i, (i - 1) // 2 + 2))], verts[i],
+             rng.choice((2, 3, 4, 6, 9, 12))) for i in range(1, n)])
+        p = Spline(tree, {v: Z.element(rng.randint(-10 ** 6, 10 ** 6)) for v in verts})
+        start = time.perf_counter()
+        report = tree_membership(tree, p)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
+        # sampled pairs against the path gcd rule
+        failures = set(report.failures)
+        skeleton = spanning_tree(tree)
+        for _ in range(300):
+            u, v = sorted(rng.sample(verts, 2), key=tree.index)
+            walk = tree_path(skeleton, u, v)
+            d = math.gcd(*(tree.label(a, b).canonical.payload for a, b in zip(walk, walk[1:])))
+            assert ((u, v) in failures) == bool((p[v] - p[u]).payload % d)
+        assert len(failures) > n
+
+
 class TestWorkCounts:
     """Each flow-up factor and Bezout chain extends its BFS parent's, so
-    the ring work grows with E and n^2, not with n * E or path lengths."""
+    the ring work grows with E and n^2, not with n * E or path lengths;
+    tree membership decides from the labels' levels, with no gcd per pair."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -770,7 +896,9 @@ class TestWorkCounts:
         monkeypatch.setattr(RingElement, "__mul__", counted("mul", RingElement.__mul__))
         monkeypatch.setattr(RingElement, "exact_div",
                             counted("exact_div", RingElement.exact_div))
-        monkeypatch.setattr(construct, "gcd", counted("gcd", construct.gcd))
+        # the decision's gcds are the coprime base's, taken on payloads
+        for ops in (levels._Integers, levels._Polynomials):
+            monkeypatch.setattr(ops, "gcd", staticmethod(counted("gcd", ops.gcd)))
         monkeypatch.setattr(construct, "ext_gcd", counted("ext_gcd", construct.ext_gcd))
         return counts
 
@@ -821,28 +949,31 @@ class TestWorkCounts:
     def valid_spline(tree, rng):
         return tree_family_spline(tree, lambda: Z.element(rng.randint(-9, 9)))
 
-    @staticmethod
-    def separated_growth(tree, p, every_pair=False):
-        """Vertices grown from each source toward the later vertices in
-        other parts of the edges verify accepts (or toward every later
-        vertex), earlier-declared vertices on the paths included."""
-        part = {v: k for k, comp in enumerate(holding_parts(tree, p)[1]) for v in comp}
-        verts = tree.vertices
-        return sum(len({w for v in verts[i + 1:] if every_pair or part[v] != part[u]
-                        for w in tree_path(spanning_tree(tree, u), u, v)[1:]})
-                   for i, u in enumerate(verts))
-
-    def test_tree_membership_decides_without_witnesses(self, monkeypatch):
-        # deciding takes one gcd per vertex grown from each source toward
-        # the later vertices a failing edge separates from it; the Bezout
-        # terms wait for the first read of witnesses, built once
-        tree, p = self.seeded_tree(random.Random(84), 16)
-        grown = self.separated_growth(tree, p)
-        counts = self.counting(monkeypatch)
-        report = tree_membership(tree, p)
-        assert counts["ext_gcd"] == counts["mul"] == 0
-        assert counts["gcd"] == grown
-        assert report.witnesses is report.witnesses
+    @pytest.mark.parametrize("ring", [Z, integers_mod(12), poly_rational()], ids=str)
+    def test_tree_membership_decides_on_payloads(self, monkeypatch, ring):
+        # deciding a failing tuple multiplies no ring elements, takes no
+        # ext_gcd and builds no RingElement at all; the Bezout terms wait
+        # for the first read of witnesses, built once
+        rng = random.Random(84)
+        tree = random_tree(ring, rng, n_max=12)
+        while len(tree.vertices) < 6:
+            tree = random_tree(ring, rng, n_max=12)
+        p = tree_family_spline(tree, lambda: random_generator_element(ring, rng))
+        q = Spline(tree, {**p.values, tree.vertices[2]: p[tree.vertices[2]] + ring.one})
+        for r in (q, Spline(tree, {v: random_generator_element(ring, rng)
+                                   for v in tree.vertices})):
+            counts = self.counting(monkeypatch)
+            built = []
+            init = RingElement.__init__
+            monkeypatch.setattr(RingElement, "__init__",
+                                lambda x, *args: built.append(args) or init(x, *args))
+            report = tree_membership(tree, r)
+            assert built == []
+            assert counts["ext_gcd"] == counts["mul"] == counts["exact_div"] == 0
+            monkeypatch.setattr(RingElement, "__init__", init)
+            assert report.witnesses is report.witnesses
+            assert counts["ext_gcd"] > 0
+        assert not report.ok
 
     def test_tree_membership_decides_a_spline_without_gcd(self, monkeypatch):
         # every edge holds, so every path does: n - 1 divides decide
@@ -854,21 +985,35 @@ class TestWorkCounts:
         assert report.ok and report.failures == ()
         assert counts == {"mul": 0, "exact_div": 0, "gcd": 0, "ext_gcd": 0}
 
+    LABELS = (2, 3, 4, 6, 9, 12, 5, 10, 25, 1)
+
+    @classmethod
+    def labeled_tree(cls, rng, n):
+        """A seeded tree whose edges take LABELS in turn, in declaration
+        order, so that every n >= 11 sees one label set in one order."""
+        verts = [f"v{i}" for i in range(n)]
+        return make_graph(Z, verts, [(verts[rng.randrange(max(0, i - 2), i)], verts[i],
+                                      cls.LABELS[(i - 1) % len(cls.LABELS)])
+                                     for i in range(1, n)])
+
     @pytest.mark.parametrize("seed", [86, 87, 88])
-    def test_tree_membership_grows_only_separated_pairs(self, monkeypatch, seed):
-        # a bump by 1 fails every edge at the bumped vertex (labels >= 2),
-        # and only the pairs those edges separate grow a gcd
-        rng = random.Random(seed)
-        tree, _ = self.seeded_tree(rng, 16)
-        p = self.valid_spline(tree, rng)
-        bumped = rng.choice(tree.vertices)
-        q = Spline(tree, {**p.values, bumped: p[bumped] + Z.one})
-        grown = self.separated_growth(tree, q)
-        assert 0 < grown < self.separated_growth(tree, q, every_pair=True)
-        counts = self.counting(monkeypatch)
-        report = tree_membership(tree, q)
-        assert not report.ok
-        assert counts["gcd"] == grown
+    def test_tree_membership_takes_no_gcd_per_pair(self, monkeypatch, seed):
+        # deciding takes the gcds of the labels' coprime base, not one per
+        # pair: on one label set, a bumped spline and a random tuple take
+        # as many at n = 64 as at n = 16
+        gcds = {}
+        for n in (16, 64):
+            rng = random.Random(seed)
+            tree = self.labeled_tree(rng, n)
+            p = self.valid_spline(tree, rng)
+            bumped = rng.choice(tree.vertices)
+            tuples = [Spline(tree, {**p.values, bumped: p[bumped] + Z.one}),
+                      Spline(tree, {v: Z.element(rng.randint(-50, 50)) for v in tree.vertices})]
+            counts = self.counting(monkeypatch)
+            for q in tuples:
+                assert not tree_membership(tree, q).ok
+            gcds[n] = counts["gcd"]
+        assert gcds[16] == gcds[64] > 0
 
     def test_tree_membership_builds_no_spanning_tree(self, monkeypatch):
         # each source's BFS parents come from the one BFS, not from a
@@ -882,26 +1027,25 @@ class TestWorkCounts:
         report.witnesses
         assert calls == []
 
-    def test_tree_membership_walks_one_bfs(self, monkeypatch):
-        # the part map and every source's climb read one rooted BFS, so a
-        # failing spline takes the same walks at n = 16 and n = 32, and the
-        # first read of witnesses takes at most one more
-        walks = {}
+    def test_tree_membership_decides_without_bfs(self, monkeypatch):
+        # the levels need no rooted tree: a failing spline is decided with
+        # no BFS beyond the tree check's connectivity walk, at n = 16 and
+        # n = 32, and the first read of witnesses takes one
         for n in (16, 32):
             rng = random.Random(89)
             tree, _ = self.seeded_tree(rng, n)
             p = self.valid_spline(tree, rng)
             bumped = rng.choice(tree.vertices)
             q = Spline(tree, {**p.values, bumped: p[bumped] + Z.one})
-            calls = []
-            monkeypatch.setattr(construct, "_bfs", lambda *args: calls.append(args) or _bfs(*args))
+            walks = []
+            for module in (construct, graphs):
+                monkeypatch.setattr(module, "_bfs", lambda *args, name=module.__name__:
+                                    walks.append(name) or _bfs(*args))
             report = tree_membership(tree, q)
             assert not report.ok
-            decided = len(calls)
+            assert walks == ["gensplines.graphs"]
             report.witnesses
-            walks[n] = decided, len(calls) - decided
-        assert walks[16][0] == walks[32][0] == 1
-        assert walks[16][1] <= 1 and walks[32][1] <= 1
+            assert walks == ["gensplines.graphs", "gensplines.construct"]
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_tree_membership_one_multiplication_per_summand(self, monkeypatch, n):
