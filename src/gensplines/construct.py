@@ -20,7 +20,6 @@ from .graphs import (
     spanning_tree,
 )
 from .rings import (
-    INTEGERS_MOD,
     Record,
     RingElement,
     UnsupportedRingError,
@@ -154,7 +153,7 @@ def _member(graph, support, factor) -> Spline:
 def _lifted_labels(graph):
     """(ring, labels): each edge's canonical generator; over Z/m its lift
     to Z in [0, m), because residues have no Euclidean division."""
-    lift = integers() if graph.ring.kind == INTEGERS_MOD else graph.ring
+    lift = graph.ring if graph.ring.is_euclidean else integers()
     return lift, {e: lift.element(graph.labels[e].canonical.payload)
                   for e in graph.edges}
 
@@ -313,7 +312,7 @@ def _product(factors: list, one: RingElement) -> RingElement:
 def lcm_scaling_factor(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> RingElement:
     """lcm of the excluded edges' canonical generators (1 for none)."""
     ring = graph.ring
-    if ring.kind == INTEGERS_MOD:
+    if not ring.is_euclidean:
         raise UnsupportedRingError("lcm scaling needs a UFD (Z or Q[x])")
     acc = ring.one
     for edge in excluded_edges(graph, subgraph):

@@ -7,6 +7,7 @@ default edge orientation (earlier vertex -> later vertex).
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from itertools import count
 
 from .rings import Ideal, Record, RingMismatchError, RingSpec
@@ -42,7 +43,8 @@ def _bfs(adj, root):
 class EdgeLabeledGraph(Record):
     """A finite simple graph with an ideal attached to every edge."""
 
-    __slots__ = ("ring", "vertices", "edges", "labels", "_index", "_adj")
+    # __dict__ holds is_connected, decided once: the graph is immutable
+    __slots__ = ("ring", "vertices", "edges", "labels", "_index", "_adj", "__dict__")
 
     def __init__(self, ring: RingSpec, vertices, labeled_edges):
         vertices = tuple(vertices)
@@ -113,7 +115,7 @@ class EdgeLabeledGraph(Record):
                 out.append(comp)
         return out
 
-    @property
+    @cached_property
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 

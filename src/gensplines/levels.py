@@ -23,80 +23,24 @@ divisor d = gcd(g, m) of m, m for the zero ideal, and a value for its
 lift to [0, m): every q^(j+1) met divides m, so residues mod it are well
 defined.  One union-find per q takes the edges from the top level down.
 
-Everything works on payloads: an int for Z and Z/m, a rings._Poly for
-Q[x], whose keys are its canonical fields, never its hash, which builds
-Fractions.
+Everything works on payloads, through the ring's payload operations
+(RingSpec.ops; Z/m's are Z's) and their normal form, nonnegative or
+monic.  A Q[x] payload is keyed by its canonical fields, never by its
+hash, which builds Fractions.  Which associate of q a level uses does not
+matter: a remainder mod q is the same for every associate of q.
 """
 from __future__ import annotations
 
-import math
-
-from .rings import POLY_RATIONAL, _Poly
-
-
-class _Integers:
-    """Payload arithmetic of Z, and of Z/m on divisors and lifts.  An
-    associate is the absolute value."""
-
-    gcd = staticmethod(math.gcd)
-    associate = staticmethod(abs)
-
-    @staticmethod
-    def quotient(a, b):
-        """a / b when b divides a, else None."""
-        q, r = divmod(a, b)
-        return None if r else q
-
-    @staticmethod
-    def is_unit(a) -> bool:
-        return a in (1, -1)
-
-    @staticmethod
-    def key(a):
-        return a
-
-
-class _Polynomials:
-    """Payload arithmetic of Q[x].  An associate is the primitive integer
-    part with a positive leading coefficient."""
-
-    @staticmethod
-    def gcd(a, b):
-        while b:
-            a, b = b, a % b
-        return _Poly(1, 1, a.prim)
-
-    @staticmethod
-    def associate(a):
-        return _Poly(1, 1, a.prim)
-
-    @staticmethod
-    def quotient(a, b):
-        return a.exact_quotient(b)
-
-    @staticmethod
-    def is_unit(a) -> bool:
-        return len(a.prim) == 1
-
-    @staticmethod
-    def key(a):
-        return a.num, a.den, a.prim
-
-
-def arithmetic(ring):
-    """The payload arithmetic of a ring; Z/m's is Z's."""
-    return _Polynomials if ring.kind == POLY_RATIONAL else _Integers
-
 
 def coprime_base(elements, ops) -> list:
-    """Pairwise coprime non-unit associates such that every nonzero
-    element is a unit times a product of their powers (factor refinement).
+    """Pairwise coprime normal non-units such that every nonzero element
+    is a unit times a product of their powers (factor refinement).
     Each element, with every base element divided out, either is a unit
     or meets a base element b in a gcd g: if g is not a unit, b gives way
     to g, b / g and the element over g, the non-units among them, which
     lowers the number of prime factors held, so the loop ends."""
     gcd, quotient, is_unit = ops.gcd, ops.quotient, ops.is_unit
-    todo = list({ops.key(a): a for a in map(ops.associate, elements)
+    todo = list({ops.key(a): a for a in map(ops.normal, elements)
                  if a and not is_unit(a)}.values())[::-1]
     base = []
     while todo:
@@ -194,17 +138,17 @@ def tree_failures(graph, spline) -> tuple:
     hold a failing edge whose difference q^(j+1) does not divide: every
     other component is joined by edges whose differences are 0 mod
     q^(j+1), so its values agree mod q^(j+1)."""
-    ops = arithmetic(graph.ring)
-    gens = [label.canonical.payload if label.divisor is None else label.divisor
-            for label in graph.labels.values()]
+    ops = graph.ring.ops
     value = {v: x.payload for v, x in spline.values.items()}
     failing = []
-    for k, ((u, v), g) in enumerate(zip(graph.edges, gens)):
+    for k, ((u, v), label) in enumerate(zip(graph.edges, graph.labels.values())):
         diff = value[v] - value[u]
-        if diff % g if g else diff:
+        if not label._holds(diff):
             failing.append((k, diff))
     if not failing:
         return ()
+    # each label's generator: over Z/m its divisor of m
+    gens = [label.divisor or label.canonical.payload for label in graph.labels.values()]
     index = graph._index
     values = [value[v] for v in graph.vertices]
     edges = [(index[u], index[v]) for u, v in graph.edges]
@@ -216,13 +160,12 @@ def tree_failures(graph, spline) -> tuple:
                 components.union(*edges[k])
         _split(components, [edges[k][0] for k, _ in failing if not gens[k]],
                lambda v: ops.key(values[v]), pairs)
-    labels, keys = {}, []  # the labels' associates by key; each edge's key, None if zero
+    labels, keys = {}, []  # the labels by key; each edge's key, None if zero
     for g in gens:
         key = None
         if g:
-            a = ops.associate(g)
-            key = ops.key(a)
-            labels.setdefault(key, a)
+            key = ops.key(g)
+            labels.setdefault(key, g)
         keys.append(key)
     for q in coprime_base(labels.values(), ops):
         exponent = {key: valuation(a, q, ops) for key, a in labels.items()}

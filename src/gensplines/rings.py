@@ -5,7 +5,7 @@ polynomials with rational coefficients.  All values are immutable and
 kept in canonical form, so structural equality decides ring equality:
 residues live in [0, m), a polynomial is a rational content, held as a
 lowest-terms pair of ints, times a primitive integer part, and ideal
-generators are collapsed to a single normalized gcd generator.
+generators are collapsed to a single normal gcd generator.
 
 RingElement has one arithmetic path for every ring: it combines payloads
 with +, -, *, divmod and % and wraps the result through _element, which
@@ -17,10 +17,18 @@ alone.  It reads as a tuple of Fractions; only those reads and
 _coefficient, given a Fraction, build one, and they import fractions
 (which loads decimal and numbers) inside the method, so a command that
 reads no coefficient as a Fraction does not load it.  _coefficient_text
-writes a coefficient for str and JSON.  The ring kind is read only
-where the rings differ: canonical form, units, divisibility mod m, exact
-division in Q[x] (on primitive parts, with no scaling), the normalizing
-unit and the operations Z/m refuses.
+writes a coefficient for str and JSON.
+
+Every test a principal ring needs reduces to a few payload operations,
+which RingSpec.ops holds, one table per ring, picked once: the exact
+quotient or None, a gcd already in normal form, the normal associate
+(nonnegative for Z, monic for Q[x]), the unit test and a hashable key
+that builds no Fraction.  Z/m uses Z's table on its divisors d = gcd(x, m)
+and on lifts to [0, m): its units, divisibility and ideals are read mod m
+through d, and it refuses exact division, gcd and lcm.  RingElement,
+gcd, lcm, ext_gcd, Ideal and gensplines.levels all read this table.  The
+ring kind is read only by RingSpec: to validate it, pick the table, build
+canonical input, print the ring and say which operations Z/m refuses.
 
 The library's classes keep their fields immutable through Record, not
 @dataclass(frozen=True), whose module imports inspect, which nothing else
@@ -138,7 +146,7 @@ class Record:
 
 
 class RingSpec(Record):
-    __slots__ = ("kind", "modulus", "__dict__")  # __dict__ holds zero and one
+    __slots__ = ("kind", "modulus", "__dict__")  # __dict__ holds ops, zero and one
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind not in (INTEGERS, INTEGERS_MOD, POLY_RATIONAL):
@@ -192,6 +200,11 @@ class RingSpec(Record):
         elif type(value) is not int:
             raise TypeError(f"expected an integer for {self.kind}, got {value!r}")
         return _element(self, value)
+
+    @cached_property
+    def ops(self):
+        """The payload operations of this ring; Z/m's are Z's."""
+        return _PolyOps if self.kind == POLY_RATIONAL else _IntegerOps
 
     @cached_property
     def zero(self) -> "RingElement":
@@ -394,6 +407,59 @@ class _Poly:
         return text or "0"
 
 
+class _IntegerOps:
+    """Payload operations of Z, which Z/m uses on its divisors and lifts.
+    The normal associate is the absolute value."""
+
+    gcd = staticmethod(math.gcd)
+    normal = staticmethod(abs)
+
+    @staticmethod
+    def quotient(a: int, b: int) -> int | None:
+        """a / b when b divides a, else None; b is nonzero."""
+        q, r = divmod(a, b)
+        return None if r else q
+
+    @staticmethod
+    def is_unit(a: int) -> bool:
+        return a in (1, -1)
+
+    @staticmethod
+    def key(a: int) -> int:
+        return a
+
+
+class _PolyOps:
+    """Payload operations of Q[x].  The normal associate is monic: the
+    primitive part over its positive leading entry; gcd runs Euclid on %,
+    which pseudo-divides primitive parts, and makes the result monic."""
+
+    quotient = staticmethod(_Poly.exact_quotient)
+
+    @staticmethod
+    def normal(a: _Poly) -> _Poly:
+        return _Poly(1, a.prim[-1], a.prim) if a.prim else a
+
+    @staticmethod
+    def gcd(a: _Poly, b: _Poly) -> _Poly:
+        while b:
+            a, b = b, a % b
+        return _PolyOps.normal(a)
+
+    @staticmethod
+    def is_unit(a: _Poly) -> bool:
+        return len(a.prim) == 1
+
+    @staticmethod
+    def key(a: _Poly) -> tuple:
+        return a.num, a.den, a.prim
+
+
+def _divides(ops, d, x) -> bool:
+    """Whether the payload d divides the payload x; zero divides only zero."""
+    return ops.quotient(x, d) is not None if d else not x
+
+
 class RingElement(Record):
     """An exact, canonical element of one of the supported rings."""
 
@@ -430,34 +496,26 @@ class RingElement(Record):
 
     @property
     def is_unit(self) -> bool:
-        k = self.ring.kind
-        if k == INTEGERS:
-            return self.payload in (1, -1)
-        if k == INTEGERS_MOD:
-            return math.gcd(self.payload, self.ring.modulus) == 1
-        return len(self.payload) == 1
+        """Over Z/m, whether gcd(self, m) is one."""
+        ring, x = self.ring, self.payload
+        if ring.modulus is not None:
+            x = math.gcd(x, ring.modulus)
+        return ring.ops.is_unit(x)
 
     def divides(self, other: "RingElement") -> bool:
         """Exact divisibility; over Z/m, divisibility of residues by gcd(self, m)."""
         self._check(other)
-        if self.ring.kind == INTEGERS_MOD:
-            return other.payload % math.gcd(self.payload, self.ring.modulus) == 0
-        if not self.payload:
-            return not other.payload
-        if self.ring.kind == POLY_RATIONAL:
-            return other.payload.exact_quotient(self.payload) is not None
-        return not other.payload % self.payload
+        ring, d = self.ring, self.payload
+        if ring.modulus is not None:
+            d = math.gcd(d, ring.modulus)
+        return _divides(ring.ops, d, other.payload)
 
     def exact_div(self, other: "RingElement") -> "RingElement":
         """Return self / other, which must divide exactly (Euclidean rings)."""
         self._check(other)
         if not self.ring.is_euclidean:
             raise UnsupportedRingError("exact division is not defined mod m")
-        if self.ring.kind == POLY_RATIONAL:
-            q = self.payload.exact_quotient(other.payload)
-        else:
-            q, r = divmod(self.payload, other.payload)
-            q = None if r else q
+        q = self.ring.ops.quotient(self.payload, other.payload)
         if q is None:
             raise ValueError(f"{other} does not divide {self}")
         return _element(self.ring, q)
@@ -493,46 +551,28 @@ def _element(ring: RingSpec, payload) -> RingElement:
     return RingElement(ring, payload)
 
 
-def _normalizing_unit(a: RingElement) -> RingElement | None:
-    """The unit u with u * a nonnegative (integers) or monic (nonzero
-    polynomials); None when u is one."""
-    if a.ring.kind == POLY_RATIONAL:
-        p = a.payload
-        if p and p.num * p.prim[-1] != p.den:
-            num, den = _ratio(p.den, p.num * p.prim[-1])
-            return _element(a.ring, _Poly(num, den, (1,)))
-    elif a.ring.kind == INTEGERS and a.payload < 0:
-        return _element(a.ring, -1)
-    return None
-
-
-def _normalized(a: RingElement) -> RingElement:
-    """Nonnegative for integers, monic for polynomials."""
-    unit = _normalizing_unit(a)
-    return a if unit is None else unit * a
-
-
 def gcd(a: RingElement, b: RingElement) -> RingElement:
+    """The normal gcd: nonnegative for integers, monic for polynomials."""
     a._check(b)
-    if not a.ring.is_euclidean:
+    ring = a.ring
+    if not ring.is_euclidean:
         raise UnsupportedRingError("gcd is not defined over Z/m")
-    x, y = a.payload, b.payload
-    while y:
-        x, y = y, x % y
-    return _normalized(_element(a.ring, x))
+    return RingElement(ring, ring.ops.gcd(a.payload, b.payload))
 
 
 def lcm(a: RingElement, b: RingElement) -> RingElement:
+    """The normal lcm: nonnegative for integers, monic for polynomials."""
     if a.is_zero and b.is_zero:
         raise ValueError("lcm(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         return a.ring.zero
-    g = gcd(a, b)
-    return _normalized((a * b).exact_div(g))
+    ops = a.ring.ops
+    g = gcd(a, b).payload
+    return RingElement(a.ring, ops.normal(ops.quotient(a.payload, g) * b.payload))
 
 
 def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, RingElement]:
-    """Return (g, x, y) with x*a + y*b = g, g the normalized gcd."""
+    """Return (g, x, y) with x*a + y*b = g, g the normal gcd."""
     a._check(b)
     ring = a.ring
     if not ring.is_euclidean:
@@ -546,20 +586,20 @@ def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, R
         r0, r1 = r1, r
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
-    g, x, y = (_element(ring, c) for c in (r0, x0, y0))
-    unit = _normalizing_unit(g)
-    if unit is not None:
+    g = ring.ops.normal(r0)
+    if g != r0:
         # scale the cofactors to keep the Bezout identity for the
-        # normalized gcd
-        g, x, y = unit * g, unit * x, unit * y
-    return g, x, y
+        # normal gcd
+        unit = ring.ops.quotient(g, r0)
+        x0, y0 = unit * x0, unit * y0
+    return RingElement(ring, g), RingElement(ring, x0), RingElement(ring, y0)
 
 
 class Ideal(Record):
     """A finitely generated ideal with a canonical single generator.
 
     All supported rings are principal settings: in Z and Q[x] the
-    canonical generator is the normalized gcd of the generators, and in
+    canonical generator is the normal gcd of the generators, and in
     Z/m it is gcd(generators, m) reduced mod m.  Over Z/m, divisor is
     that gcd before reduction (m for the zero ideal); it is None over Z
     and Q[x].
@@ -574,23 +614,26 @@ class Ideal(Record):
         for g in generators:  # the first too: it may not be a RingElement
             RingElement._check(generators[0], g)
         ring = generators[0].ring
-        divisor = None
-        if ring.kind == INTEGERS_MOD:
+        if ring.modulus is None:
+            divisor, ops = None, ring.ops
+            g = ops.normal(generators[0].payload)
+            for x in generators[1:]:
+                g = ops.gcd(g, x.payload)
+            canonical = RingElement(ring, g)
+        else:
             divisor = math.gcd(ring.modulus, *(g.payload for g in generators))
             canonical = _element(ring, divisor)
-        else:
-            canonical = _normalized(generators[0])
-            for g in generators[1:]:
-                canonical = gcd(canonical, g)
         self._set(ring, generators, canonical, divisor)
 
+    def _holds(self, x) -> bool:
+        """Whether the payload x lies in the ideal.  Over Z/m, x is a
+        residue or a difference of lifts to [0, m), and divisor, which
+        divides m, decides it for both."""
+        return _divides(self.ring.ops, self.divisor or self.canonical.payload, x)
+
     def contains(self, a: RingElement) -> bool:
-        """Over Z/m, a residue is in the ideal exactly when divisor
-        divides it."""
         self.canonical._check(a)
-        if self.divisor is not None:
-            return a.payload % self.divisor == 0
-        return self.canonical.divides(a)
+        return self._holds(a.payload)
 
     @property
     def is_zero(self) -> bool:

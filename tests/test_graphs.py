@@ -1,10 +1,11 @@
 """Graph construction, spanning trees, cycles, and subgraph operations."""
 import pytest
 
-from gensplines import build_graph, integers, spanning_tree, tree_path
+from gensplines import build_graph, graphs, integers, spanning_tree, tree_path
 from gensplines.graphs import (
     DisconnectedGraphError,
     GraphError,
+    _bfs,
     disjoint_union,
     erase_unit_edges,
     fundamental_cycles,
@@ -117,6 +118,18 @@ class TestConnectivity:
         with pytest.raises(DisconnectedGraphError):
             spanning_tree(make_graph(Z, ["a", "b"], []))
         assert calls == [1]
+
+    def test_connectivity_is_decided_once(self, monkeypatch):
+        # the graph is immutable, so however often is_tree and is_connected
+        # are read they walk one BFS between them; components() walks each
+        # time and returns fresh lists
+        g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])
+        walks = []
+        monkeypatch.setattr(graphs, "_bfs", lambda *args: walks.append(args) or _bfs(*args))
+        assert g.is_tree and g.is_tree and g.is_connected
+        assert len(walks) == 1
+        g.components()[0].append("zz")
+        assert g.components() == [["a", "b", "c"]] and len(walks) == 3
 
     def test_is_tree(self, k4_graph):
         assert make_graph(Z, ["a"], []).is_tree

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from gensplines import integers, levels, poly_rational
+from gensplines import gcd, integers, levels, poly_rational
 from gensplines.construct import tree_membership
-from gensplines.rings import _Poly
+from gensplines.rings import Ideal, _Poly
 from gensplines.splines import Spline
 
 from conftest import make_graph
@@ -26,12 +26,12 @@ def unfactored(x, base, ops):
 
 
 def check_base(labels, ops):
-    """The base is pairwise coprime, its elements non-unit associates that
+    """The base is pairwise coprime, its elements normal non-units that
     divide a label, and every nonzero non-unit label a unit times a product
     of their powers."""
     base = levels.coprime_base(labels, ops)
     for q in base:
-        assert q == ops.associate(q) and not ops.is_unit(q)
+        assert q == ops.normal(q) and not ops.is_unit(q)
         assert any(ops.quotient(x, q) is not None for x in labels if x)
     for a, b in itertools.combinations(base, 2):
         assert ops.is_unit(ops.gcd(a, b))
@@ -51,14 +51,14 @@ class TestCoprimeBase:
         labels = [math.prod(rng.choice(primes) ** rng.randint(1, 3)
                             for _ in range(rng.randint(1, 6))) * rng.choice((1, -1))
                   for _ in range(150)]
-        base = check_base(labels + [0, 1, -1], levels.arithmetic(Z))
+        base = check_base(labels + [0, 1, -1], Z.ops)
         # the base only ever splits the labels' primes: each prime of a
         # label divides exactly one base element
         for p in {p for p in primes if any(x % p == 0 for x in labels)}:
             assert sum(q % p == 0 for q in base) == 1
 
     def test_small_cases(self):
-        ops = levels.arithmetic(Z)
+        ops = Z.ops
         assert levels.coprime_base([0, 1, -1], ops) == []
         assert levels.coprime_base([4, -4, 8, 2], ops) == [2]
         assert sorted(levels.coprime_base([12, 18], ops)) == [2, 3]
@@ -78,8 +78,41 @@ class TestCoprimeBase:
                 for _ in range(rng.randint(0, 3)):
                     coeffs = [x - a * y for x, y in zip([0] + coeffs, coeffs + [0])]
             labels.append(QX.element([f"{c}/5" for c in coeffs]).payload)
-        base = check_base(labels, levels.arithmetic(QX))
+        base = check_base(labels, QX.ops)
         assert 1 <= len(base) <= 4 and all(2 <= len(q) <= 5 for q in base)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_normal_form(seed):
+    # the payload operations, the ring layer's gcd and ideals, and the
+    # levels' coprime base share one normal form: nonnegative over Z, monic
+    # over Q[x], drawn here from negative, non-monic and rational elements
+    rng = random.Random(seed)
+
+    def qx():
+        return QX.element([f"{rng.randint(-9, 9)}/{rng.randint(1, 7)}"
+                           for _ in range(rng.randint(1, 4))])
+
+    for ring, draw in ((Z, lambda: Z.element(rng.randint(-60, 60))), (QX, qx)):
+        ops = ring.ops
+        labels = []
+        for _ in range(40):
+            c = draw()
+            x, y = draw() * c, draw() * c
+            labels.append(x.payload)
+            normal = ops.normal(x.payload)
+            assert normal == Ideal([x]).canonical.payload
+            if ring is Z:
+                assert normal == abs(x.payload)
+            elif x.payload:
+                lead = x.payload[len(x.payload) - 1]
+                assert normal == (x * QX.element(1 / lead)).payload
+            assert ops.gcd(x.payload, y.payload) == gcd(x, y).payload
+            assert gcd(x, y) == Ideal([x, y]).canonical
+        base = levels.coprime_base(labels, ops)
+        assert base and all(q == ops.normal(q) for q in base)
+        if ring is QX:
+            assert all(q[len(q) - 1] == 1 for q in base)
 
 
 class TestComponents:

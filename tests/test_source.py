@@ -92,6 +92,22 @@ def test_library_imports_fractions_only_inside_functions():
     assert not found, f"fractions imported at module level at {found}"
 
 
+def test_ring_kind_is_read_only_where_the_rings_differ():
+    # every other module reads the ring's payload operations (RingSpec.ops)
+    # or its properties; serialize writes a format that differs by ring, and
+    # analysis checks for Z/m and draws sampled elements per ring
+    kinds = {"INTEGERS", "INTEGERS_MOD", "POLY_RATIONAL"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id in kinds
+                    or isinstance(node, ast.alias) and node.name in kinds
+                    or isinstance(node, ast.Attribute) and node.attr == "kind"):
+                found.append(f"{path.name}:{node.lineno}")
+    allowed = ("rings.py:", "serialize.py:", "analysis.py:")
+    assert not [f for f in found if not f.startswith(allowed)], found
+
+
 def test_cli_writes_stdout_once_in_main():
     # main loads, runs and emits every subcommand, so stdout stays empty
     # on exits 2 and 3
