@@ -69,19 +69,23 @@ def _edge_divisors(graph: EdgeLabeledGraph, budget: int) -> dict:
 
 
 def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
-    """Every x in (Z/m)^n, in lexicographic order, with d dividing
-    sum(c * x[k] for k, c in form.items()) for each (form, d) in forms.
-    Slot by slot, the lowest sharing a form with a set slot first (else the
-    lowest unset): a form is tested at its last slot.  Each level computes
-    its prefixes' partial sums one form at a time, and prefixes whose sums
-    agree mod each d share one list of values for the slot; each prefix is
-    extended in place, values ascending, so the level stays sorted."""
+    """Every x in (Z/m)^n, in lexicographic order and each once, with d
+    dividing sum(c * x[k] for k, c in form.items()) for each (form, d) in
+    forms.  A form keeps its terms that are nonzero mod d, and a repeated
+    (terms, d) is tested once.  Slot by slot, the lowest sharing a form
+    with a set slot first (else the lowest unset): a form is tested at its
+    last slot.  Each level computes its prefixes' partial sums one form at
+    a time, and prefixes whose sums agree mod each d share one list of
+    values for the slot; each prefix is extended in place, values
+    ascending, so the level stays sorted."""
     m, n = graph.ring.modulus, len(graph.vertices)
-    forms = [(t, d) for form, d in forms if (t := {k: c % d for k, c in form.items() if c % d})]
+    forms = dict.fromkeys((t, d) for form, d in forms
+                          if (t := tuple((k, r) for k, c in form.items() if (r := c % d))))
     touching = [[] for _ in range(n)]  # slot -> the slots of the forms that read it
     for terms, _ in forms:
-        for k in terms:
-            touching[k] += terms
+        slots = [k for k, _ in terms]
+        for k in slots:
+            touching[k] += slots
     at, queue = {}, list(range(n, 2 * n))  # slot -> its place in the search order; a heap
     while queue:  # holding k once slot k shares a form with a set slot, n + k before
         k = heapq.heappop(queue) % n
@@ -93,7 +97,7 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     back = [at[k] for k in range(n)]  # off declaration order, tuples map back through it
     closing = [[] for _ in range(n)]
     for terms, d in forms:
-        terms = {back[k]: c for k, c in terms.items()}
+        terms = {back[k]: c for k, c in terms}
         last = max(terms)
         closing[last].append((terms.pop(last), tuple(terms.items()), d))
     level = [()]
@@ -115,20 +119,19 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     return level if back == sorted(back) else sorted(tuple(x[i] for i in back) for x in level)
 
 
-def _row_search(matrix: GkmMatrix, edges, budget: int) -> list:
-    """Ring and budget checks, then _residue_search over each edge's GKM row:
+def _row_search(matrix: GkmMatrix, divisors: dict, edges) -> list:
+    """_residue_search over the two nonzero entries of each edge's GKM row:
     its value must lie in the edge's ideal, whatever the row's sign."""
-    divisors = _edge_divisors(matrix.graph, budget)
-    rows = matrix.rows_by_edge()
-    return _residue_search(matrix.graph,
-                           [(dict(enumerate(rows[e])), divisors[e]) for e in edges])
+    terms = matrix.terms_by_edge()
+    return _residue_search(matrix.graph, [(terms[e], divisors[e]) for e in edges])
 
 
 def enumerate_splines(graph: EdgeLabeledGraph,
                       budget: int = DEFAULT_BUDGET) -> SplineSet:
     """All verified residue tuples: x_u - x_v must lie in the ideal of
     each edge uv, read from the graph itself."""
-    return SplineSet(graph, tuple(_row_search(build_gkm_matrix(graph), graph.edges, budget)))
+    divisors = _edge_divisors(graph, budget)
+    return SplineSet(graph, tuple(_row_search(build_gkm_matrix(graph), divisors, graph.edges)))
 
 
 class DecompositionReport(Record):
@@ -154,6 +157,18 @@ def _check_cover(graph: EdgeLabeledGraph, subgraphs) -> list:
     if set(keys) != set(graph.edges):
         raise GraphError("subgraph edges do not cover the graph")
     return keys
+
+
+def _least_difference(a: list, b: list):
+    """min(set(a) ^ set(b)) for two sorted lists of distinct tuples, None
+    when they are equal: the smaller entry at the first index where they
+    differ, or, when one list is a prefix of the other, the longer list's
+    next entry."""
+    for x, y in zip(a, b):
+        if x != y:
+            return min(x, y)
+    tail = a[len(b):] or b[len(a):]
+    return tail[0] if tail else None
 
 
 def random_member(graph: EdgeLabeledGraph, rng: random.Random) -> Spline:
@@ -194,19 +209,26 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
                               budget: int = DEFAULT_BUDGET,
                               seed: int = 0,
                               samples: int = 20) -> DecompositionReport:
-    """Certify R_G = intersection of the R_{G_i}: over Z/m exhaustively, as
-    one search over the edge conditions of every G_i together, and by
-    seeded sampling of both inclusions otherwise."""
+    """Certify R_G = intersection of the R_{G_i}: over Z/m exhaustively, and
+    by seeded sampling of both inclusions otherwise.  Over Z/m one GKM
+    matrix of G serves two searches, one over G's edge conditions and one
+    over those of every G_i together; both give sorted lists of distinct
+    tuples, so they are compared as lists, and the counterexample, the
+    least tuple in one but not the other, is read where they first
+    differ."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     subgraphs = list(subgraphs)
     keys = _check_cover(graph, subgraphs)
     edge_sets = tuple(tuple(sub.edges) for sub in subgraphs)
     if graph.ring.kind == INTEGERS_MOD:
-        whole = set(enumerate_splines(graph, budget).members)
-        inter = set(_row_search(build_gkm_matrix(graph), keys, budget))
-        return DecompositionReport(claim, edge_sets, whole == inter,
-                                   counterexample=min(whole ^ inter, default=None))
+        matrix, divisors = build_gkm_matrix(graph), _edge_divisors(graph, budget)
+        whole = _row_search(matrix, divisors, graph.edges)
+        inter = _row_search(matrix, divisors, keys)
+        if whole == inter:
+            return DecompositionReport(claim, edge_sets, True)
+        return DecompositionReport(claim, edge_sets, False,
+                                   counterexample=_least_difference(whole, inter))
     rng = random.Random(seed)
     # a draw of G must lie in every R_{G_i}; a draw of a G_i that lies
     # in every R_{G_i} must lie in R_G, and only then is it verified on G
@@ -287,7 +309,8 @@ def matrix_solution_set(matrix: GkmMatrix,
                         budget: int = DEFAULT_BUDGET) -> set:
     """All residue tuples solving the extended system for some valid
     last column, so orientation cannot matter."""
-    return set(_row_search(matrix, matrix.graph.edges, budget))
+    divisors = _edge_divisors(matrix.graph, budget)
+    return set(_row_search(matrix, divisors, matrix.graph.edges))
 
 
 def reduced_solution_set(system: ReducedSystem,
@@ -303,13 +326,13 @@ def reduced_solution_set(system: ReducedSystem,
     slots = {}  # edge -> q_edge as {vertex slot: coefficient}
     while ready:
         e = ready.pop()
-        form, own = dict(enumerate(rows[e].coeffs)), 0
+        form, own = {k: c for k, c in enumerate(rows[e].coeffs) if c}, 0
         for sign, f in rows[e].rhs:
             if f == e:
                 own += sign
             else:
                 for k, c in slots[f].items():
-                    form[k] -= sign * c
+                    form[k] = form.get(k, 0) - sign * c
         if own not in (1, -1):
             raise ValueError(f"the row of edge {e} must carry q_e with sign +-1")
         slots[e] = {k: own * c for k, c in form.items() if c}

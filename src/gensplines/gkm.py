@@ -19,16 +19,23 @@ class GkmMatrix(Record):
     def __init__(self, graph: EdgeLabeledGraph, rows: tuple):
         self._set(graph, rows)
 
-    def rows_by_edge(self) -> dict:
-        """Each edge's signed incidence row, in row order: +1 at the tail,
-        -1 at the head.  A step (a, b) along the edge runs tail -> head
-        exactly when the entry at a is +1."""
+    def terms_by_edge(self) -> dict:
+        """Each edge's signed incidence row by its two nonzero entries, in
+        row order: {tail slot: +1, head slot: -1}.  A step (a, b) along the
+        edge runs tail -> head exactly when the entry at a is +1."""
         graph = self.graph
+        return {graph.edge_key(tail, head): {graph.index(tail): 1, graph.index(head): -1}
+                for tail, head in self.rows}
+
+    def rows_by_edge(self) -> dict:
+        """The rows of terms_by_edge written out over every vertex slot."""
+        n = len(self.graph.vertices)
         out = {}
-        for tail, head in self.rows:
-            row = [0] * len(graph.vertices)
-            row[graph.index(tail)], row[graph.index(head)] = 1, -1
-            out[graph.edge_key(tail, head)] = tuple(row)
+        for edge, terms in self.terms_by_edge().items():
+            row = [0] * n
+            for k, c in terms.items():
+                row[k] = c
+            out[edge] = tuple(row)
         return out
 
 

@@ -385,6 +385,7 @@ class TestResidueSearch:
         (5, 4, [({1: 1, 0: 0}, 1), ({0: 5, 2: 10}, 5), ({3: 1, 1: 4}, 5)]),
         (6, 3, [({0: 2, 2: 4}, 6)] * 3 + [({1: 3}, 2), ({1: 9, 0: 3}, 6)]),  # repeated
         (12, 3, [({0: 1, 2: -1}, 12), ({2: 6}, 12), ({1: 4, 0: 8}, 12)]),  # d = m
+        (8, 2, [({0: 1, 1: 1}, 2), ({0: 1, 1: 1}, 8), ({0: 9, 1: 9}, 8)]),  # same terms, two d
     ])
     def test_chosen_forms(self, m, n, forms):
         assert residue_search(m, n, forms) == product_search(m, n, forms)
@@ -494,6 +495,106 @@ class TestOneSearchPerCertificate:
                 check_union_decomposition(g, parts, samples=samples)
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 check_cycle_decomposition(g, spanning_tree(g), samples=samples)
+
+
+FAULTS = ("drop", "add", "replace", "append", "empty")
+
+
+def planted(found, fault, m, n, rng):
+    """found, a search's sorted list of distinct tuples, with one fault
+    that keeps it sorted and distinct: entries dropped, tuples added or
+    replaced at random places, one tuple past the end, or nothing found.
+    (m,) * n, which no search finds, stands in when every tuple is found."""
+    present = set(found)
+    absent = [t for t in product(range(m), repeat=n) if t not in present] or [(m,) * n]
+    if fault == "empty":
+        return []
+    if fault == "append":
+        return found + [rng.choice([t for t in absent if t > found[-1]] or [(m,) * n])]
+    out = list(found)
+    if fault in ("drop", "replace"):
+        for i in sorted(rng.sample(range(len(out)), rng.randint(1, min(3, len(out)))),
+                        reverse=True):
+            del out[i]
+    if fault in ("add", "replace"):
+        out += rng.sample(absent, rng.randint(1, min(3, len(absent))))
+    return sorted(out)
+
+
+class TestLeastDifference:
+    """A faulty search in either of a certificate's two searches: the
+    merge of the two lists names the least tuple of their symmetric
+    difference, recomputed here from sets."""
+
+    @pytest.mark.parametrize("seed", [*range(4), "hub-last-star"])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_seeded_faults(self, fault, which, seed, monkeypatch):
+        rng, g = seeded_zm_graph(seed)
+        search, found = analysis._residue_search, []
+
+        def faulty(graph, forms):
+            result = search(graph, forms)
+            if len(found) == which:
+                result = planted(result, fault, graph.ring.modulus, len(graph.vertices), rng)
+            found.append(result)
+            return result
+
+        monkeypatch.setattr(analysis, "_residue_search", faulty)
+        certify = rng.choice([
+            lambda: check_union_decomposition(g, [spanning_subgraph(g, [e]) for e in g.edges]),
+            lambda: check_union_decomposition(g, spanning_tree_cover(g)),
+            lambda: check_union_decomposition(g, scrambled_cover(g, rng)),
+            lambda: check_cycle_decomposition(g, spanning_tree(g, rng.choice(g.vertices))),
+        ])
+        report = certify()
+        whole, inter = found
+        assert set(whole) != set(inter)
+        assert not report.verdict and report.mode == "exhaustive"
+        assert report.counterexample == min(set(whole) ^ set(inter))
+
+
+def redeclared(graph, rng):
+    """graph with its vertices and its edges declared in shuffled orders,
+    each edge named from a random end."""
+    vertices = list(graph.vertices)
+    rng.shuffle(vertices)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+    rng.shuffle(edges)
+    return build_graph(graph.ring, vertices, [(u, v, graph.label(u, v)) for u, v in edges])
+
+
+def in_order_of(graph, other, tuples):
+    """other's residue tuples as a set, each rewritten in graph's vertex order."""
+    at = [other.index(v) for v in graph.vertices]
+    return {tuple(x[i] for i in at) for x in tuples}
+
+
+class TestRedeclaredGraphs:
+    """The searches read sparse, de-duplicated conditions; no answer may
+    depend on the declaration orders, on a matrix's orientation or on
+    repeats in a cover."""
+
+    @pytest.mark.parametrize("seed", [*range(30), "hub-last-star"])
+    def test_same_answers(self, seed):
+        rng, g = seeded_zm_graph(seed)
+        h = redeclared(g, rng)
+        splines = set(enumerate_splines(g).members)
+        assert in_order_of(g, h, enumerate_splines(h).members) == splines
+        v = rng.choice(g.vertices)
+        assert count_direct_sum(h, v) == count_direct_sum(g, v)
+        for graph in (g, h):
+            matrix = flipped_matrix(graph, rng)
+            tree = spanning_tree(graph, rng.choice(graph.vertices))
+            assert in_order_of(g, graph, matrix_solution_set(matrix)) == splines
+            system = reduce_via_tree(matrix, tree)
+            assert in_order_of(g, graph, reduced_solution_set(system)) == splines
+            twice = scrambled_cover(graph, rng)
+            covers = [[spanning_subgraph(graph, [e]) for e in graph.edges],
+                      spanning_tree_cover(graph), twice + twice]
+            reports = [check_union_decomposition(graph, cover) for cover in covers]
+            reports.append(check_cycle_decomposition(graph, tree))
+            assert [(r.verdict, r.counterexample) for r in reports] == [(True, None)] * 4
 
 
 HOSTS = {"exhaustive": lambda: triangle_mod(6, (2, 3, 4)), "sampled": triangle_z}

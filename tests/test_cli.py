@@ -495,13 +495,15 @@ class TestSelfcheck:
         assert err == f"error: samples must be at least 1, got {samples}\n"
 
     def test_refuted_exhaustive_claims_exit_one(self, capsys, monkeypatch):
-        enumerate_splines = analysis.enumerate_splines
+        search, calls = analysis._residue_search, []
 
-        def padded(graph, budget):
-            found = enumerate_splines(graph, budget)
-            return analysis.SplineSet(found.graph, found.members + ((1, 2, 3),))
+        def padded(graph, forms):
+            # the first of each certificate's two searches finds (1, 2, 3) too
+            found = search(graph, forms)
+            calls.append(forms)
+            return sorted(found + [(1, 2, 3)]) if len(calls) % 2 else found
 
-        monkeypatch.setattr(analysis, "enumerate_splines", padded)
+        monkeypatch.setattr(analysis, "_residue_search", padded)
         code, out, _ = run(capsys, "selfcheck", C3Z4)
         assert code == 1
         for report in json.loads(out):

@@ -38,6 +38,17 @@ class TestBuild:
         m = build_gkm_matrix(g, orientation={("v1", "v2"): ("v2", "v1")})
         assert list(m.rows_by_edge().items())[0] == (("v1", "v2"), (-1, 1, 0))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_rows_write_out_the_terms(self, seed):
+        rng = seeded(seed)
+        g = random_connected_graph(Z, rng, n_max=7, e_max=12)
+        m = build_gkm_matrix(g, orientation=random_flips(g, rng))
+        terms = m.terms_by_edge()
+        assert list(terms) == list(g.edges)
+        for (tail, head), (edge, row) in zip(m.rows, m.rows_by_edge().items()):
+            assert terms[edge] == {g.index(tail): 1, g.index(head): -1}
+            assert {k: c for k, c in enumerate(row) if c} == terms[edge]
+
     def test_orientation_keyed_by_the_reversed_edge(self):
         g = path_z([2, 3])
         m = build_gkm_matrix(g, orientation={("v2", "v1"): ("v2", "v1")})
