@@ -10,15 +10,15 @@ import heapq
 import random
 from operator import itemgetter
 
-from .construct import GeneratingFamily, flow_up_family
+from .construct import GeneratingFamily, _flow_up_factors
 from .gkm import GkmMatrix, ReducedSystem, build_gkm_matrix
 from .graphs import (
     DisconnectedGraphError,
     EdgeLabeledGraph,
     GraphError,
     TreeSkeleton,
+    _bfs,
     fundamental_cycles,
-    induced_subgraph,
     path_edges,
     spanning_subgraph,
     spanning_tree,
@@ -74,10 +74,14 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     forms.  A form keeps its terms that are nonzero mod d, and a repeated
     (terms, d) is tested once.  Slot by slot, the lowest sharing a form
     with a set slot first (else the lowest unset): a form is tested at its
-    last slot.  Each level computes its prefixes' partial sums one form at
-    a time, and prefixes whose sums agree mod each d share one list of
-    values for the slot; each prefix is extended in place, values
-    ascending, so the level stays sorted."""
+    last slot.  Each level computes its prefixes' partial sums mod d one
+    form at a time: a form with one other term c * x[k] reads them from a
+    table of c * v % d over the m residues v, built once per level, and a
+    form with more sums its terms.  Prefixes whose sums agree share one
+    list of values for the slot, keyed by the sum itself when one form
+    closes there and by the tuple of sums otherwise, and held as
+    one-tuples; each prefix is extended in place, values ascending, so
+    the level stays sorted."""
     m, n = graph.ring.modulus, len(graph.vertices)
     forms = dict.fromkeys((t, d) for form, d in forms
                           if (t := tuple((k, r) for k, c in form.items() if (r := c % d))))
@@ -104,18 +108,25 @@ def _residue_search(graph: EdgeLabeledGraph, forms) -> list:
     for checks in closing:
         sums = []  # per check, every prefix's partial sum mod d
         for _, terms, d in checks:
+            if len(terms) == 1:
+                (k, c), = terms
+                table = [c * v % d for v in range(m)]
+                sums.append(list(map(table.__getitem__, map(itemgetter(k), level))))
+                continue
             s = [0] * len(level)
             for k, c in terms:
                 s = [a + c * v for a, v in zip(s, map(itemgetter(k), level))]
             sums.append([a % d for a in s])
-        keys = list(zip(*sums)) or [()] * len(level)  # one per prefix, () if no checks
-        allowed = {}  # residues of the partial sums -> values left for the slot
+        # one key per prefix: the one check's residue, a tuple of several, () if none
+        one = len(sums) == 1
+        keys = sums[0] if one else list(zip(*sums)) or [()] * len(level)
+        allowed = {}  # key -> the values left for the slot, as one-tuples
         for key in set(keys):
             values = range(m)
-            for r, (c, _, d) in zip(key, checks):
+            for r, (c, _, d) in zip((key,) if one else key, checks):
                 values = [x for x in values if (r + c * x) % d == 0]
-            allowed[key] = values
-        level = [p + (x,) for p, key in zip(level, keys) for x in allowed[key]]
+            allowed[key] = [(x,) for x in values]
+        level = [p + t for p, key in zip(level, keys) for t in allowed[key]]
     return level if back == sorted(back) else sorted(tuple(x[i] for i in back) for x in level)
 
 
@@ -172,26 +183,38 @@ def _least_difference(a: list, b: list):
 
 
 def random_member(graph: EdgeLabeledGraph, rng: random.Random) -> Spline:
-    """A random verified spline: per component, a random module
-    combination of the flow-up family plus a random constant."""
+    """A random verified spline: per component, the sum of its flow-up
+    family's members, each times a random coefficient drawn in the
+    family's vertex order.  No separate random constant is added, so a
+    draw lies in the span of the flow-up members."""
     return next(_random_members(graph, rng))
 
 
 def _random_members(graph: EdgeLabeledGraph, rng: random.Random):
-    """Endless random_member draws; each component's flow-up family is
-    built once, at the first draw."""
+    """Endless random_member draws.  Flow-up member v is N_v on the BFS
+    path from its component's root to v, so a draw's value at w sums
+    c_v * N_v over w's BFS subtree: c_v * N_v in the family's vertex
+    order, then each vertex added into its parent, deepest first.  Each
+    component's BFS from its first declared vertex (its induced
+    subgraph's tree) and its N_v are taken once, at the first draw."""
     ring = graph.ring
-    families = [(comp, flow_up_family(induced_subgraph(graph, comp)))
-                for comp in graph.components()]
+    comps = graph.components()
+    part = {v: i for i, comp in enumerate(comps) for v in comp}
+    edges = [[] for _ in comps]
+    for e in graph.edges:
+        edges[part[e[0]]].append(e)
+    trees = []
+    for comp, comp_edges in zip(comps, edges):
+        depth, parent = _bfs(graph._adj, comp[0])
+        _, steps = _flow_up_factors(graph, comp_edges, depth, parent)
+        trees.append((comp, parent, [(v, factor) for v, factor, _ in steps]))
     while True:
         values = {}
-        for comp, family in families:
-            acc = {v: ring.zero for v in comp}
-            for member in family.members:
-                c = _random_element(ring, rng)
-                for v in comp:
-                    acc[v] = acc[v] + c * member[v]
-            values.update(acc)
+        for comp, parent, factors in trees:
+            acc = {v: _random_element(ring, rng) * factor for v, factor in factors}
+            for v, _ in reversed(factors[1:]):
+                acc[parent[v]] += acc[v]
+            values.update((v, acc[v]) for v in comp)
         yield Spline(graph, values)
 
 

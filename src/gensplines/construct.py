@@ -150,12 +150,11 @@ def _member(graph, support, factor) -> Spline:
     return Spline(graph, {v: (factor if v in support else zero) for v in graph.vertices})
 
 
-def _lifted_labels(graph):
+def _lifted_labels(graph, edges):
     """(ring, labels): each edge's canonical generator; over Z/m its lift
     to Z in [0, m), because residues have no Euclidean division."""
     lift = graph.ring if graph.ring.is_euclidean else integers()
-    return lift, {e: lift.element(graph.labels[e].canonical.payload)
-                  for e in graph.edges}
+    return lift, {e: lift.element(graph.labels[e].canonical.payload) for e in edges}
 
 
 def _grown_pairs(graph, rooted, start, step):
@@ -202,7 +201,7 @@ class TreeMembershipReport(Record):
         d: one ext_gcd(d, g) = (d', a, b) step gives the child's terms
         (a * t_1, ..., a * t_k, b * g).  The witness is t_i * diff / d."""
         graph, p = self.graph, self.spline
-        lift, gens = _lifted_labels(graph)
+        lift, gens = _lifted_labels(graph, graph.edges)
 
         def grow(state, edge):
             edges, d, terms = state
@@ -321,47 +320,59 @@ def lcm_scaling_factor(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> R
 
 
 def flow_up_family(graph: EdgeLabeledGraph, root=None) -> GeneratingFamily:
-    """Flow-up splines along a BFS tree: member i is the unit on the
-    root-to-v_i tree path, extended by zero.  Vertices are ordered by
+    """Flow-up splines along a BFS tree: member i is N_i on the
+    root-to-v_i tree path and zero elsewhere, N_i the product over every
+    edge off the path (_flow_up_factors).  Vertices are ordered by
     nondecreasing tree distance (ties by declaration order), which makes
-    the family upper-triangular with diagonal entries N_i, the product
-    over every edge off the path.
-
-    N_i is grown from the parent's: with P the product of the nonzero
-    labels, multiplied pairwise (_product), N_v is P over the nonzero
-    labels on the path, one exact division more than its parent, or zero
-    when a zero label lies off the path.  Over Z/m the division runs on
-    lifts to Z and N_v is reduced."""
+    the family upper-triangular with diagonal entries N_i.  Each zero
+    label off a member's path warns once for that member."""
     skeleton = spanning_tree(graph, root)
-    order = sorted(graph.vertices,
-                   key=lambda v: (skeleton.depth[v], graph.index(v)))
+    parent = skeleton.parent
+    zero_edges, steps = _flow_up_factors(graph, graph.edges, skeleton.depth, parent)
+    support = {}
+    members = []
+    for v, factor, zeros_on_path in steps:
+        for e in zero_edges:
+            if e not in zeros_on_path:
+                warnings.warn(_ZERO_FACTOR.format(e), stacklevel=2)
+        support[v] = (support[parent[v]] if v in parent else set()) | {v}
+        members.append(_member(graph, support[v], factor))
+    return GeneratingFamily(graph, tuple(members), tuple(v for v, _, _ in steps),
+                            tuple(factor for _, factor, _ in steps))
+
+
+def _flow_up_factors(graph, edges, depth, parent):
+    """(zero_edges, steps) for the component with these edges and BFS
+    tree (depth, parent): zero_edges are its zero-labeled edges, and
+    steps lists (v, N_v, the zero-labeled edges on the root-to-v path)
+    with vertices by nondecreasing depth, ties by declaration order.
+
+    N_v is the product over every edge off the path, grown from the
+    parent's: with P the product of the nonzero labels, multiplied
+    pairwise (_product), N_v is P over the nonzero labels on the path,
+    one exact division more than its parent, or zero when a zero label
+    lies off the path.  Over Z/m the division runs on lifts to Z and N_v
+    is reduced."""
     ring = graph.ring
-    lift, gens = _lifted_labels(graph)
-    zero_edges = [e for e in graph.edges if gens[e].is_zero]
+    lift, gens = _lifted_labels(graph, edges)
+    zero_edges = [e for e in edges if gens[e].is_zero]
     product = _product([g for g in gens.values() if not g.is_zero], lift.one)
     grown = {}
-    members = []
-    factors = []
-    for v in order:
-        if v == skeleton.root:
-            support, zeros_on_path, quotient = {v}, set(), product
-        else:
-            u = skeleton.parent[v]
-            edge = graph.edge_key(u, v)
-            support, zeros_on_path, quotient = grown[u]
-            support = support | {v}
+    steps = []
+    for v in sorted(depth, key=lambda v: (depth[v], graph.index(v))):
+        if v in parent:
+            edge = graph.edge_key(parent[v], v)
+            zeros, quotient = grown[parent[v]]
             if gens[edge].is_zero:
-                zeros_on_path = zeros_on_path | {edge}
+                zeros = zeros | {edge}
             else:
                 quotient = quotient.exact_div(gens[edge])
-        grown[v] = support, zeros_on_path, quotient
-        zeros_off_path = [e for e in zero_edges if e not in zeros_on_path]
-        for e in zeros_off_path:
-            warnings.warn(_ZERO_FACTOR.format(e), stacklevel=2)
-        factor = ring.zero if zeros_off_path else ring.element(quotient)
-        members.append(_member(graph, support, factor))
-        factors.append(factor)
-    return GeneratingFamily(graph, tuple(members), tuple(order), tuple(factors))
+        else:
+            zeros, quotient = frozenset(), product
+        grown[v] = zeros, quotient
+        factor = ring.zero if len(zeros) < len(zero_edges) else ring.element(quotient)
+        steps.append((v, factor, zeros))
+    return zero_edges, steps
 
 
 def is_nontrivial_exists(graph: EdgeLabeledGraph):

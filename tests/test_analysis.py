@@ -1,6 +1,7 @@
 """Enumeration oracles and the decomposition certifiers."""
 import math
 import time
+import warnings
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from gensplines import (
     integers,
     integers_mod,
     poly_rational,
+    serialize,
     spanning_tree,
     verify,
 )
@@ -37,6 +39,7 @@ from gensplines.gkm import (
 from gensplines.graphs import (
     GraphError,
     fundamental_cycles,
+    induced_subgraph,
     path_edges,
     restrict,
     spanning_subgraph,
@@ -386,6 +389,17 @@ class TestResidueSearch:
         (6, 3, [({0: 2, 2: 4}, 6)] * 3 + [({1: 3}, 2), ({1: 9, 0: 3}, 6)]),  # repeated
         (12, 3, [({0: 1, 2: -1}, 12), ({2: 6}, 12), ({1: 4, 0: 8}, 12)]),  # d = m
         (8, 2, [({0: 1, 1: 1}, 2), ({0: 1, 1: 1}, 8), ({0: 9, 1: 9}, 8)]),  # same terms, two d
+        # one-term checks, coefficients not +-1, d a proper divisor of m
+        (12, 3, [({0: 4, 1: 3}, 6), ({1: 2, 2: 6}, 4)]),
+        (10, 3, [({0: 2, 1: 3}, 5), ({1: 4, 2: 2}, 5)]),
+        # slot 2 closes two one-term checks, one reading slot 0, one slot 1
+        (6, 3, [({0: 1, 1: -1}, 2), ({0: 2, 2: 3}, 6), ({1: 5, 2: 2}, 3)]),
+        (12, 3, [({0: 1, 1: 1}, 3), ({0: 3, 2: 2}, 4), ({1: 4, 2: 9}, 6)]),
+        # slot 3 closes a one-term check on slot 2 and a check on slots 0 and 1
+        (12, 4, [({0: 5, 1: 2}, 12), ({1: 3, 2: 1}, 4), ({2: 2, 3: 9}, 12),
+                 ({0: 1, 1: 2, 3: 3}, 6)]),
+        (6, 4, [({0: 1, 1: 1}, 2), ({1: 1, 2: 2}, 3), ({2: 4, 3: 3}, 6),
+                ({0: 2, 1: 1, 3: 5}, 6)]),
     ])
     def test_chosen_forms(self, m, n, forms):
         assert residue_search(m, n, forms) == product_search(m, n, forms)
@@ -755,12 +769,13 @@ class TestRandomMember:
 class TestSampledFamilies:
     def test_one_flow_up_build_per_graph_component(self, k4_graph, monkeypatch):
         built = []
+        factors = analysis._flow_up_factors
 
-        def counting(graph, root=None):
-            built.append(graph.vertices)
-            return flow_up_family(graph, root)
+        def counting(graph, edges, depth, parent):
+            built.append(tuple(depth))
+            return factors(graph, edges, depth, parent)
 
-        monkeypatch.setattr(analysis, "flow_up_family", counting)
+        monkeypatch.setattr(analysis, "_flow_up_factors", counting)
         per_edge = [spanning_subgraph(k4_graph, [e]) for e in k4_graph.edges]
         for subgraphs in (per_edge, spanning_tree_cover(k4_graph)):
             built.clear()
@@ -769,3 +784,107 @@ class TestSampledFamilies:
             pairs = len(k4_graph.components()) + sum(
                 len(sub.components()) for sub in subgraphs)
             assert len(built) <= pairs
+
+
+def dense_draws(graph, rng):
+    """The draws as a dense combination: per component, flow_up_family
+    of the induced subgraph, one random coefficient per member, and
+    every member's value at every vertex multiplied and summed."""
+    ring = graph.ring
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        families = [(comp, flow_up_family(induced_subgraph(graph, comp)))
+                    for comp in graph.components()]
+    while True:
+        values = {}
+        for comp, family in families:
+            acc = {v: ring.zero for v in comp}
+            for member in family.members:
+                c = analysis._random_element(ring, rng)
+                for v in comp:
+                    acc[v] = acc[v] + c * member[v]
+            values.update(acc)
+        yield Spline(graph, values)
+
+
+def sampled_graph(seed):
+    """A seeded graph over Z (zero labels often), Z/m or Q[x], with 1 to 12
+    vertices, often disconnected, declared in a shuffled order with edges
+    named from a random end."""
+    rng = seeded(seed)
+    ring = [Z, integers_mod(rng.choice([2, 4, 6, 9, 12, 30])), poly_rational()][seed % 3]
+    n = rng.randint(1, 12)
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    rng.shuffle(pairs)
+    edges = []
+    for u, v in pairs[:rng.randint(0, min(len(pairs), 2 * n))]:
+        if ring.kind == "integers-mod":
+            g = rng.randrange(ring.modulus)
+        elif ring.kind == "integers":
+            g = rng.choice([0, 0, 1, 2, 3, 4, 6, 9, 12, -5])
+        else:
+            g = [0] if rng.random() < 0.15 else [rng.randint(-3, 3), rng.randint(1, 3)]
+        edges.append((u, v, g) if rng.random() < 0.5 else (v, u, g))
+    return make_graph(ring, rng.sample(names, n), edges)
+
+
+class TestSampledDraws:
+    """_random_members against the dense combination of flow-up members:
+    the same values from the same rng calls."""
+
+    @pytest.mark.parametrize("seed", range(90))
+    def test_same_draws_as_the_dense_combination(self, seed):
+        graph = sampled_graph(seed)
+        draws = analysis._random_members(graph, seeded(seed))
+        reference = dense_draws(graph, seeded(seed))
+        for _ in range(3):
+            p, q = next(draws), next(reference)
+            assert serialize.spline_to_json(p) == serialize.spline_to_json(q)
+            assert verify(graph, p).ok
+
+    def test_the_battery_covers_its_kinds(self):
+        graphs = [sampled_graph(seed) for seed in range(90)]
+        kinds = {g.ring.kind for g in graphs}
+        assert kinds == {"integers", "integers-mod", "poly-rational"}
+        assert sum(not g.is_connected for g in graphs) >= 20
+        assert sum(any(g.labels[e].is_zero for e in g.edges) for g in graphs) >= 20
+        assert sum(list(g.vertices) != sorted(g.vertices) for g in graphs) >= 60
+
+    def test_pinned_draw_over_polynomials(self, k4_graph):
+        """The first draw of random.Random(4) on k4, as recorded before
+        draws were taken as subtree sums."""
+        drawn = serialize.spline_to_json(random_member(k4_graph, seeded(4)))
+        assert drawn == {"values": {
+            "v1": ["-2", "-6", "-4", "-8", "-7", "-9", "-13", "-12", "-15", "-12", "-13",
+                   "-14", "-11", "-7", "-10", "-5", "-6", "-5", "0", "-1", "1", "-1"],
+            "v2": ["2", "0", "2", "2", "2", "4", "4", "4", "4", "6", "4", "6", "4", "4",
+                   "4", "4", "2", "2", "2", "0", "2"],
+            "v3": ["0", "-2", "-2", "-2", "-4", "-4", "-4", "-6", "-6", "-4", "-6", "-6",
+                   "-4", "-4", "-4", "-2", "-2", "-2"],
+            "v4": ["-3", "-3", "-3", "-6", "-3", "-6", "-9", "-6", "-9", "-9", "-6", "-9",
+                   "-6", "-3", "-6", "-3", "-3", "-3"]}}
+
+    @pytest.mark.parametrize("graph, seed, expected", [
+        (make_graph(Z, ["a", "b", "c", "d"],
+                    [("a", "b", 0), ("b", "c", 6), ("b", "d", 4), ("c", "d", 9)]),
+         7, [{"a": "-342", "b": "-342", "c": "36", "d": "270"},
+             {"a": "-972", "b": "-972", "c": "108", "d": "-216"}]),
+        (make_graph(integers_mod(12), ["p", "q", "r", "s", "t"],
+                    [("q", "s", 4), ("s", "p", 6), ("r", "t", 3)]),
+         5, [{"p": "3", "q": "11", "r": "2", "s": "3", "t": "11"},
+             {"p": "0", "q": "8", "r": "7", "s": "0", "t": "7"}]),
+    ], ids=["z-zero-label", "z12-disconnected"])
+    def test_pinned_draws(self, graph, seed, expected):
+        rng = seeded(seed)
+        drawn = [serialize.spline_to_json(random_member(graph, rng))["values"]
+                 for _ in expected]
+        assert drawn == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_zero_label_draws_without_warning(self):
+        graph = make_graph(Z, ["a", "b", "c"], [("a", "b", 0), ("b", "c", 6), ("a", "c", 4)])
+        for subgraphs in ([spanning_subgraph(graph, [e]) for e in graph.edges],
+                          spanning_tree_cover(graph)):
+            assert check_union_decomposition(graph, subgraphs, samples=5).verdict

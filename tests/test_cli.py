@@ -486,6 +486,18 @@ class TestSelfcheck:
         assert code == 0
         assert all(r["mode"] == "sampled" for r in json.loads(out))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_label_samples_without_warning(self, capsys, tmp_path):
+        doc = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c"],
+               "edges": [{"u": "a", "v": "b", "ideal": ["0"]},
+                         {"u": "b", "v": "c", "ideal": ["6"]},
+                         {"u": "a", "v": "c", "ideal": ["4"]}]}
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "selfcheck", str(path))
+        assert code == 0 and err == ""
+        assert all(r["verdict"] and r["mode"] == "sampled" for r in json.loads(out))
+
 
     @pytest.mark.parametrize("graph", [K4, C3Z4], ids=["k4", "c3-z4"])
     @pytest.mark.parametrize("samples", ["0", "-3"])
