@@ -194,20 +194,23 @@ def _random_members(graph: EdgeLabeledGraph, rng: random.Random):
     """Endless random_member draws.  Flow-up member v is N_v on the BFS
     path from its component's root to v, so a draw's value at w sums
     c_v * N_v over w's BFS subtree: c_v * N_v in the family's vertex
-    order, then each vertex added into its parent, deepest first.  Each
-    component's BFS from its first declared vertex (its induced
-    subgraph's tree) and its N_v are taken once, at the first draw."""
+    order, then each vertex added into its parent, deepest first.  One
+    BFS from each component's first declared vertex finds the component
+    and gives its induced subgraph's tree; it and the N_v are taken once,
+    at the first draw."""
     ring = graph.ring
-    comps = graph.components()
-    part = {v: i for i, comp in enumerate(comps) for v in comp}
-    edges = [[] for _ in comps]
+    walks, edges = [], {}  # each component's BFS and edges; each vertex's edges
+    for v in graph.vertices:
+        if v not in edges:
+            depth, parent = _bfs(graph._adj, v)
+            walks.append((depth, parent, []))
+            edges.update(dict.fromkeys(depth, walks[-1][2]))
     for e in graph.edges:
-        edges[part[e[0]]].append(e)
+        edges[e[0]].append(e)
     trees = []
-    for comp, comp_edges in zip(comps, edges):
-        depth, parent = _bfs(graph._adj, comp[0])
+    for depth, parent, comp_edges in walks:
         _, steps = _flow_up_factors(graph, comp_edges, depth, parent)
-        trees.append((comp, parent, [(v, factor) for v, factor, _ in steps]))
+        trees.append((depth, parent, [(v, factor) for v, factor, _ in steps]))
     while True:
         values = {}
         for comp, parent, factors in trees:

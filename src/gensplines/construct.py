@@ -27,7 +27,7 @@ from .rings import (
     integers,
     lcm,
 )
-from .splines import Spline, check_host, verify
+from .splines import Spline, _failing_edges, check_host, verify
 
 
 class GeneratingFamily(Record):
@@ -226,20 +226,23 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
 
     Each pair's difference must lie in the sum of its path's edge ideals,
     generated by the gcd of their generators.  A path's difference is the
-    sum of its edges' differences, so when the n - 1 edge tests, one
-    division each, all hold, every pair passes and no gcd is taken.
-    Otherwise levels.tree_failures reads the failing pairs from local
-    levels: a coprime base q of the labels and, for each q, one
-    union-find over the edges whose label q^(j+1) divides, level j from
-    the top down; a pair fails when it shares such a component and its
-    values differ mod q^(j+1), or, joined by zero labels alone, differ at
-    all.  No gcd is taken per pair, and all of it runs on payloads.
-    Witnesses are built on first read."""
+    sum of its edges' differences, so when the n - 1 edge tests of
+    verify, one division each on payloads, all hold, every pair passes,
+    no gcd is taken and levels is not loaded.  Otherwise
+    levels.tree_failures reads the failing pairs from local levels: a
+    coprime base q of the labels and, for each q, one union-find over the
+    edges whose label q^(j+1) divides, visiting from the top down only
+    the levels where an edge joins; a pair fails when it shares such a
+    component and its values differ mod q^(j+1), or, joined by zero
+    labels alone, differ at all.  No gcd is taken per pair, and all of
+    it runs on payloads.  Witnesses are built on first read."""
     if not graph.is_tree:
         raise GraphError("graph is not a tree")
     check_host(graph, p)
-    from .levels import tree_failures
-    failures = tree_failures(graph, p)
+    failures = ()
+    if failing := _failing_edges(graph, p):
+        from .levels import tree_failures
+        failures = tree_failures(graph, p, failing)
     return TreeMembershipReport(not failures, failures, graph, p)
 
 

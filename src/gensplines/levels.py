@@ -21,7 +21,8 @@ labels alone asks for p_u = p_v.  Over Z/m, decomposed by prime powers in
 Bowden and Tymoczko, "Splines mod m" (2015), a label stands for its
 divisor d = gcd(g, m) of m, m for the zero ideal, and a value for its
 lift to [0, m): every q^(j+1) met divides m, so residues mod it are well
-defined.  One union-find per q takes the edges from the top level down.
+defined.  One union-find per q takes the edges from the top level down,
+read only at the levels where an edge joins: in between, nothing changes.
 
 Everything works on payloads, through the ring's payload operations
 (RingSpec.ops; Z/m's are Z's) and their normal form, nonnegative or
@@ -61,12 +62,12 @@ def coprime_base(elements, ops) -> list:
     return base
 
 
-def valuation(x, q, ops) -> int:
-    """The exponent of q in x, nonzero."""
+def valuation(x, q, ops) -> tuple:
+    """(a, x / q^a) for a the exponent of q in x, nonzero."""
     a = 0
-    while (x := ops.quotient(x, q)) is not None:
-        a += 1
-    return a
+    while (y := ops.quotient(x, q)) is not None:
+        a, x = a + 1, y
+    return a, x
 
 
 class Components:
@@ -100,18 +101,20 @@ class Components:
 
 
 def descend(n: int, edges, exponents):
-    """Yield (j, components) for j from the top level down to 0, where
-    components holds the edges (vertex index pairs) whose exponent
-    exceeds j; one union-find serves every level."""
+    """Yield (j, components) at j = a - 1 for each distinct nonzero
+    exponent a, from the top down, where components holds the edges
+    (vertex index pairs) whose exponent exceeds j.  Between two such
+    levels no edge joins, so every level from j down to the next
+    exponent has these components; one union-find serves them all."""
     added = {}
     for e, a in zip(edges, exponents):
         if a:
             added.setdefault(a, []).append(e)
     components = Components(n)
-    for j in range(max(added, default=0) - 1, -1, -1):
-        for u, v in added.get(j + 1, ()):
+    for a in sorted(added, reverse=True):
+        for u, v in added[a]:
             components.union(u, v)
-        yield j, components
+        yield a - 1, components
 
 
 def _split(components, starts, key, pairs) -> None:
@@ -127,39 +130,30 @@ def _split(components, starts, key, pairs) -> None:
                 pairs.update((x, y) if x < y else (y, x) for x in a for y in b)
 
 
-def tree_failures(graph, spline) -> tuple:
+def tree_failures(graph, spline, failing) -> tuple:
     """The vertex pairs (u, v) of a tree, u declared before v, whose
     difference lies outside the sum of their path's edge ideals, ordered
-    by the index of u, then of v.
+    by the index of u, then of v; failing holds (edge index, difference)
+    for each edge whose own label refuses its difference, at least one.
 
-    The n - 1 edge tests come first, one division each; when every edge
-    holds, so does every path, and no gcd is taken.  Otherwise the pairs
-    come from the levels, but only from the components of H_{q,j} that
-    hold a failing edge whose difference q^(j+1) does not divide: every
-    other component is joined by edges whose differences are 0 mod
-    q^(j+1), so its values agree mod q^(j+1)."""
+    The pairs come from the levels that descend yields, but only from
+    the components that hold a failing edge whose difference q^(j+1)
+    does not divide: every other component is joined by edges whose
+    differences are 0 mod q^(j+1), so its values agree mod q^(j+1).  A
+    level j that descend skips, below a yielded j* with no exponent in
+    between, has the components of j*, and values that differ mod q^(j+1)
+    differ mod q^(j*+1), so j* finds its pairs too."""
     ops = graph.ring.ops
-    value = {v: x.payload for v, x in spline.values.items()}
-    failing = []
-    for k, ((u, v), label) in enumerate(zip(graph.edges, graph.labels.values())):
-        diff = value[v] - value[u]
-        if not label._holds(diff):
-            failing.append((k, diff))
-    if not failing:
-        return ()
     # each label's generator: over Z/m its divisor of m
     gens = [label.divisor or label.canonical.payload for label in graph.labels.values()]
     index = graph._index
-    values = [value[v] for v in graph.vertices]
+    values = [spline.values[v].payload for v in graph.vertices]
     edges = [(index[u], index[v]) for u, v in graph.edges]
     n, pairs = len(values), set()
-    if any(not gens[k] for k, _ in failing):
-        components = Components(n)
-        for k, g in enumerate(gens):
-            if not g:
-                components.union(*edges[k])
-        _split(components, [edges[k][0] for k, _ in failing if not gens[k]],
-               lambda v: ops.key(values[v]), pairs)
+    starts = [edges[k][0] for k, _ in failing if not gens[k]]
+    if starts:  # zero labels alone, as one level, ask for equal values
+        for _, components in descend(n, edges, [0 if g else 1 for g in gens]):
+            _split(components, starts, lambda v: ops.key(values[v]), pairs)
     labels, keys = {}, []  # the labels by key; each edge's key, None if zero
     for g in gens:
         key = None
@@ -168,27 +162,16 @@ def tree_failures(graph, spline) -> tuple:
             labels.setdefault(key, g)
         keys.append(key)
     for q in coprime_base(labels.values(), ops):
-        exponent = {key: valuation(a, q, ops) for key, a in labels.items()}
-        top = max(exponent.values())
+        exponent, powers = {}, {}  # each label's a; q^a, a label over its q-free part
+        for key, g in labels.items():
+            a, rest = valuation(g, q, ops)
+            exponent[key], powers[a] = a, ops.quotient(g, rest)
+        top = max(powers)
         exponents = [top if key is None else exponent[key] for key in keys]
-        powers = [q]
-        while len(powers) < top:
-            powers.append(powers[-1] * q)
-        # (an end of a failing edge, low, a): q^(j+1) does not divide its
-        # difference at the levels low <= j < a of its label's exponent a
-        dirty = []
-        for k, diff in failing:
-            low, a = 0, exponents[k]
-            while low < a and not diff % powers[low]:
-                low += 1
-            if low < a:
-                dirty.append((edges[k][0], low, a))
-        if not dirty:
-            continue
         for j, components in descend(n, edges, exponents):
-            starts = [v for v, low, a in dirty if low <= j < a]
+            m = powers[j + 1]
+            starts = [edges[k][0] for k, diff in failing if exponents[k] > j and diff % m]
             if starts:
-                _split(components, starts,
-                       lambda v, m=powers[j]: ops.key(values[v] % m), pairs)
+                _split(components, starts, lambda v: ops.key(values[v] % m), pairs)
     verts = graph.vertices
     return tuple((verts[i], verts[j]) for i, j in sorted(pairs))

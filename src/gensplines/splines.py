@@ -13,7 +13,7 @@ from .graphs import (
     GraphError,
     disjoint_union,
 )
-from .rings import Record, RingElement, RingMismatchError
+from .rings import Record, RingElement, RingMismatchError, _element
 
 
 class Spline(Record):
@@ -74,15 +74,26 @@ def check_host(graph: EdgeLabeledGraph, spline: Spline) -> None:
         raise RingMismatchError(f"spline over {ring} on a graph over {graph.ring}")
 
 
+def _failing_edges(graph: EdgeLabeledGraph, spline: Spline) -> list:
+    """(edge index, p_u - p_v) on payloads for each edge (u, v) whose
+    label refuses the difference.  Over Z/m it is a difference of
+    residues, which the label's divisor of m decides as it decides the
+    residue."""
+    values = spline.values
+    failing = []
+    for k, ((u, v), label) in enumerate(zip(graph.edges, graph.labels.values())):
+        diff = values[u].payload - values[v].payload
+        if not label._holds(diff):
+            failing.append((k, diff))
+    return failing
+
+
 def verify(graph: EdgeLabeledGraph, spline: Spline) -> VerificationReport:
     """Check the per-edge membership condition; report every violated edge."""
     check_host(graph, spline)
-    violations = []
-    for u, v in graph.edges:
-        diff = spline[u] - spline[v]
-        if not graph.labels[(u, v)].contains(diff):
-            violations.append(((u, v), diff))
-    return VerificationReport(not violations, tuple(violations))
+    violations = tuple((graph.edges[k], _element(graph.ring, diff))
+                       for k, diff in _failing_edges(graph, spline))
+    return VerificationReport(not violations, violations)
 
 
 def spline_add(p: Spline, q: Spline) -> Spline:

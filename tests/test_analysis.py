@@ -9,6 +9,7 @@ import pytest
 from gensplines import (
     analysis,
     build_graph,
+    graphs,
     integers,
     integers_mod,
     poly_rational,
@@ -38,6 +39,7 @@ from gensplines.gkm import (
 )
 from gensplines.graphs import (
     GraphError,
+    _bfs,
     fundamental_cycles,
     induced_subgraph,
     path_edges,
@@ -881,6 +883,19 @@ class TestSampledDraws:
         drawn = [serialize.spline_to_json(random_member(graph, rng))["values"]
                  for _ in expected]
         assert drawn == expected
+
+    def test_one_walk_per_component(self, monkeypatch):
+        # a sampled certificate walks each source's components once: the
+        # walk that finds a component also gives its BFS tree
+        graph = make_graph(Z, ["a", "b", "c", "d", "e", "f"],
+                           [("a", "b", 2), ("b", "c", 6), ("a", "c", 4), ("d", "e", 3)])
+        subgraphs = [spanning_subgraph(graph, [e]) for e in graph.edges]
+        expected = sum(len(g.components()) for g in [graph, *subgraphs])
+        walks = []
+        for module in (analysis, graphs):
+            monkeypatch.setattr(module, "_bfs", lambda *args: walks.append(args) or _bfs(*args))
+        assert check_union_decomposition(graph, subgraphs, samples=3).verdict
+        assert len(walks) == expected == 3 + 4 * 5
 
     @pytest.mark.filterwarnings("error")
     def test_a_zero_label_draws_without_warning(self):

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -119,11 +120,11 @@ class TestCycleFamily:
                                     step_choices=[Z.element(c) for c in steps])
 
 
-def shuffled_tree(ring, rng, n_max, label=random_generator_element):
+def shuffled_tree(ring, rng, n_max, label=random_generator_element, n_min=1):
     """A random labeled tree with its vertices and edges declared in a
     shuffled order, each edge named either way round; label(ring, rng)
     draws each edge's generator."""
-    n = rng.randint(1, n_max)
+    n = rng.randint(n_min, n_max)
     verts = [f"v{i + 1}" for i in range(n)]
     edges = [(verts[rng.randrange(i)], verts[i]) for i in range(1, n)]
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
@@ -876,6 +877,76 @@ class TestTreeMembershipLevels:
             d = math.gcd(*(tree.label(a, b).canonical.payload for a, b in zip(walk, walk[1:])))
             assert ((u, v) in failures) == bool((p[v] - p[u]).payload % d)
         assert len(failures) > n
+
+
+class TestManyExponents:
+    """Labels with many distinct exponents per base element, so that the
+    levels skip runs of levels where no edge joins: the failures still
+    equal the per-pair Bezout chains', and a huge exponent costs little
+    memory."""
+
+    RINGS = [Z, integers_mod(5184), poly_rational()]  # 5184 = 2^6 3^4
+    EXPONENTS = ((0, 1, 2, 3, 5, 6), (0, 1, 2, 4), (0, 1, 2, 3, 5))
+
+    @classmethod
+    def label(cls, ring, rng):
+        """Zero, or 2^a 3^b over Z and Z/5184, or x^a (x - 1)^b (x + 1)^c
+        over Q[x], each exponent drawn from EXPONENTS."""
+        if rng.random() < 0.1:
+            return ring.zero
+        if ring.kind != "poly-rational":
+            return ring.element(2 ** rng.choice(cls.EXPONENTS[0])
+                                * 3 ** rng.choice(cls.EXPONENTS[1]))
+        coeffs = [1]
+        for root in (0, 1, -1):
+            for _ in range(rng.choice(cls.EXPONENTS[2])):
+                coeffs = [x - root * y for x, y in zip([0] + coeffs, coeffs + [0])]
+        return ring.element(coeffs)
+
+    @classmethod
+    def value(cls, ring, rng):
+        """A label-shaped element times a small one, so that values agree
+        to many digits."""
+        small = (ring.element([rng.randint(-2, 2), rng.randint(-2, 2)])
+                 if ring.kind == "poly-rational" else ring.element(rng.randint(-3, 3)))
+        return cls.label(ring, rng) * small + ring.element(rng.choice((0, 0, 1)))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_failures_match_the_per_pair_chains(self, ring):
+        rng = random.Random(300)
+        seen = {"failed": 0, "passed": 0, "zero": 0}
+        for _ in range(40):
+            tree = shuffled_tree(ring, rng, 12, label=self.label, n_min=2)
+            seen["zero"] += any(tree.labels[e].is_zero for e in tree.edges)
+
+            def value():
+                return self.value(ring, rng)
+
+            # two valid tuples, one bumped at one or two vertices, one random
+            valid = [tree_family_spline(tree, value) for _ in range(2)]
+            bumped = {v: valid[0][v] + value()
+                      for v in rng.sample(tree.vertices, rng.randint(1, 2))}
+            tuples = valid + [Spline(tree, {**valid[0].values, **bumped}),
+                              Spline(tree, {v: value() for v in tree.vertices})]
+            for p in tuples:
+                failures = tree_membership(tree, p).failures
+                assert failures == reference_tree_membership(tree, p)[1]
+                seen["failed" if failures else "passed"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_a_huge_exponent_takes_little_memory(self):
+        # a-b<2>, b-c<2^20000> with values 0, 0, 1: only the levels 19999
+        # and 0 are visited, and no list of every power is held
+        tree = make_graph(Z, ["a", "b", "c"], [("a", "b", 2), ("b", "c", 2 ** 20000)])
+        p = Spline(tree, {"a": Z.zero, "b": Z.zero, "c": Z.one})
+        tracemalloc.start()
+        try:
+            failures = tree_membership(tree, p).failures
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures == (("a", "c"), ("b", "c"))
+        assert peak < 4 * 10 ** 6, f"{peak / 1e6:.1f} MB"
 
 
 class TestWorkCounts:

@@ -9,7 +9,8 @@ absolute time limit does not.
 import random
 from time import perf_counter
 
-from gensplines import analysis, integers
+from gensplines import analysis, integers, verify
+from gensplines.splines import Spline
 
 from conftest import make_graph
 
@@ -49,3 +50,17 @@ def test_a_sampled_draw_is_linear():
     for d in draws:
         next(d)
     assert growth([d.__next__ for d in draws]) < 4 ** (1 + SLACK)
+
+
+def test_verify_is_linear():
+    """One division per edge on payloads, and a violated edge's
+    difference wrapped once (e = 1).  A random tuple violates most
+    edges, so the wrapping is timed too."""
+    runs = []
+    for n in (100, 400):
+        graph, rng = sparse_z_graph(n, n), random.Random(n)
+        p = Spline(graph, {v: graph.ring.element(rng.randint(-10 ** 6, 10 ** 6))
+                           for v in graph.vertices})
+        assert not verify(graph, p).ok
+        runs.append(lambda graph=graph, p=p: verify(graph, p))
+    assert growth(runs) < 4 ** (1 + SLACK)

@@ -171,3 +171,22 @@ def test_serialize_does_not_import_the_constructions():
     tree = ast.parse((PACKAGE / "serialize.py").read_text())
     modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert "construct" not in modules, modules
+
+
+
+def test_edges_are_tested_in_one_place():
+    # outside rings, an ideal's payload test _holds is called only by
+    # splines._failing_edges, which verify and tree membership share
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "rings.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_holds"):
+                inner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found.append(f"{path.name}:{inner.name if inner else '<module>'}")
+    assert found == ["splines.py:_failing_edges"], found
