@@ -3,6 +3,15 @@
 Over Z/m the ring of splines is a finite set, so the decomposition
 theorems can be certified by brute force.  Over infinite rings the
 checks fall back to seeded sampling of constructed splines.
+
+What a decomposition verdict certifies: _check_cover accepts a cover
+only when every part carries the host's labels and keeps every vertex,
+and the parts together cover every edge, and raises GraphError on any
+other before a certifier runs.  The edge conditions of an accepted
+cover's parts are then exactly the host's, so R_G is the intersection
+of the R_{G_i} by construction.  The sampled draws, and the Z/m search
+over the parts' conditions, can only confirm that verdict: a false one
+would be a fault in the library, not in the cover.
 """
 from __future__ import annotations
 
@@ -236,7 +245,9 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
                               seed: int = 0,
                               samples: int = 20) -> DecompositionReport:
     """Certify R_G = intersection of the R_{G_i}: over Z/m exhaustively, and
-    by seeded sampling of both inclusions otherwise.  Over Z/m one GKM
+    by seeded sampling of both inclusions otherwise.  The identity holds
+    for every cover that _check_cover accepts (see the module docstring),
+    so either check can only confirm it.  Over Z/m one GKM
     matrix of G serves two searches, one over G's edge conditions and one
     over those of every G_i together; both give sorted lists of distinct
     tuples, so they are compared as lists, and the counterexample, the

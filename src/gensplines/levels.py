@@ -26,9 +26,10 @@ read only at the levels where an edge joins: in between, nothing changes.
 
 Everything works on payloads, through the ring's payload operations
 (RingSpec.ops; Z/m's are Z's) and their normal form, nonnegative or
-monic.  A Q[x] payload is keyed by its canonical fields, never by its
-hash, which builds Fractions.  Which associate of q a level uses does not
-matter: a remainder mod q is the same for every associate of q.
+monic; payloads, canonical in every ring, key its dicts.  Which
+associate of q a level uses does not matter: a remainder mod q is the
+same for every associate of q.  A power q^a is divided out in O(log a)
+divisions (valuation).
 """
 from __future__ import annotations
 
@@ -41,14 +42,13 @@ def coprime_base(elements, ops) -> list:
     to g, b / g and the element over g, the non-units among them, which
     lowers the number of prime factors held, so the loop ends."""
     gcd, quotient, is_unit = ops.gcd, ops.quotient, ops.is_unit
-    todo = list({ops.key(a): a for a in map(ops.normal, elements)
-                 if a and not is_unit(a)}.values())[::-1]
+    todo = list(dict.fromkeys(a for a in map(ops.normal, elements)
+                              if a and not is_unit(a)))[::-1]
     base = []
     while todo:
         x = todo.pop()
         for i, b in enumerate(base):
-            while (y := quotient(x, b)) is not None:
-                x = y
+            x = valuation(x, b, ops)[1]
             if is_unit(x):
                 break
             g = gcd(x, b)
@@ -63,11 +63,17 @@ def coprime_base(elements, ops) -> list:
 
 
 def valuation(x, q, ops) -> tuple:
-    """(a, x / q^a) for a the exponent of q in x, nonzero."""
-    a = 0
-    while (y := ops.quotient(x, q)) is not None:
-        a, x = a + 1, y
-    return a, x
+    """(a, x / q^a) for a the exponent of q in x, x nonzero and q not a
+    unit, in O(log a) divisions: once q divides x, the exponent b of q^2
+    in x / q gives a = 2b + 1, or 2b + 2 when q divides once more.  So x
+    is divided by q, q^2, q^4, ... while each divides, then by the same
+    powers from the largest down."""
+    y = ops.quotient(x, q)
+    if y is None:
+        return 0, x
+    b, y = valuation(y, q * q, ops)
+    z = ops.quotient(y, q)
+    return (2 * b + 1, y) if z is None else (2 * b + 2, z)
 
 
 class Components:
@@ -153,25 +159,19 @@ def tree_failures(graph, spline, failing) -> tuple:
     starts = [edges[k][0] for k, _ in failing if not gens[k]]
     if starts:  # zero labels alone, as one level, ask for equal values
         for _, components in descend(n, edges, [0 if g else 1 for g in gens]):
-            _split(components, starts, lambda v: ops.key(values[v]), pairs)
-    labels, keys = {}, []  # the labels by key; each edge's key, None if zero
-    for g in gens:
-        key = None
-        if g:
-            key = ops.key(g)
-            labels.setdefault(key, g)
-        keys.append(key)
-    for q in coprime_base(labels.values(), ops):
-        exponent, powers = {}, {}  # each label's a; q^a, a label over its q-free part
-        for key, g in labels.items():
+            _split(components, starts, values.__getitem__, pairs)
+    exponent = dict.fromkeys(g for g in gens if g)  # each nonzero label's a
+    for q in coprime_base(exponent, ops):
+        powers = {}  # q^a, a label over its q-free part
+        for g in exponent:
             a, rest = valuation(g, q, ops)
-            exponent[key], powers[a] = a, ops.quotient(g, rest)
+            exponent[g], powers[a] = a, ops.quotient(g, rest)
         top = max(powers)
-        exponents = [top if key is None else exponent[key] for key in keys]
+        exponents = [exponent[g] if g else top for g in gens]
         for j, components in descend(n, edges, exponents):
             m = powers[j + 1]
             starts = [edges[k][0] for k, diff in failing if exponents[k] > j and diff % m]
             if starts:
-                _split(components, starts, lambda v: ops.key(values[v] % m), pairs)
+                _split(components, starts, lambda v: values[v] % m, pairs)
     verts = graph.vertices
     return tuple((verts[i], verts[j]) for i, j in sorted(pairs))

@@ -13,22 +13,22 @@ only reduces mod m; RingSpec.element, which validates and converts
 input, is for values from outside the ring layer.  int supplies the
 payload arithmetic for Z and Z/m, and the private _Poly supplies it for
 Q[x]: it is born and computed in its one form, with ints and math.gcd
-alone.  It reads as a tuple of Fractions; only those reads and
-_coefficient, given a Fraction, build one, and they import fractions
-(which loads decimal and numbers) inside the method, so a command that
-reads no coefficient as a Fraction does not load it.  _coefficient_text
-writes a coefficient for str and JSON.
+alone, and its == and hash read those ints.  ratios() reads its
+coefficients as integer pairs, and _coefficient_text writes one for str
+and JSON.  Only _coefficient, given a Fraction as input, imports
+fractions (which loads decimal and numbers), inside the function, so a
+command given no Fraction does not load it.
 
 Every test a principal ring needs reduces to a few payload operations,
 which RingSpec.ops holds, one table per ring, picked once: the exact
 quotient or None, a gcd already in normal form, the normal associate
-(nonnegative for Z, monic for Q[x]), the unit test and a hashable key
-that builds no Fraction.  Z/m uses Z's table on its divisors d = gcd(x, m)
-and on lifts to [0, m): its units, divisibility and ideals are read mod m
-through d, and it refuses exact division, gcd and lcm.  RingElement,
-gcd, lcm, ext_gcd, Ideal and gensplines.levels all read this table.  The
-ring kind is read only by RingSpec: to validate it, pick the table, build
-canonical input, print the ring and say which operations Z/m refuses.
+(nonnegative for Z, monic for Q[x]) and the unit test.  Z/m uses Z's
+table on its divisors d = gcd(x, m) and on lifts to [0, m): its units,
+divisibility and ideals are read mod m through d, and it refuses exact
+division, gcd and lcm.  RingElement, gcd, lcm, ext_gcd, Ideal and
+gensplines.levels all read this table.  The ring kind is read only by
+RingSpec: to validate it, pick the table, build canonical input, print
+the ring and say which operations Z/m refuses.
 
 The library's classes keep their fields immutable through Record, not
 @dataclass(frozen=True), whose module imports inspect, which nothing else
@@ -247,10 +247,9 @@ class _Poly:
     pseudo-divide them: with L the divisor's last entry, the dividend's
     is scaled once by L^k, k = deg a - deg b + 1, so that every quotient
     step divides exactly.  The contents are combined with ints and
-    math.gcd alone.
-    The payload reads as the tuple of its lowest-terms Fractions, built
-    only when read: len, iteration, indexing, == and hash are its.
-    ratios() reads the same coefficients as integer pairs."""
+    math.gcd alone.  A payload is a plain value: == and hash read num,
+    den and prim, it is true when nonzero, and ratios() is the one reader
+    of its coefficients."""
 
     __slots__ = ("num", "den", "prim")
 
@@ -277,26 +276,15 @@ class _Poly:
         num, den = self.num, self.den
         return (_ratio(num * c, den) for c in self.prim)
 
-    def __len__(self) -> int:
-        return len(self.prim)
-
-    def __iter__(self):
-        from fractions import Fraction
-        num, den = self.num, self.den
-        return (Fraction(num * c, den) for c in self.prim)
-
-    def __getitem__(self, i: int):
-        from fractions import Fraction
-        return Fraction(self.num * self.prim[i], self.den)
+    def __bool__(self) -> bool:
+        return bool(self.prim)
 
     def __eq__(self, other) -> bool:
-        if type(other) is _Poly:
-            return (self.prim == other.prim and self.num == other.num
-                    and self.den == other.den)
-        return tuple(self) == other
+        return (type(other) is _Poly and self.prim == other.prim
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash((self.num, self.den, self.prim))
 
     def _combine(self, other: "_Poly", sign: int) -> "_Poly":
         """self + sign * other, the contents' numerator gcd taken out."""
@@ -424,10 +412,6 @@ class _IntegerOps:
     def is_unit(a: int) -> bool:
         return a in (1, -1)
 
-    @staticmethod
-    def key(a: int) -> int:
-        return a
-
 
 class _PolyOps:
     """Payload operations of Q[x].  The normal associate is monic: the
@@ -449,10 +433,6 @@ class _PolyOps:
     @staticmethod
     def is_unit(a: _Poly) -> bool:
         return len(a.prim) == 1
-
-    @staticmethod
-    def key(a: _Poly) -> tuple:
-        return a.num, a.den, a.prim
 
 
 def _divides(ops, d, x) -> bool:

@@ -8,6 +8,7 @@ import itertools
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,12 @@ def load_fixture(name):
 def P(*coeffs):
     """Rational polynomial from ascending integer/fraction coefficients."""
     return poly_rational().element(list(coeffs))
+
+
+def coefficients(x):
+    """A Q[x] element's coefficients in ascending degree, as Fractions
+    built from its payload's ratios()."""
+    return tuple(Fraction(n, d) for n, d in x.payload.ratios())
 
 
 def make_graph(ring, vertices, edges):

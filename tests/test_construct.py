@@ -38,6 +38,7 @@ from gensplines.splines import Spline, is_nontrivial
 
 from conftest import (
     P,
+    coefficients,
     make_graph,
     near_subgraphs,
     path_z,
@@ -998,8 +999,8 @@ class TestWorkCounts:
         # deg P * ceil(log2 E) + E coefficients (138 here: it builds 129,
         # a running product from one 299)
         labels = len(graph.edges)
-        degree = sum(len(graph.labels[e].canonical.payload) - 1 for e in graph.edges)
-        assert (sum(len(r.payload) for r in products)
+        degree = sum(len(coefficients(graph.labels[e].canonical)) - 1 for e in graph.edges)
+        assert (sum(len(coefficients(r)) for r in products)
                 <= degree * math.ceil(math.log2(labels)) + labels)
 
     @staticmethod

@@ -18,7 +18,7 @@ from gensplines.serialize import (
 )
 from gensplines.splines import verify
 
-from conftest import load_fixture
+from conftest import coefficients, load_fixture
 
 QX = poly_rational()
 
@@ -76,7 +76,7 @@ class TestElements:
             element_from_json(QX, [coeff], "spline.values[v1]")
 
     def test_coefficient_grammar_accepts(self):
-        assert element_from_json(QX, ["1/2", "-3", 2]).payload == (
+        assert coefficients(element_from_json(QX, ["1/2", "-3", 2])) == (
             Fraction(1, 2), Fraction(-3), Fraction(2))
         assert element_from_json(QX, "1/2") == QX.element([Fraction(1, 2)])
 

@@ -72,24 +72,26 @@ def test_library_does_not_import_dataclasses():
 
 
 def test_library_imports_fractions_only_inside_functions():
-    # a Q[x] content is a pair of ints; fractions, which loads decimal and
-    # numbers, is imported only by the functions that read or take a
-    # Fraction, so a command that never does so does not load it
+    # a Q[x] payload is ints throughout, and its == and hash read them;
+    # fractions, which loads decimal and numbers, is imported only by
+    # rings._coefficient, to take a Fraction given as input, so a command
+    # that is given none does not load it
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        nodes = list(ast.parse(path.read_text(), str(path)).body)
+        nodes = [(node, "<module>") for node in ast.parse(path.read_text(), str(path)).body]
         while nodes:
-            node = nodes.pop()
+            node, where = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module]
             else:
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    nodes.extend(ast.iter_child_nodes(node))
+                nodes.extend((child, where) for child in ast.iter_child_nodes(node))
                 continue
-            found += [f"{path.name}:{node.lineno}" for name in names if name == "fractions"]
-    assert not found, f"fractions imported at module level at {found}"
+            found += [f"{path.name}:{where}" for name in names if name == "fractions"]
+    assert found == ["rings.py:_coefficient"], found
 
 
 def test_ring_kind_is_read_only_where_the_rings_differ():
