@@ -9,9 +9,12 @@ only when every part carries the host's labels and keeps every vertex,
 and the parts together cover every edge, and raises GraphError on any
 other before a certifier runs.  The edge conditions of an accepted
 cover's parts are then exactly the host's, so R_G is the intersection
-of the R_{G_i} by construction.  The sampled draws, and the Z/m search
-over the parts' conditions, can only confirm that verdict: a false one
-would be a fault in the library, not in the cover.
+of the R_{G_i} by construction.  The Z/m search over the parts'
+conditions, and the sampled draws, can only confirm that verdict: a false
+one would be a fault in the library, not in the cover.  A spline
+verifies on every part exactly when it verifies on G, so over Z and
+Q[x] the draws are taken on G and verified on G, and only the cover
+check reads the parts.
 """
 from __future__ import annotations
 
@@ -245,14 +248,15 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
                               seed: int = 0,
                               samples: int = 20) -> DecompositionReport:
     """Certify R_G = intersection of the R_{G_i}: over Z/m exhaustively, and
-    by seeded sampling of both inclusions otherwise.  The identity holds
-    for every cover that _check_cover accepts (see the module docstring),
-    so either check can only confirm it.  Over Z/m one GKM
-    matrix of G serves two searches, one over G's edge conditions and one
-    over those of every G_i together; both give sorted lists of distinct
-    tuples, so they are compared as lists, and the counterexample, the
-    least tuple in one but not the other, is read where they first
-    differ."""
+    by seeded sampling otherwise.  The identity holds for every cover
+    that _check_cover accepts (see the module docstring), so either check
+    can only confirm it.  Over Z/m one GKM matrix of G serves two
+    searches, one over G's edge conditions and one over those of every
+    G_i together; both give sorted lists of distinct tuples, so they are
+    compared as lists, and the counterexample, the least tuple in one but
+    not the other, is read where they first differ.  Over Z and Q[x]
+    samples draws of G from random.Random(seed) are each verified on G,
+    and the counterexample is the first draw that fails."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     subgraphs = list(subgraphs)
@@ -266,18 +270,12 @@ def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
             return DecompositionReport(claim, edge_sets, True)
         return DecompositionReport(claim, edge_sets, False,
                                    counterexample=_least_difference(whole, inter))
-    rng = random.Random(seed)
-    # a draw of G must lie in every R_{G_i}; a draw of a G_i that lies
-    # in every R_{G_i} must lie in R_G, and only then is it verified on G
-    for i, source in enumerate([graph, *subgraphs]):
-        members = _random_members(source, rng)
-        for _ in range(samples):
-            p = Spline(graph, next(members).values)
-            inside = all(verify(sub, p).ok for sub in subgraphs)
-            if inside != (i == 0 or (inside and verify(graph, p).ok)):
-                return DecompositionReport(claim, edge_sets, False,
-                                           counterexample=p,
-                                           mode="sampled", seed=seed)
+    draws = _random_members(graph, random.Random(seed))
+    for _ in range(samples):
+        p = next(draws)
+        if not verify(graph, p).ok:
+            return DecompositionReport(claim, edge_sets, False, counterexample=p,
+                                       mode="sampled", seed=seed)
     return DecompositionReport(claim, edge_sets, True, mode="sampled", seed=seed)
 
 

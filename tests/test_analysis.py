@@ -1,5 +1,6 @@
 """Enumeration oracles and the decomposition certifiers."""
 import math
+import random
 import time
 import warnings
 from itertools import product
@@ -19,6 +20,7 @@ from gensplines import (
 )
 from gensplines.analysis import (
     BudgetExceededError,
+    DecompositionReport,
     check_cycle_decomposition,
     check_triangular_family,
     check_union_decomposition,
@@ -885,17 +887,18 @@ class TestSampledDraws:
         assert drawn == expected
 
     def test_one_walk_per_component(self, monkeypatch):
-        # a sampled certificate walks each source's components once: the
-        # walk that finds a component also gives its BFS tree
+        # a sampled certificate draws on the host alone and walks each of
+        # its components once: the walk that finds a component also gives
+        # its BFS tree
         graph = make_graph(Z, ["a", "b", "c", "d", "e", "f"],
                            [("a", "b", 2), ("b", "c", 6), ("a", "c", 4), ("d", "e", 3)])
         subgraphs = [spanning_subgraph(graph, [e]) for e in graph.edges]
-        expected = sum(len(g.components()) for g in [graph, *subgraphs])
+        expected = len(graph.components())
         walks = []
         for module in (analysis, graphs):
             monkeypatch.setattr(module, "_bfs", lambda *args: walks.append(args) or _bfs(*args))
         assert check_union_decomposition(graph, subgraphs, samples=3).verdict
-        assert len(walks) == expected == 3 + 4 * 5
+        assert len(walks) == expected == 3
 
     @pytest.mark.filterwarnings("error")
     def test_a_zero_label_draws_without_warning(self):
@@ -903,3 +906,81 @@ class TestSampledDraws:
         for subgraphs in ([spanning_subgraph(graph, [e]) for e in graph.edges],
                           spanning_tree_cover(graph)):
             assert check_union_decomposition(graph, subgraphs, samples=5).verdict
+
+
+def reference_sampled_report(graph, subgraphs, *, claim, seed, samples):
+    """A sampled certificate that also draws on the parts: samples draws
+    of G and then of each part, all from one random.Random(seed), each
+    verified on every part, and on G when it lies in every R_{G_i}."""
+    subgraphs = list(subgraphs)
+    edge_sets = tuple(tuple(sub.edges) for sub in subgraphs)
+    rng = random.Random(seed)
+    # a draw of G must lie in every R_{G_i}; a draw of a G_i that lies
+    # in every R_{G_i} must lie in R_G, and only then is it verified on G
+    for i, source in enumerate([graph, *subgraphs]):
+        members = analysis._random_members(source, rng)
+        for _ in range(samples):
+            p = Spline(graph, next(members).values)
+            inside = all(analysis.verify(sub, p).ok for sub in subgraphs)
+            if inside != (i == 0 or (inside and analysis.verify(graph, p).ok)):
+                return DecompositionReport(claim, edge_sets, False,
+                                           counterexample=p,
+                                           mode="sampled", seed=seed)
+    return DecompositionReport(claim, edge_sets, True, mode="sampled", seed=seed)
+
+
+def report_fields(report):
+    bad = report.counterexample
+    return (report.claim, report.subgraphs, report.verdict, report.mode, report.seed,
+            None if bad is None else serialize.spline_to_json(bad))
+
+
+def sampled_reports(graph, seed, samples):
+    """(library report, reference report) for each cover that selfcheck
+    certifies: edge by edge, and on a connected graph with edges the
+    spanning-tree cover and a tree plus its fundamental cycles."""
+    options = {"seed": seed, "samples": samples}
+    per_edge = [spanning_subgraph(graph, [e]) for e in graph.edges]
+    yield (check_union_decomposition(graph, per_edge, claim="edge-by-edge", **options),
+           reference_sampled_report(graph, per_edge, claim="edge-by-edge", **options))
+    if graph.is_connected and graph.edges:
+        trees = spanning_tree_cover(graph)
+        yield (check_union_decomposition(graph, trees, claim="spanning-trees", **options),
+               reference_sampled_report(graph, trees, claim="spanning-trees", **options))
+        tree = spanning_tree(graph)
+        yield (check_cycle_decomposition(graph, tree, **options),
+               reference_sampled_report(graph, tree_plus_cycles(graph, tree),
+                                        claim="tree-plus-cycles", **options))
+
+
+def refusing_odd_graphs(graph, p):
+    """verify with a planted fault: on a graph with edges and an odd
+    number of vertices, a spline nonzero at the first declared vertex is
+    refused.  An edgeless graph's cover has no parts, and the reference
+    verifies nothing on it, so the fault needs an edge to test."""
+    report = verify(graph, p)
+    if graph.edges and len(graph.vertices) % 2 and not p[graph.vertices[0]].is_zero:
+        return VerificationReport(False, report.violations)
+    return report
+
+
+class TestSampledReference:
+    """Draws taken and verified on G alone give the reports of the loop
+    that also drew on every part and verified each draw on every part:
+    the parts carry G's labels and cover its edges, so a draw verifies on
+    every part exactly when it verifies on G."""
+
+    @pytest.mark.parametrize("fault", [None, refusing_odd_graphs], ids=["verify", "planted"])
+    def test_same_reports_as_the_reference(self, fault, monkeypatch):
+        if fault:
+            monkeypatch.setattr(analysis, "verify", fault)
+        verdicts = []
+        for seed in range(240):
+            graph = sampled_graph(seed)
+            if graph.ring.kind == "integers-mod":
+                continue
+            for ours, reference in sampled_reports(graph, seed, 1 + seed % 4):
+                assert report_fields(ours) == report_fields(reference)
+                verdicts.append(ours.verdict)
+        false = verdicts.count(False)
+        assert len(verdicts) > 300 and (false > 40 if fault else false == 0)

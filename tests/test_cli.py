@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -498,6 +499,24 @@ class TestSelfcheck:
         assert code == 0 and err == ""
         assert all(r["verdict"] and r["mode"] == "sampled" for r in json.loads(out))
 
+
+    def test_a_large_polynomial_graph_within_seconds(self, capsys, tmp_path):
+        """n = 300 over Q[x]: a random tree plus n/4 chords, labels x - a
+        for a in -2..2.  Each cover's one draw is verified on G alone."""
+        rng, n = random.Random(300), 300
+        pairs = {(rng.randrange(i), i) for i in range(1, n)}
+        while len(pairs) < n - 1 + n // 4:
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+        path = tmp_path / "qx.json"
+        path.write_text(json.dumps({
+            "ring": {"kind": "poly-rational"}, "vertices": [f"v{i}" for i in range(n)],
+            "edges": [{"u": f"v{i}", "v": f"v{j}", "ideal": [[str(rng.randint(-2, 2)), "1"]]}
+                      for i, j in sorted(pairs)]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "selfcheck", str(path), "--samples", "1")
+        assert time.perf_counter() - start < 20
+        assert code == 0 and err == ""
+        assert [r["verdict"] for r in json.loads(out)] == [True] * 3
 
     @pytest.mark.parametrize("graph", [K4, C3Z4], ids=["k4", "c3-z4"])
     @pytest.mark.parametrize("samples", ["0", "-3"])

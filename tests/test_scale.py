@@ -61,6 +61,21 @@ def test_a_sampled_draw_is_linear():
     assert growth([d.__next__ for d in draws]) < 4 ** (1 + SLACK)
 
 
+def test_a_sampled_certificate_grows_with_its_cover():
+    """One sample on the spanning-tree cover, prebuilt: the cover check
+    reads its E - n + 2 trees of n - 1 edges each, O((E - n) * n)
+    entries (e = 2), and the one draw is verified on G alone, in linear
+    time.  A draw verified on every tree would cost O((E - n) * n) per
+    tree."""
+    runs = []
+    for n in (100, 400):
+        graph = sparse_z_graph(n, n)
+        cover = analysis.spanning_tree_cover(graph)
+        runs.append(lambda graph=graph, cover=cover:
+                    analysis.check_union_decomposition(graph, cover, samples=1))
+    assert growth(runs) < 4 ** (2 + SLACK)
+
+
 def test_verify_is_linear():
     """One division per edge on payloads, and a violated edge's
     difference wrapped once (e = 1).  A random tuple violates most
