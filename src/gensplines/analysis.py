@@ -14,12 +14,14 @@ conditions, and the sampled draws, can only confirm that verdict: a false
 one would be a fault in the library, not in the cover.  A spline
 verifies on every part exactly when it verifies on G, so over Z and
 Q[x] the draws are taken on G and verified on G, and only the cover
-check reads the parts.
+check reads the parts.  check_decompositions takes that side, and the
+Z/m search over G's own conditions, once for all claims.
 """
 from __future__ import annotations
 
 import heapq
 import random
+from itertools import islice
 from operator import itemgetter
 
 from .construct import GeneratingFamily, _flow_up_factors
@@ -242,41 +244,44 @@ def _random_element(ring, rng: random.Random):
     return ring.element([rng.randint(-3, 3) for _ in range(degree + 1)])
 
 
+def check_decompositions(graph: EdgeLabeledGraph, covers: dict, *,
+                         budget: int = DEFAULT_BUDGET,
+                         seed: int = 0,
+                         samples: int = 20) -> list[DecompositionReport]:
+    """Certify R_G = intersection of the R_{G_i} for each claim's cover in
+    covers (claim -> parts), one report per claim, in order; an accepted
+    cover makes it hold (module docstring), and G's side is taken once.
+    Over Z/m one GKM matrix of G serves a search over G's conditions and,
+    per claim, one over every G_i's, dropped once compared; the
+    counterexample is the least tuple in one sorted list and not the
+    other.  Over Z and Q[x] samples draws of G from random.Random(seed)
+    are verified on G; the first that fails refutes every claim."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    covers = {claim: list(parts) for claim, parts in covers.items()}
+    keys = [_check_cover(graph, parts) for parts in covers.values()]
+    if graph.ring.kind == INTEGERS_MOD:
+        matrix, divisors = build_gkm_matrix(graph), _edge_divisors(graph, budget)
+        whole = _row_search(matrix, divisors, graph.edges)
+        bad = [_least_difference(whole, _row_search(matrix, divisors, k)) for k in keys]
+        options = {}
+    else:
+        draws = islice(_random_members(graph, random.Random(seed)), samples)
+        bad = [next((p for p in draws if not verify(graph, p).ok), None)] * len(keys)
+        options = {"mode": "sampled", "seed": seed}
+    return [DecompositionReport(claim, tuple(tuple(sub.edges) for sub in parts), b is None,
+                                counterexample=b, **options)
+            for (claim, parts), b in zip(covers.items(), bad)]
+
+
 def check_union_decomposition(graph: EdgeLabeledGraph, subgraphs, *,
                               claim: str = "union",
                               budget: int = DEFAULT_BUDGET,
                               seed: int = 0,
                               samples: int = 20) -> DecompositionReport:
-    """Certify R_G = intersection of the R_{G_i}: over Z/m exhaustively, and
-    by seeded sampling otherwise.  The identity holds for every cover
-    that _check_cover accepts (see the module docstring), so either check
-    can only confirm it.  Over Z/m one GKM matrix of G serves two
-    searches, one over G's edge conditions and one over those of every
-    G_i together; both give sorted lists of distinct tuples, so they are
-    compared as lists, and the counterexample, the least tuple in one but
-    not the other, is read where they first differ.  Over Z and Q[x]
-    samples draws of G from random.Random(seed) are each verified on G,
-    and the counterexample is the first draw that fails."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    subgraphs = list(subgraphs)
-    keys = _check_cover(graph, subgraphs)
-    edge_sets = tuple(tuple(sub.edges) for sub in subgraphs)
-    if graph.ring.kind == INTEGERS_MOD:
-        matrix, divisors = build_gkm_matrix(graph), _edge_divisors(graph, budget)
-        whole = _row_search(matrix, divisors, graph.edges)
-        inter = _row_search(matrix, divisors, keys)
-        if whole == inter:
-            return DecompositionReport(claim, edge_sets, True)
-        return DecompositionReport(claim, edge_sets, False,
-                                   counterexample=_least_difference(whole, inter))
-    draws = _random_members(graph, random.Random(seed))
-    for _ in range(samples):
-        p = next(draws)
-        if not verify(graph, p).ok:
-            return DecompositionReport(claim, edge_sets, False, counterexample=p,
-                                       mode="sampled", seed=seed)
-    return DecompositionReport(claim, edge_sets, True, mode="sampled", seed=seed)
+    """check_decompositions for one cover."""
+    return check_decompositions(graph, {claim: subgraphs}, budget=budget,
+                                seed=seed, samples=samples)[0]
 
 
 def spanning_tree_cover(graph: EdgeLabeledGraph) -> list[EdgeLabeledGraph]:
@@ -291,17 +296,20 @@ def spanning_tree_cover(graph: EdgeLabeledGraph) -> list[EdgeLabeledGraph]:
     return trees
 
 
+def cycle_cover(graph: EdgeLabeledGraph, tree: TreeSkeleton) -> list[EdgeLabeledGraph]:
+    """T, with tree.host's labels, and the fundamental-cycle subgraphs of
+    graph, each padded with the remaining isolated vertices."""
+    return [spanning_subgraph(tree.host, tree.tree_edges)] + [
+        spanning_subgraph(graph, path_edges(graph, cycle.vertex_sequence))
+        for cycle in fundamental_cycles(graph, tree)]
+
+
 def check_cycle_decomposition(graph: EdgeLabeledGraph, tree: TreeSkeleton, *,
                               budget: int = DEFAULT_BUDGET,
                               seed: int = 0,
                               samples: int = 20) -> DecompositionReport:
-    """R_G = R_T intersected with the fundamental-cycle subgraphs (each
-    padded with the remaining isolated vertices); T keeps tree.host's labels."""
-    cycles = fundamental_cycles(graph, tree)
-    parts = [spanning_subgraph(tree.host, tree.tree_edges)]
-    parts += [spanning_subgraph(graph, path_edges(graph, cycle.vertex_sequence))
-              for cycle in cycles]
-    return check_union_decomposition(graph, parts, claim="tree-plus-cycles",
+    """R_G = R_T intersected with the fundamental-cycle subgraphs."""
+    return check_union_decomposition(graph, cycle_cover(graph, tree), claim="tree-plus-cycles",
                                      budget=budget, seed=seed, samples=samples)
 
 

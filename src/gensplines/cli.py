@@ -146,15 +146,12 @@ def _report_document(report) -> dict:
 def cmd_selfcheck(args, graph, spline):
     from . import analysis
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
-    options = {"budget": budget, "seed": args.seed, "samples": args.samples}
-    per_edge = [spanning_subgraph(graph, [e]) for e in graph.edges]
-    reports = [analysis.check_union_decomposition(
-        graph, per_edge, claim="edge-by-edge", **options)]
+    covers = {"edge-by-edge": [spanning_subgraph(graph, [e]) for e in graph.edges]}
     if graph.is_connected and graph.edges:
-        reports.append(analysis.check_union_decomposition(
-            graph, analysis.spanning_tree_cover(graph), claim="spanning-trees", **options))
-        reports.append(analysis.check_cycle_decomposition(
-            graph, spanning_tree(graph), **options))
+        covers["spanning-trees"] = analysis.spanning_tree_cover(graph)
+        covers["tree-plus-cycles"] = analysis.cycle_cover(graph, spanning_tree(graph))
+    reports = analysis.check_decompositions(graph, covers, budget=budget, seed=args.seed,
+                                            samples=args.samples)
     return [_report_document(r) for r in reports], all(r.verdict for r in reports)
 
 

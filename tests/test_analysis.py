@@ -22,9 +22,11 @@ from gensplines.analysis import (
     BudgetExceededError,
     DecompositionReport,
     check_cycle_decomposition,
+    check_decompositions,
     check_triangular_family,
     check_union_decomposition,
     count_direct_sum,
+    cycle_cover,
     enumerate_splines,
     matrix_solution_set,
     random_member,
@@ -932,7 +934,7 @@ def reference_sampled_report(graph, subgraphs, *, claim, seed, samples):
 def report_fields(report):
     bad = report.counterexample
     return (report.claim, report.subgraphs, report.verdict, report.mode, report.seed,
-            None if bad is None else serialize.spline_to_json(bad))
+            serialize.spline_to_json(bad) if isinstance(bad, Spline) else bad)
 
 
 def sampled_reports(graph, seed, samples):
@@ -984,3 +986,79 @@ class TestSampledReference:
                 verdicts.append(ours.verdict)
         false = verdicts.count(False)
         assert len(verdicts) > 300 and (false > 40 if fault else false == 0)
+
+
+def selfcheck_covers(graph):
+    """The covers that cli.cmd_selfcheck certifies, by claim."""
+    covers = {"edge-by-edge": [spanning_subgraph(graph, [e]) for e in graph.edges]}
+    if graph.is_connected and graph.edges:
+        covers["spanning-trees"] = spanning_tree_cover(graph)
+        covers["tree-plus-cycles"] = cycle_cover(graph, spanning_tree(graph))
+    return covers
+
+
+def dropping_the_zero_of_g(graph, forms, search=analysis._residue_search):
+    """_residue_search with a planted fault keyed on its input: a search
+    over G's own conditions, in edge order, loses its least tuple, the
+    zero spline."""
+    found = search(graph, forms)
+    terms = build_gkm_matrix(graph).terms_by_edge()
+    own = [(terms[e], graph.labels[e].divisor) for e in graph.edges]
+    return found[1:] if list(forms) == own else found
+
+
+def certificate_graphs():
+    """Seeded graphs over Z/m, Z and Q[x], each with a seed of its own."""
+    yield from ((seed, seeded_zm_graph(seed)[1]) for seed in range(30))
+    for seed in range(30, 150):
+        graph = sampled_graph(seed)
+        if graph.ring.kind != "integers-mod":
+            yield seed, graph
+
+
+class TestOneCertificatePerGraph:
+    """check_decompositions takes G's side once for every claim and gives
+    the reports of one check_union_decomposition per claim.  Under the
+    planted faults some are false: a draw that verify refuses refutes
+    every claim, and over Z/m a claim is refuted, at the zero tuple, just
+    when its cover's conditions are not G's own in edge order, so the
+    cover's own search was compared."""
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
+    def test_same_reports_as_one_call_per_claim(self, planted, monkeypatch):
+        if planted:
+            monkeypatch.setattr(analysis, "verify", refusing_odd_graphs)
+            monkeypatch.setattr(analysis, "_residue_search", dropping_the_zero_of_g)
+        false = dict.fromkeys(["integers-mod", "integers", "poly-rational"], 0)
+        for seed, graph in certificate_graphs():
+            covers = selfcheck_covers(graph)
+            options = {"seed": seed, "samples": 1 + seed % 4}
+            reports = check_decompositions(graph, covers, **options)
+            assert [report_fields(r) for r in reports] == [
+                report_fields(check_union_decomposition(graph, parts, claim=claim, **options))
+                for claim, parts in covers.items()]
+            for report, parts in zip(reports, covers.values()):
+                false[graph.ring.kind] += not report.verdict
+                if graph.ring.kind == "integers-mod":
+                    keys = [graph.edge_key(u, v) for sub in parts for u, v in sub.edges]
+                    assert report.verdict == (not planted or keys == list(graph.edges))
+                    zero = (0,) * len(graph.vertices)
+                    assert report.counterexample == (None if report.verdict else zero)
+        if planted:
+            assert min(false.values()) > 10
+        else:
+            assert false == dict.fromkeys(false, 0)
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
+    def test_the_cycle_certificate_is_the_union_over_its_cover(self, planted, monkeypatch):
+        if planted:
+            monkeypatch.setattr(analysis, "verify", refusing_odd_graphs)
+            monkeypatch.setattr(analysis, "_residue_search", dropping_the_zero_of_g)
+        for seed, graph in certificate_graphs():
+            if not (graph.is_connected and graph.edges):
+                continue
+            tree = spanning_tree(graph, seeded(seed).choice(graph.vertices))
+            options = {"seed": seed, "samples": 1 + seed % 4}
+            assert report_fields(check_cycle_decomposition(graph, tree, **options)) == (
+                report_fields(check_union_decomposition(
+                    graph, cycle_cover(graph, tree), claim="tree-plus-cycles", **options)))

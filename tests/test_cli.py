@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -529,10 +530,11 @@ class TestSelfcheck:
         search, calls = analysis._residue_search, []
 
         def padded(graph, forms):
-            # the first of each certificate's two searches finds (1, 2, 3) too
+            # the run's first search, G's, which every claim compares
+            # with its cover's, finds (1, 2, 3) too
             found = search(graph, forms)
             calls.append(forms)
-            return sorted(found + [(1, 2, 3)]) if len(calls) % 2 else found
+            return sorted(found + [(1, 2, 3)]) if len(calls) == 1 else found
 
         monkeypatch.setattr(analysis, "_residue_search", padded)
         code, out, _ = run(capsys, "selfcheck", C3Z4)
@@ -554,6 +556,48 @@ class TestSelfcheck:
             assert report["verdict"] is False and report["mode"] == "sampled"
             assert report["seed"] == 4
             assert report["counterexample"] == serialize.spline_to_json(first_draw)
+
+
+class TestOneCertificatePerGraph:
+    """selfcheck takes G's side of the certificate once for all its
+    claims: one search of G's own conditions, or one stream of draws of
+    G, and per claim only its cover's side."""
+
+    def test_one_search_of_g_and_one_per_claim(self, capsys, monkeypatch):
+        search, calls = analysis._residue_search, []
+        monkeypatch.setattr(analysis, "_residue_search",
+                            lambda graph, forms: calls.append(forms) or search(graph, forms))
+        code, out, _ = run(capsys, "selfcheck", C3Z4)
+        assert code == 0 and len(json.loads(out)) == 3
+        assert len(calls) == 4
+
+    def test_at_most_two_search_results_alive(self, capsys, monkeypatch):
+        class Found(list):
+            pass
+
+        search, results, alive = analysis._residue_search, [], []
+
+        def tracked(graph, forms):
+            found = Found(search(graph, forms))
+            results.append(weakref.ref(found))
+            alive.append(sum(ref() is not None for ref in results))
+            return found
+
+        monkeypatch.setattr(analysis, "_residue_search", tracked)
+        code, _, _ = run(capsys, "selfcheck", C3Z4)
+        assert code == 0 and len(results) == 4
+        assert max(alive) == 2
+
+    def test_one_flow_up_and_one_verify_per_draw(self, capsys, monkeypatch):
+        counts = {"_flow_up_factors": 0, "verify": 0}
+        for name in counts:
+            def counted(*args, original=getattr(analysis, name), name=name):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(analysis, name, counted)
+        code, out, _ = run(capsys, "selfcheck", K4, "--samples", "5")
+        assert code == 0 and len(json.loads(out)) == 3
+        assert counts == {"_flow_up_factors": 1, "verify": 5}
 
 
 class TestGoldenOutput:
