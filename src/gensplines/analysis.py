@@ -37,8 +37,8 @@ from .graphs import (
     spanning_subgraph,
     spanning_tree,
 )
-from .rings import INTEGERS, INTEGERS_MOD, Record, UnsupportedRingError
-from .splines import Spline, verify
+from .rings import INTEGERS, INTEGERS_MOD, Record, UnsupportedRingError, _element
+from .splines import Spline, _spline, verify
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -211,7 +211,7 @@ def _random_members(graph: EdgeLabeledGraph, rng: random.Random):
     order, then each vertex added into its parent, deepest first.  One
     BFS from each component's first declared vertex finds the component
     and gives its induced subgraph's tree; it and the N_v are taken once,
-    at the first draw."""
+    at the first draw.  The sums run on payloads; each value is wrapped once."""
     ring = graph.ring
     walks, edges = [], {}  # each component's BFS and edges; each vertex's edges
     for v in graph.vertices:
@@ -224,15 +224,15 @@ def _random_members(graph: EdgeLabeledGraph, rng: random.Random):
     trees = []
     for depth, parent, comp_edges in walks:
         _, steps = _flow_up_factors(graph, comp_edges, depth, parent)
-        trees.append((depth, parent, [(v, factor) for v, factor, _ in steps]))
+        trees.append((depth, parent, [(v, factor.payload) for v, factor, _ in steps]))
     while True:
         values = {}
         for comp, parent, factors in trees:
-            acc = {v: _random_element(ring, rng) * factor for v, factor in factors}
+            acc = {v: _random_element(ring, rng).payload * factor for v, factor in factors}
             for v, _ in reversed(factors[1:]):
                 acc[parent[v]] += acc[v]
-            values.update((v, acc[v]) for v in comp)
-        yield Spline(graph, values)
+            values.update((v, _element(ring, acc[v])) for v in comp)
+        yield _spline(graph, values)
 
 
 def _random_element(ring, rng: random.Random):

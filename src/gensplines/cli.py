@@ -146,6 +146,8 @@ def _report_document(report) -> dict:
 def cmd_selfcheck(args, graph, spline):
     from . import analysis
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
+    if graph.ring.modulus is not None:  # refuse an over-budget search before any cover
+        analysis._edge_divisors(graph, budget)
     covers = {"edge-by-edge": [spanning_subgraph(graph, [e]) for e in graph.edges]}
     if graph.is_connected and graph.edges:
         covers["spanning-trees"] = analysis.spanning_tree_cover(graph)

@@ -3,7 +3,8 @@ zero, and flow-up families.
 
 Every constructor returns splines that verify on their host graph;
 "arbitrary" ideal elements default to the canonical generators so that
-outputs are deterministic.
+outputs are deterministic.  Flow-up factors and extensions compute on
+payloads, wrap each value once and build splines with splines._spline.
 """
 from __future__ import annotations
 
@@ -23,11 +24,12 @@ from .rings import (
     Record,
     RingElement,
     UnsupportedRingError,
+    _element,
     ext_gcd,
     integers,
     lcm,
 )
-from .splines import Spline, _failing_edges, check_host, verify
+from .splines import Spline, _failing_edges, _spline, check_host, verify
 
 
 class GeneratingFamily(Record):
@@ -147,14 +149,7 @@ def _nested_family(graph, order, parent, factors) -> GeneratingFamily:
 
 def _member(graph, support, factor) -> Spline:
     zero = graph.ring.zero
-    return Spline(graph, {v: (factor if v in support else zero) for v in graph.vertices})
-
-
-def _lifted_labels(graph, edges):
-    """(ring, labels): each edge's canonical generator; over Z/m its lift
-    to Z in [0, m), because residues have no Euclidean division."""
-    lift = graph.ring if graph.ring.is_euclidean else integers()
-    return lift, {e: lift.element(graph.labels[e].canonical.payload) for e in edges}
+    return _spline(graph, {v: (factor if v in support else zero) for v in graph.vertices})
 
 
 def _grown_pairs(graph, rooted, start, step):
@@ -201,7 +196,8 @@ class TreeMembershipReport(Record):
         d: one ext_gcd(d, g) = (d', a, b) step gives the child's terms
         (a * t_1, ..., a * t_k, b * g).  The witness is t_i * diff / d."""
         graph, p = self.graph, self.spline
-        lift, gens = _lifted_labels(graph, graph.edges)
+        lift = graph.ring if graph.ring.is_euclidean else integers()  # Z/m: lifts to Z
+        gens = {e: lift.element(graph.labels[e].canonical.payload) for e in graph.edges}
 
         def grow(state, edge):
             edges, d, terms = state
@@ -275,10 +271,10 @@ def extend_by_zero_with_factor(graph, subgraph, p, element_choices=None):
     if not verify(subgraph, p).ok:
         raise ValueError("input spline fails verification on the subgraph")
     factor = _excluded_product(graph, excluded, element_choices)
-    inside = set(subgraph.vertices)
-    values = {v: (factor * p[v] if v in inside else graph.ring.zero)
+    ring, inside = graph.ring, set(subgraph.vertices)
+    values = {v: (_element(ring, factor.payload * p[v].payload) if v in inside else ring.zero)
               for v in graph.vertices}
-    return Spline(graph, values), factor
+    return _spline(graph, values), factor
 
 
 def _excluded_product(graph, edges, element_choices=None):
@@ -297,7 +293,7 @@ def _excluded_product(graph, edges, element_choices=None):
     return _product(factors, graph.ring.one)
 
 
-def _product(factors: list, one: RingElement) -> RingElement:
+def _product(factors: list, one):
     """The product of factors, one for none, multiplied pairwise:
     neighbours are multiplied until one is left (a product tree, von zur
     Gathen and Gerhard, Modern Computer Algebra, 10.1).  It makes the
@@ -354,26 +350,27 @@ def _flow_up_factors(graph, edges, depth, parent):
     parent's: with P the product of the nonzero labels, multiplied
     pairwise (_product), N_v is P over the nonzero labels on the path,
     one exact division more than its parent, or zero when a zero label
-    lies off the path.  Over Z/m the division runs on lifts to Z and N_v
-    is reduced."""
+    lies off the path.  It runs on the labels' canonical payloads (over Z/m
+    their own lifts to Z) and wraps each N_v once, reduced mod m."""
     ring = graph.ring
-    lift, gens = _lifted_labels(graph, edges)
-    zero_edges = [e for e in edges if gens[e].is_zero]
-    product = _product([g for g in gens.values() if not g.is_zero], lift.one)
+    quotient_of = ring.ops.quotient
+    gens = {e: graph.labels[e].canonical.payload for e in edges}
+    zero_edges = [e for e in edges if not gens[e]]
+    product = _product([g for g in gens.values() if g], ring.one.payload)
     grown = {}
     steps = []
     for v in sorted(depth, key=lambda v: (depth[v], graph.index(v))):
         if v in parent:
             edge = graph.edge_key(parent[v], v)
             zeros, quotient = grown[parent[v]]
-            if gens[edge].is_zero:
-                zeros = zeros | {edge}
+            if gens[edge]:
+                quotient = quotient_of(quotient, gens[edge])
             else:
-                quotient = quotient.exact_div(gens[edge])
+                zeros = zeros | {edge}
         else:
             zeros, quotient = frozenset(), product
         grown[v] = zeros, quotient
-        factor = ring.zero if len(zeros) < len(zero_edges) else ring.element(quotient)
+        factor = ring.zero if len(zeros) < len(zero_edges) else _element(ring, quotient)
         steps.append((v, factor, zeros))
     return zero_edges, steps
 

@@ -10,7 +10,9 @@ generators are collapsed to a single normal gcd generator.
 RingElement has one arithmetic path for every ring: it combines payloads
 with +, -, *, divmod and % and wraps the result through _element, which
 only reduces mod m; RingSpec.element, which validates and converts
-input, is for values from outside the ring layer.  int supplies the
+input, is for values from outside the ring layer.  Flow-up families and
+spline arithmetic also loop on payloads and wrap each value once, with
+_element, into splines built by splines._spline.  int supplies the
 payload arithmetic for Z and Z/m, and the private _Poly supplies it for
 Q[x]: it is born and computed in its one form, with ints and math.gcd
 alone, and its == and hash read those ints.  ratios() reads its
@@ -355,13 +357,16 @@ class _Poly:
         A, primitive parts, the quotient is primitive with a positive last
         entry (Gauss's lemma), so long division of A by B divides every step
         exactly: a step that does not, or a nonzero final remainder, shows
-        that B does not divide A.  The quotient's content is the contents'."""
+        that B does not divide A.  The quotient's content is the contents';
+        a nonzero constant's primitive part is (1,), and its quotient's is A."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self.prim, other.prim
         nb = len(b) - 1
         if len(a) <= nb:
             return None if a else self
+        if not nb:
+            return _Poly(*_ratio(self.num * other.den, self.den * other.num), a)
         lead = b[-1]
         rem = list(a)
         quot = [0] * (len(a) - nb)

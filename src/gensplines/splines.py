@@ -1,7 +1,9 @@
 """Splines on edge-labeled graphs: verification and ring/module structure.
 
 A Spline is a candidate vertex labeling; membership in the spline ring
-is checked by verify(), never assumed.
+is checked by verify(), never assumed.  The spline arithmetic computes on
+payloads, wraps each value once and builds its result with _spline, the one
+constructor that skips Spline's vertex-set and ring checks.
 """
 from __future__ import annotations
 
@@ -58,6 +60,13 @@ class Spline(Record):
         return f"Spline({inner})"
 
 
+def _spline(graph: EdgeLabeledGraph, values: dict) -> Spline:
+    """A Spline of values the library computed on graph's vertices and ring, unchecked."""
+    spline = object.__new__(Spline)
+    spline._set(graph, values)
+    return spline
+
+
 class VerificationReport(Record):
     __slots__ = ("ok", "violations")  # violations: (edge, difference) pairs
 
@@ -98,20 +107,27 @@ def verify(graph: EdgeLabeledGraph, spline: Spline) -> VerificationReport:
 
 def spline_add(p: Spline, q: Spline) -> Spline:
     check_host(p.graph, q)
-    return Spline(p.graph, {v: p[v] + q[v] for v in p.graph.vertices})
+    return _pointwise(p.graph, p, lambda v, x: x + q[v].payload)
 
 
 def spline_mul(p: Spline, q: Spline) -> Spline:
     check_host(p.graph, q)
-    return Spline(p.graph, {v: p[v] * q[v] for v in p.graph.vertices})
+    return _pointwise(p.graph, p, lambda v, x: x * q[v].payload)
 
 
 def spline_neg(p: Spline) -> Spline:
-    return Spline(p.graph, {v: -p[v] for v in p.graph.vertices})
+    return _pointwise(p.graph, p, lambda v, x: -x)
 
 
 def scalar_mul(r: RingElement, p: Spline) -> Spline:
-    return Spline(p.graph, {v: r * p[v] for v in p.graph.vertices})
+    p.graph.ring.zero._check(r)
+    return _pointwise(p.graph, p, lambda v, x: r.payload * x)
+
+
+def _pointwise(graph: EdgeLabeledGraph, p: Spline, f) -> Spline:
+    """The spline on graph, p's vertex set, with f(v, payload of p[v]) at v."""
+    ring = graph.ring
+    return _spline(graph, {v: _element(ring, f(v, p[v].payload)) for v in graph.vertices})
 
 
 def restrict_spline(p: Spline, subgraph: EdgeLabeledGraph) -> Spline:
@@ -129,8 +145,7 @@ def decompose_at_vertex(graph: EdgeLabeledGraph, p: Spline, v):
     if not report.ok:
         raise ValueError(f"not a generalized spline; {len(report.violations)} edge(s) violated")
     r = p[v]
-    part = Spline(graph, {w: p[w] - r for w in graph.vertices})
-    return r, part
+    return r, _pointwise(graph, p, lambda w, x: x - r.payload)
 
 
 def transport(p: Spline, target: EdgeLabeledGraph, vertex_map: dict) -> Spline:

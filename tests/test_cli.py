@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from gensplines import VerificationReport, analysis, cli, serialize
+from gensplines import VerificationReport, analysis, cli, graphs, serialize
 from gensplines.cli import main
 
 from conftest import FIXTURES
@@ -482,6 +482,23 @@ class TestSelfcheck:
         code, out, err = run(capsys, "selfcheck", path)
         assert code == 2 and out == ""
         assert err == f"error: {modulus}^10000 tuples exceed the budget of 10000000\n"
+
+    def test_budget_refused_before_any_cover(self, capsys, tmp_path, monkeypatch):
+        # a Z/2 path of 40 vertices with zero labels: 2^40 tuples, and no
+        # part of any cover is built before the refusal
+        names = [f"v{i}" for i in range(40)]
+        doc = {"ring": {"kind": "integers-mod", "modulus": 2}, "vertices": names,
+               "edges": [{"u": u, "v": v, "ideal": ["0"]} for u, v in zip(names, names[1:])]}
+        path = tmp_path / "z2-path.json"
+        path.write_text(json.dumps(doc))
+        built = []
+        for module in (cli, analysis):
+            monkeypatch.setattr(module, "spanning_subgraph",
+                                lambda *args: built.append(args) or graphs.spanning_subgraph(*args))
+        code, out, err = run(capsys, "selfcheck", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: 2^40 tuples exceed the budget of 10000000\n"
+        assert built == []
 
     def test_sampled_over_polynomials(self, capsys):
         code, out, _ = run(capsys, "selfcheck", K4, "--samples", "3")

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from gensplines import construct, graphs, integers, integers_mod, poly_rational, verify
-from gensplines.analysis import enumerate_splines
+from gensplines.analysis import enumerate_splines, random_member
 from gensplines.construct import (
     cycle_generating_family,
     cycle_spline,
@@ -28,13 +28,29 @@ from gensplines.graphs import (
     GraphError,
     _bfs,
     build_graph,
+    induced_subgraph,
     restrict,
     spanning_subgraph,
     spanning_tree,
     tree_path,
 )
-from gensplines.rings import Ideal, RingElement, RingMismatchError, UnsupportedRingError, ext_gcd
-from gensplines.splines import Spline, is_nontrivial
+from gensplines.rings import (
+    Ideal,
+    RingElement,
+    RingMismatchError,
+    UnsupportedRingError,
+    _Poly,
+    ext_gcd,
+)
+from gensplines.splines import (
+    Spline,
+    decompose_at_vertex,
+    is_nontrivial,
+    scalar_mul,
+    spline_add,
+    spline_mul,
+    spline_neg,
+)
 
 from conftest import (
     P,
@@ -550,6 +566,54 @@ class TestFlowUpIncremental:
             assert fam_warnings == ref_warnings
 
 
+def library_built(ring, rng):
+    """Every spline that the families, extend_by_zero, decompose_at_vertex
+    and the spline arithmetic build on seeded graphs over ring."""
+    # nonzero labels over Z/m, and few chords, so that the products over
+    # the edges off a path are not all zero mod m
+    nonzero = ring.modulus is not None
+    graph = random_connected_graph(ring, rng, n_max=6, e_max=7, nonzero=nonzero)
+    tree = random_tree(ring, rng, n_max=6, nonzero=nonzero)
+    cycle = random_cycle(ring, rng, n_max=6)
+    p, q = random_member(graph, rng), random_member(graph, rng)
+    keep = rng.sample(graph.vertices, rng.randint(1, len(graph.vertices)))
+    sub = induced_subgraph(graph, keep)
+    r = random_generator_element(ring, rng)
+    built = [*flow_up_family(graph).members, *tree_generating_family(tree).members,
+             *cycle_generating_family(cycle).members, p, q,
+             extend_by_zero(graph, sub, random_member(sub, rng)),
+             decompose_at_vertex(graph, p, rng.choice(graph.vertices))[1],
+             spline_add(p, q), spline_mul(p, q), spline_neg(p), scalar_mul(r, p)]
+    flag, witness = is_nontrivial_exists(graph) if ring.is_integral_domain else (False, None)
+    return built + [witness] * flag
+
+
+class TestCanonicalValues:
+    """A spline the library builds without Spline's checks must be one
+    that Spline would accept, and every payload canonical: an int over Z,
+    a residue in [0, m) over Z/m, and over Q[x] the _Poly that its own
+    coefficients rebuild."""
+
+    RINGS = [Z, integers_mod(12), integers_mod(1024), integers_mod(7), poly_rational()]
+
+    @pytest.mark.filterwarnings("ignore:edge")
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_library_built_splines_are_canonical(self, ring, seed):
+        for p in library_built(ring, random.Random(seed)):
+            graph = p.graph
+            assert graph.ring == ring
+            assert p == Spline(graph, dict(p.values))
+            for x in p.values.values():
+                if ring.kind == "poly-rational":
+                    assert type(x.payload) is _Poly
+                    rebuilt = ring.element([f"{n}/{d}" for n, d in x.payload.ratios()])
+                    assert x.payload == rebuilt.payload
+                else:
+                    assert type(x.payload) is int
+                    assert ring.modulus is None or 0 <= x.payload < ring.modulus
+
+
 class TestScalingFactorsAreTheDiagonal:
     """Each family's scaling factors are its members' values on the
     vertex order: member i at vertex_order[i]."""
@@ -975,6 +1039,8 @@ class TestWorkCounts:
         return counts
 
     def test_flow_up_divides_once_per_member(self, monkeypatch):
+        # the factors are computed on payloads: count at _Poly's product
+        # and the Q[x] quotient that the ring's ops table holds
         rng = random.Random(81)
         n = 12
         pairs = {(rng.randrange(i), i) for i in range(1, n)}
@@ -983,24 +1049,26 @@ class TestWorkCounts:
         graph = make_graph(poly_rational(), [f"v{i}" for i in range(n)],
                            [(f"v{i}", f"v{j}", [P(rng.randint(-3, 3), 1)])
                             for i, j in sorted(pairs)])
-        counts = self.counting(monkeypatch)
-        products = []
-        mul = RingElement.__mul__
+        ops = graph.ring.ops
+        products, quotients = [], []
+        mul, quotient = _Poly.__mul__, ops.quotient
 
         def recorded(a, b):
             products.append(mul(a, b))
             return products[-1]
 
-        monkeypatch.setattr(RingElement, "__mul__", recorded)
+        monkeypatch.setattr(_Poly, "__mul__", recorded)
+        monkeypatch.setattr(ops, "quotient",
+                            staticmethod(lambda a, b: quotients.append(b) or quotient(a, b)))
         flow_up_family(graph)
-        assert counts["exact_div"] == n - 1
-        assert counts["mul"] == 2 * n - 2
+        assert len(quotients) == n - 1
+        assert len(products) == 2 * n - 2
         # the pairwise product's partial products hold at most
         # deg P * ceil(log2 E) + E coefficients (138 here: it builds 129,
         # a running product from one 299)
         labels = len(graph.edges)
         degree = sum(len(coefficients(graph.labels[e].canonical)) - 1 for e in graph.edges)
-        assert (sum(len(coefficients(r)) for r in products)
+        assert (sum(len(r.prim) for r in products)
                 <= degree * math.ceil(math.log2(labels)) + labels)
 
     @staticmethod

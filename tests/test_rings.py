@@ -635,6 +635,25 @@ class TestPolynomialsAgainstSympy:
             assert not b.divides(a)
             self.check_pair(sympy_qq, a, b)
 
+    def test_division_by_constants(self, sympy_qq):
+        """A nonzero constant's primitive part is (1,): the quotient keeps
+        the dividend's primitive part and takes the contents' ratio.  It
+        equals pseudo-division's quotient, with a zero remainder, and
+        sympy's."""
+        sympy, to_sympy, from_sympy = sympy_qq
+        big = 10 ** 25
+        constants = [P(c) for c in (1, -1, 3, -7, big, Fraction(-2, 3), Fraction(5, 9),
+                                    Fraction(-1, big), Fraction(big + 1, -12))]
+        for a in self.random_polys(random.Random(34), 27):
+            for c in constants:
+                assert c.payload.prim == (1,)
+                q = a.payload.exact_quotient(c.payload)
+                long_q, long_r = divmod(a.payload, c.payload)
+                assert q == long_q and not long_r
+                assert QX.element(q) == from_sympy(to_sympy(a).exquo(to_sympy(c)))
+                assert self.canonical(QX.element(q))
+                assert a.exact_div(c) * c == a
+
     def test_large_exact_division_at_once(self):
         # exact division of primitive parts needs no L^k scaling: with it,
         # these three divisions took about 0.4 s

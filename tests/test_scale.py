@@ -10,7 +10,7 @@ import random
 from time import perf_counter
 
 from gensplines import analysis, integers, poly_rational, verify
-from gensplines.construct import tree_membership
+from gensplines.construct import flow_up_family, tree_generating_family, tree_membership
 from gensplines.gkm import build_gkm_matrix, syzygy_check
 from gensplines.graphs import spanning_tree
 from gensplines.splines import Spline, decompose_at_vertex
@@ -21,12 +21,12 @@ SLACK = 0.5
 K = 9
 
 
-def sparse_z_graph(n, seed):
-    """n vertices: a random tree plus n/4 chords, labels from {2, 3, 4,
-    6, 9, 12}."""
+def sparse_z_graph(n, seed, chords=None):
+    """n vertices: a random tree plus chords (n/4 by default), labels
+    from {2, 3, 4, 6, 9, 12}."""
     rng = random.Random(seed)
     pairs = {(rng.randrange(i), i) for i in range(1, n)}
-    while len(pairs) < n - 1 + n // 4:
+    while len(pairs) < n - 1 + (n // 4 if chords is None else chords):
         pairs.add(tuple(sorted(rng.sample(range(n), 2))))
     return make_graph(integers(), [f"v{i}" for i in range(n)],
                       [(f"v{i}", f"v{j}", rng.choice([2, 3, 4, 6, 9, 12]))
@@ -129,3 +129,22 @@ def test_tree_membership_is_linear_in_the_exponent():
         assert tree_membership(graph, p).failures == (("a", "c"), ("b", "c"))
         runs.append(lambda graph=graph, p=p: tree_membership(graph, p))
     assert growth(runs) < 4 ** (1 + SLACK)
+
+
+def test_tree_generating_family_grows_with_its_output():
+    """n members of n values each, every value one of the member's
+    factor and zero, shared (e = 2 in n, against n^2 output entries)."""
+    trees = [sparse_z_graph(n, n, chords=0) for n in (100, 400)]
+    assert all(tree.is_tree for tree in trees)
+    assert growth([lambda tree=tree: tree_generating_family(tree) for tree in trees]) \
+        < 4 ** (2 + SLACK)
+
+
+def test_flow_up_family_grows_with_its_output():
+    """n members of n values each, the n factors each a product of up to
+    E = 5n/4 labels: an output of about n^2 + n * E entries and label
+    factors (e = 2 in n).  One pairwise product of the labels, then one
+    division and one wrapped factor per member, on payloads."""
+    graphs = [sparse_z_graph(n, n) for n in (100, 400)]
+    assert growth([lambda graph=graph: flow_up_family(graph) for graph in graphs]) \
+        < 4 ** (2 + SLACK)

@@ -103,13 +103,17 @@ class TestRingStructure:
         with pytest.raises(GraphError, match="not defined on this graph's vertices"):
             verify(h, zspline(make_graph(Z, ["a", "b", "z"], []), 0, 0, 0))
 
-    @pytest.mark.parametrize("op", [spline_add, spline_mul])
+    @pytest.mark.parametrize("op", [spline_add, spline_mul,
+                                    lambda p, q: scalar_mul(q["v1"], p)],
+                             ids=["spline_add", "spline_mul", "scalar_mul"])
     def test_operations_refuse_another_ring(self, op):
         R = integers_mod(6)
         g = triangle_z()
         other = Spline(make_graph(R, g.vertices, []), {v: R.one for v in g.vertices})
         with pytest.raises(RingMismatchError):
             op(zspline(g, 1, 1, 1), other)
+        with pytest.raises(TypeError):
+            scalar_mul(3, zspline(g, 1, 1, 1))
 
     def test_operations_on_the_vertices_declared_in_another_order(self):
         g = triangle_z()
