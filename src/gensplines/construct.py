@@ -223,8 +223,8 @@ def tree_membership(graph: EdgeLabeledGraph, p: Spline) -> TreeMembershipReport:
     Each pair's difference must lie in the sum of its path's edge ideals,
     generated by the gcd of their generators.  A path's difference is the
     sum of its edges' differences, so when the n - 1 edge tests of
-    verify, one division each on payloads, all hold, every pair passes,
-    no gcd is taken and levels is not loaded.  Otherwise
+    verify, one divisibility test each on payloads, all hold, every pair
+    passes, no gcd is taken and levels is not loaded.  Otherwise
     levels.tree_failures reads the failing pairs from local levels: a
     coprime base q of the labels and, for each q, one union-find over the
     edges whose label q^(j+1) divides, visiting from the top down only

@@ -119,49 +119,57 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
     """Eliminate the vertex columns of every chord row by adding signed
     tree rows around its fundamental cycle.  Tree rows are listed first
     (in tree-construction order) and left untouched; every operation is
-    a row reorder or an addition of a +-1 multiple, hence invertible."""
-    graph = matrix.graph
+    a row reorder or an addition of a +-1 multiple, hence invertible.
+    Each row is read as matrix.rows holds it, +1 at its tail and -1 at
+    its head, and a chord row's sum is kept on its cycle's vertices."""
+    graph, n = matrix.graph, len(matrix.graph.vertices)
     cycles = fundamental_cycles(graph, tree)
-    rows = matrix.rows_by_edge()
+    keys = {row: graph.edge_key(*row) for row in matrix.rows}  # (tail, head): edge
     tree_edges = tree_edge_keys(graph, tree)
     log = [("reorder", tree_edges)]
-    tree_rows = tuple(SystemRow(e, rows[e], ((1, e),)) for e in tree_edges)
+    tree_rows = []
+    for e in tree_edges:
+        tail, head = e if e in keys else e[::-1]
+        row = [0] * n
+        row[graph.index(tail)], row[graph.index(head)] = 1, -1
+        tree_rows.append(SystemRow(e, tuple(row), ((1, e),)))
+    cleared = (0,) * n
     cycle_rows = []
     for cycle in cycles:
         chord = cycle.chord
         steps = cycle.steps()
-        chord_step_sign = rows[chord][graph.index(steps[0][0])]
-        coeffs = list(rows[chord])
+        tail, head = chord if chord in keys else chord[::-1]
+        coeffs = {tail: 1, head: -1}  # the sum, kept on the cycle's vertices
+        sign = coeffs[steps[0][0]]  # the chord's step runs tail -> head if +1
         rhs = [(1, chord)]
         for a, b in steps[1:]:
-            edge = graph.edge_key(a, b)
-            row = rows[edge]
-            c = chord_step_sign * row[graph.index(a)]
-            for i in map(graph.index, edge):  # a row is zero off its endpoints
-                coeffs[i] += c * row[i]
+            tail, head, c = (a, b, sign) if (a, b) in keys else (b, a, -sign)
+            coeffs[tail] = coeffs.get(tail, 0) + c
+            coeffs[head] = coeffs.get(head, 0) - c
+            edge = keys[(tail, head)]
             rhs.append((c, edge))
             log.append(("add", c, edge, chord))
-        if any(coeffs):
+        if any(coeffs.values()):
             raise AssertionError("cycle elimination failed to clear vertex columns")
-        cycle_rows.append(SystemRow(chord, tuple(coeffs), tuple(rhs)))
-    return ReducedSystem(graph, tree_rows, tuple(cycle_rows), tuple(log))
+        cycle_rows.append(SystemRow(chord, cleared, tuple(rhs)))
+    return ReducedSystem(graph, tuple(tree_rows), tuple(cycle_rows), tuple(log))
 
 
 def syzygy_check(graph: EdgeLabeledGraph, tree: TreeSkeleton, q: dict) -> bool:
     """True iff M*p = q has a solution p, which is the statement that each
     cycle row's signed sum of q's vanishes.  The tree rows fix p from
     p_root = 0 in one pass over the tree's parents, and every chord row
-    must then hold: one ring subtraction per edge, no reduction."""
-    q = _check_last_column(graph, q)
+    must then hold, mod m over Z/m: one subtraction per edge on payloads."""
+    q = {e: x.payload for e, x in _check_last_column(graph, q).items()}
     if set(tree.depth) != set(graph.vertices):
         raise GraphError("tree does not span the graph")
-    p = {tree.root: graph.ring.zero}
+    p = {tree.root: graph.ring.zero.payload}
     tree_set = set()
     for child, up in tree.parent.items():  # BFS order: up is solved first
         edge = graph.edge_key(up, child)
         tree_set.add(edge)
         p[child] = p[up] - q[edge] if edge[0] == up else p[up] + q[edge]
-    return all(p[tail] - p[head] == q[(tail, head)]
+    return all(graph.ring.same(p[tail] - p[head], q[(tail, head)])
                for tail, head in graph.edges if (tail, head) not in tree_set)
 
 
@@ -172,14 +180,13 @@ def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:
     order = path_order(graph)
     edges = path_edges(graph, order)
     n = len(order)
-    rows = matrix.rows_by_edge()
+    terms = matrix.terms_by_edge()
+    slots = [(terms[e][graph.index(v)], e) for v, e in zip(order, edges)]
     out = []
     for i in range(n - 1):
         coeffs = [0] * n
         coeffs[graph.index(order[i])] = 1
         coeffs[graph.index(order[-1])] = -1
-        rhs = tuple((rows[edges[k]][graph.index(order[k])], edges[k])
-                    for k in range(n - 2, i - 1, -1))
-        out.append(SystemRow(edges[i], tuple(coeffs), rhs))
+        out.append(SystemRow(edges[i], tuple(coeffs), tuple(slots[i:][::-1])))
     log = tuple(("add-suffix", row.edge) for row in out)
     return ReducedSystem(graph, tuple(out), (), log)

@@ -23,14 +23,16 @@ command given no Fraction does not load it.
 
 Every test a principal ring needs reduces to a few payload operations,
 which RingSpec.ops holds, one table per ring, picked once: the exact
-quotient or None, a gcd already in normal form, the normal associate
-(nonnegative for Z, monic for Q[x]) and the unit test.  Z/m uses Z's
-table on its divisors d = gcd(x, m) and on lifts to [0, m): its units,
-divisibility and ideals are read mod m through d, and it refuses exact
-division, gcd and lcm.  RingElement, gcd, lcm, ext_gcd, Ideal and
-gensplines.levels all read this table.  The ring kind is read only by
-RingSpec: to validate it, pick the table, build canonical input, print
-the ring and say which operations Z/m refuses.
+quotient or None, the divisibility test (whether a nonzero d divides
+a - b, with no difference built: the edge test), a gcd already in normal
+form, the normal associate (nonnegative for Z, monic for Q[x]) and the
+unit test.  Z/m uses Z's table on its divisors d = gcd(x, m) and on lifts
+to [0, m): its units, divisibility and ideals are read mod m through d,
+and it refuses exact division, gcd and lcm.  RingElement, gcd, lcm,
+ext_gcd, Ideal and gensplines.levels all read this table.  The ring kind
+is read only by RingSpec: to validate it, pick the table, build canonical
+input, compare payloads mod m, print the ring and say which operations
+Z/m refuses.
 
 The library's classes keep their fields immutable through Record, not
 @dataclass(frozen=True), whose module imports inspect, which nothing else
@@ -208,6 +210,10 @@ class RingSpec(Record):
         """The payload operations of this ring; Z/m's are Z's."""
         return _PolyOps if self.kind == POLY_RATIONAL else _IntegerOps
 
+    def same(self, a, b) -> bool:
+        """Whether the payloads a and b are one element, mod m over Z/m."""
+        return a == b if self.modulus is None else not (a - b) % self.modulus
+
     @cached_property
     def zero(self) -> "RingElement":
         return self.element(0)
@@ -248,7 +254,8 @@ class _Poly:
     exactly, with no scaling.  divmod and %, which gcd and ext_gcd need,
     pseudo-divide them: with L the divisor's last entry, the dividend's
     is scaled once by L^k, k = deg a - deg b + 1, so that every quotient
-    step divides exactly.  The contents are combined with ints and
+    step divides exactly.  Both run _long_division, the one division loop,
+    as does the edge test.  The contents are combined with ints and
     math.gcd alone.  A payload is a plain value: == and hash read num,
     den and prim, it is true when nonzero, and ratios() is the one reader
     of its coefficients."""
@@ -288,8 +295,9 @@ class _Poly:
     def __hash__(self) -> int:
         return hash((self.num, self.den, self.prim))
 
-    def _combine(self, other: "_Poly", sign: int) -> "_Poly":
-        """self + sign * other, the contents' numerator gcd taken out."""
+    def _combination(self, other: "_Poly", sign: int) -> tuple[list, int, int]:
+        """(C, h, den) with self + sign * other = C * h / den, C an integer
+        list and den the lcm of the contents' denominators."""
         n, d, m, e = self.num, self.den, other.num, other.den
         h, den = math.gcd(n, m) or 1, math.lcm(d, e)
         sa, sb = n // h * (den // d), sign * (m // h) * (den // e)
@@ -297,13 +305,13 @@ class _Poly:
         out = [x * sa for x in a] + [0] * (len(b) - len(a))
         for i, y in enumerate(b):
             out[i] += y * sb
-        return _Poly._canonical(out, h, den)
+        return out, h, den
 
     def __add__(self, other: "_Poly") -> "_Poly":
-        return self._combine(other, 1)
+        return _Poly._canonical(*self._combination(other, 1))
 
     def __sub__(self, other: "_Poly") -> "_Poly":
-        return self._combine(other, -1)
+        return _Poly._canonical(*self._combination(other, -1))
 
     def __neg__(self) -> "_Poly":
         return _Poly(-self.num, self.den, self.prim)
@@ -328,19 +336,9 @@ class _Poly:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self.prim, other.prim
-        nb = len(b) - 1
-        k = max(len(a) - nb, 0)
-        lead = b[-1]
-        scale = lead ** k
+        scale = b[-1] ** max(len(a) - len(b) + 1, 0)
         rem = [x * scale for x in a]
-        quot = [0] * k
-        for i in range(len(a) - 1, nb - 1, -1):
-            f = rem[i] // lead
-            if f:
-                quot[i - nb] = f
-                for j in range(nb):
-                    rem[i - nb + j] -= f * b[j]
-        return quot, rem[:nb], scale
+        return _long_division(rem, b), rem[:len(b) - 1], scale
 
     def __divmod__(self, other: "_Poly") -> tuple["_Poly", "_Poly"]:
         quot, rem, scale = self._pseudo_divide(other)
@@ -362,23 +360,11 @@ class _Poly:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self.prim, other.prim
-        nb = len(b) - 1
-        if len(a) <= nb:
-            return None if a else self
-        if not nb:
+        if len(b) == 1:
             return _Poly(*_ratio(self.num * other.den, self.den * other.num), a)
-        lead = b[-1]
         rem = list(a)
-        quot = [0] * (len(a) - nb)
-        for i in range(len(a) - 1, nb - 1, -1):
-            f, r = divmod(rem[i], lead)
-            if r:
-                return None
-            if f:
-                quot[i - nb] = f
-                for j in range(nb):
-                    rem[i - nb + j] -= f * b[j]
-        if any(rem[:nb]):
+        quot = _long_division(rem, b)
+        if quot is None or any(rem[:len(b) - 1]):
             return None
         num, den = _ratio(self.num * other.den, self.den * other.num)
         return _Poly(num, den, tuple(quot))
@@ -400,12 +386,36 @@ class _Poly:
         return text or "0"
 
 
+def _long_division(rem: list, b: tuple) -> list | None:
+    """Long division of the integer list rem by b in place: the quotient,
+    the remainder left in rem[:len(b) - 1], or None at the first step that
+    b's last entry does not divide.  If b divides rem over Z, every step
+    divides and the remainder is zero."""
+    nb, lead, low = len(b) - 1, b[-1], b[:-1]
+    quot = [0] * max(len(rem) - nb, 0)
+    for i in range(len(rem) - 1, nb - 1, -1):
+        x = rem[i]
+        if x:
+            f = x // lead
+            if f * lead != x:
+                return None
+            quot[i - nb] = f
+            for j, y in enumerate(low, i - nb):
+                rem[j] -= f * y
+    return quot
+
+
 class _IntegerOps:
     """Payload operations of Z, which Z/m uses on its divisors and lifts.
     The normal associate is the absolute value."""
 
     gcd = staticmethod(math.gcd)
     normal = staticmethod(abs)
+
+    @staticmethod
+    def divides_difference(d: int, a: int, b: int) -> bool:
+        """Whether d, nonzero, divides a - b."""
+        return not (a - b) % d
 
     @staticmethod
     def quotient(a: int, b: int) -> int | None:
@@ -426,6 +436,13 @@ class _PolyOps:
     quotient = staticmethod(_Poly.exact_quotient)
 
     @staticmethod
+    def divides_difference(d: _Poly, a: _Poly, b: _Poly) -> bool:
+        """Whether d, nonzero, divides a - b: by Gauss's lemma, whether d's primitive
+        part divides a's and b's integer combination; no gcd, no _Poly built."""
+        rem, prim = a._combination(b, -1)[0] if b else list(a.prim), d.prim
+        return _long_division(rem, prim) is not None and not any(rem[:len(prim) - 1])
+
+    @staticmethod
     def normal(a: _Poly) -> _Poly:
         return _Poly(1, a.prim[-1], a.prim) if a.prim else a
 
@@ -440,9 +457,9 @@ class _PolyOps:
         return len(a.prim) == 1
 
 
-def _divides(ops, d, x) -> bool:
-    """Whether the payload d divides the payload x; zero divides only zero."""
-    return ops.quotient(x, d) is not None if d else not x
+def _divides(ops, d, a, b) -> bool:
+    """Whether the payload d divides a - b, payloads; a zero d asks a == b."""
+    return ops.divides_difference(d, a, b) if d else a == b
 
 
 class RingElement(Record):
@@ -493,7 +510,7 @@ class RingElement(Record):
         ring, d = self.ring, self.payload
         if ring.modulus is not None:
             d = math.gcd(d, ring.modulus)
-        return _divides(ring.ops, d, other.payload)
+        return _divides(ring.ops, d, other.payload, ring.zero.payload)
 
     def exact_div(self, other: "RingElement") -> "RingElement":
         """Return self / other, which must divide exactly (Euclidean rings)."""
@@ -610,15 +627,15 @@ class Ideal(Record):
             canonical = _element(ring, divisor)
         self._set(ring, generators, canonical, divisor)
 
-    def _holds(self, x) -> bool:
-        """Whether the payload x lies in the ideal.  Over Z/m, x is a
-        residue or a difference of lifts to [0, m), and divisor, which
-        divides m, decides it for both."""
-        return _divides(self.ring.ops, self.divisor or self.canonical.payload, x)
+    def _holds(self, a, b) -> bool:
+        """Whether a - b, payloads, lies in the ideal; no difference is built.
+        Over Z/m, a and b are residues, lifts to [0, m), and divisor, which
+        divides m, decides their difference as it decides the residue."""
+        return _divides(self.ring.ops, self.divisor or self.canonical.payload, a, b)
 
     def contains(self, a: RingElement) -> bool:
         self.canonical._check(a)
-        return self._holds(a.payload)
+        return self._holds(a.payload, self.ring.zero.payload)
 
     @property
     def is_zero(self) -> bool:

@@ -165,8 +165,12 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def family_to_json(family) -> dict:
+    members = []
+    for p in family.members:  # one factor object and zero: each value converted once
+        text = {id(x): element_to_json(x) for x in {id(x): x for x in p.values.values()}.values()}
+        members.append({"values": {v: text[id(p[v])] for v in p.graph.vertices}})
     return {
         "vertex_order": list(family.vertex_order),
-        "members": [spline_to_json(p) for p in family.members],
+        "members": members,
         "scaling_factors": [element_to_json(x) for x in family.scaling_factors],
     }

@@ -1,9 +1,11 @@
 """Splines on edge-labeled graphs: verification and ring/module structure.
 
 A Spline is a candidate vertex labeling; membership in the spline ring
-is checked by verify(), never assumed.  The spline arithmetic computes on
-payloads, wraps each value once and builds its result with _spline, the one
-constructor that skips Spline's vertex-set and ring checks.
+is checked by verify(), never assumed, with one divisibility test per edge
+on payloads; p_u - p_v is built for a violated edge alone.  The spline
+arithmetic computes on payloads, wraps each value once and builds its
+result with _spline, the one constructor that skips Spline's vertex-set
+and ring checks.
 """
 from __future__ import annotations
 
@@ -85,15 +87,15 @@ def check_host(graph: EdgeLabeledGraph, spline: Spline) -> None:
 
 def _failing_edges(graph: EdgeLabeledGraph, spline: Spline) -> list:
     """(edge index, p_u - p_v) on payloads for each edge (u, v) whose
-    label refuses the difference.  Over Z/m it is a difference of
-    residues, which the label's divisor of m decides as it decides the
-    residue."""
+    label refuses the difference, built for such an edge alone.  Over Z/m
+    it is a difference of residues, which the label's divisor of m decides
+    as it decides the residue."""
     values = spline.values
     failing = []
     for k, ((u, v), label) in enumerate(zip(graph.edges, graph.labels.values())):
-        diff = values[u].payload - values[v].payload
-        if not label._holds(diff):
-            failing.append((k, diff))
+        a, b = values[u].payload, values[v].payload
+        if not label._holds(a, b):
+            failing.append((k, a - b))
     return failing
 
 

@@ -70,6 +70,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def large_polynomial_graph(tmp_path):
+    """The CI's n = 300 graph over Q[x]: a random tree plus n/4 chords,
+    labels x - a for a in -2..2."""
+    rng, n = random.Random(300), 300
+    pairs = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(pairs) < n - 1 + n // 4:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    path = tmp_path / "qx.json"
+    path.write_text(json.dumps({
+        "ring": {"kind": "poly-rational"}, "vertices": [f"v{i}" for i in range(n)],
+        "edges": [{"u": f"v{i}", "v": f"v{j}", "ideal": [[str(rng.randint(-2, 2)), "1"]]}
+                  for i, j in sorted(pairs)]}))
+    return path
+
+
 class TestCheck:
     def test_valid_spline_exits_zero(self, capsys):
         code, out, _ = run(capsys, "check", K4, K4_SPLINE)
@@ -281,6 +296,15 @@ class TestFamilies:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "cyclefam", str(path))
         assert code == 2
+
+
+def test_flowup_on_a_large_polynomial_graph_keeps_its_output(capsys, tmp_path):
+    # each member's factor is converted to JSON once, not once per vertex
+    # of its support; the 49 MB document is unchanged
+    code, out, err = run(capsys, "flowup", str(large_polynomial_graph(tmp_path)))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dfeb084f424156be255cd2af4d081773c3e7c789f00396d9b7ca7c67c6b90394")
 
 
 class TestLongIntegers:
@@ -519,17 +543,8 @@ class TestSelfcheck:
 
 
     def test_a_large_polynomial_graph_within_seconds(self, capsys, tmp_path):
-        """n = 300 over Q[x]: a random tree plus n/4 chords, labels x - a
-        for a in -2..2.  Each cover's one draw is verified on G alone."""
-        rng, n = random.Random(300), 300
-        pairs = {(rng.randrange(i), i) for i in range(1, n)}
-        while len(pairs) < n - 1 + n // 4:
-            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
-        path = tmp_path / "qx.json"
-        path.write_text(json.dumps({
-            "ring": {"kind": "poly-rational"}, "vertices": [f"v{i}" for i in range(n)],
-            "edges": [{"u": f"v{i}", "v": f"v{j}", "ideal": [[str(rng.randint(-2, 2)), "1"]]}
-                      for i, j in sorted(pairs)]}))
+        """Each cover's one draw is verified on G alone."""
+        path = large_polynomial_graph(tmp_path)
         start = time.perf_counter()
         code, out, err = run(capsys, "selfcheck", str(path), "--samples", "1")
         assert time.perf_counter() - start < 20

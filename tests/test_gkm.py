@@ -15,8 +15,8 @@ from gensplines.graphs import GraphError, fundamental_cycles, path_order, tree_f
 from gensplines.rings import RingMismatchError, integers_mod
 from gensplines.splines import Spline
 
-from conftest import (path_z, random_connected_graph, random_generator_element, random_path,
-                      seeded, triangle_z)
+from conftest import (make_graph, path_z, random_connected_graph, random_generator_element,
+                      random_path, seeded, triangle_z)
 
 Z = integers()
 
@@ -457,3 +457,116 @@ class TestReorientedMatrices:
         assert as_tuples(system.tree_rows) == rows
         assert system.cycle_rows == ()
         assert list(system.transform_log) == [("add-suffix", r[0]) for r in rows]
+
+
+# -- reference: the reduction on dense rows and the check on RingElements --
+
+def dense_reduce_via_tree(matrix, tree):
+    """The tree reduction as it ran on dense rows: every row written out
+    over all vertex slots (rows_by_edge), a chord row copied and summed
+    slot by slot, each step's sign read off its dense row."""
+    graph = matrix.graph
+    cycles = fundamental_cycles(graph, tree)
+    rows = matrix.rows_by_edge()
+    tree_edges = tuple(graph.edge_key(u, v) for u, v in tree.tree_edges)
+    log = [("reorder", tree_edges)]
+    tree_rows = [(e, rows[e], ((1, e),)) for e in tree_edges]
+    cycle_rows = []
+    for cycle in cycles:
+        chord = cycle.chord
+        steps = cycle.steps()
+        chord_step_sign = rows[chord][graph.index(steps[0][0])]
+        coeffs = list(rows[chord])
+        rhs = [(1, chord)]
+        for a, b in steps[1:]:
+            edge = graph.edge_key(a, b)
+            row = rows[edge]
+            c = chord_step_sign * row[graph.index(a)]
+            coeffs = [x + c * y for x, y in zip(coeffs, row)]
+            rhs.append((c, edge))
+            log.append(("add", c, edge, chord))
+        cycle_rows.append((chord, tuple(coeffs), tuple(rhs)))
+    return tree_rows, cycle_rows, log
+
+
+def element_syzygy_check(graph, tree, q):
+    """The syzygy check on RingElements: p fixed along the tree's parents
+    with ring subtractions, then every chord row compared as elements."""
+    q = _check_last_column(graph, q)
+    if set(tree.depth) != set(graph.vertices):
+        raise GraphError("tree does not span the graph")
+    p = {tree.root: graph.ring.zero}
+    tree_set = set()
+    for child, up in tree.parent.items():
+        edge = graph.edge_key(up, child)
+        tree_set.add(edge)
+        p[child] = p[up] - q[edge] if edge[0] == up else p[up] + q[edge]
+    return all(p[tail] - p[head] == q[(tail, head)]
+               for tail, head in graph.edges if (tail, head) not in tree_set)
+
+
+def redeclared(graph, rng):
+    """graph with its vertices declared in a shuffled order, so that some
+    edge keys name their edge the other way round."""
+    order = list(graph.vertices)
+    rng.shuffle(order)
+    return build_graph(graph.ring, order, [(u, v, graph.labels[u, v]) for u, v in graph.edges])
+
+
+class TestAgainstTheDenseReduction:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rows_and_log_match(self, seed):
+        rng = seeded(3500 + seed)
+        g = random_connected_graph(Z, rng, n_max=9, e_max=16, nonzero=True)
+        if rng.random() < 0.5:
+            g = redeclared(g, rng)
+        flips = random_flips(g, rng) if rng.random() < 0.7 else None
+        matrix = build_gkm_matrix(g, orientation=flips)
+        # a tree of g, or of g declared in another order, at a random root
+        host = redeclared(g, rng) if rng.random() < 0.5 else g
+        tree = spanning_tree(host, rng.choice(g.vertices))
+        system = reduce_via_tree(matrix, tree)
+        tree_rows, cycle_rows, log = dense_reduce_via_tree(matrix, tree)
+        assert as_tuples(system.tree_rows) == tree_rows
+        assert as_tuples(system.cycle_rows) == cycle_rows
+        assert list(system.transform_log) == log
+        assert len({id(r.coeffs) for r in system.cycle_rows}) <= 1
+
+
+class TestAgainstTheElementSyzygy:
+    @staticmethod
+    def instance(ring, rng):
+        """A connected graph and a spline on it.  Over Z/60 the labels
+        divide 12 and the values are multiples of 12, so the residue
+        differences reach past m / 2 and the tree's path sums past m."""
+        if not ring.modulus:
+            g = random_connected_graph(ring, rng, n_max=7, e_max=12)
+            scale = ring.one
+            for e in g.edges:
+                scale = scale * g.labels[e].canonical
+            return g, {v: scale * random_generator_element(ring, rng) for v in g.vertices}
+        n = rng.randint(2, 8)
+        pairs = {(rng.randrange(i), i) for i in range(1, n)}
+        pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 4))}
+        g = make_graph(ring, [f"v{i}" for i in range(n)],
+                       [(f"v{i}", f"v{j}", rng.choice([2, 3, 4, 6, 12])) for i, j in sorted(pairs)])
+        return g, {v: ring.element(12 * rng.randrange(5)) for v in g.vertices}
+
+    @pytest.mark.parametrize("ring", [Z, poly_rational(), integers_mod(60)], ids=str)
+    def test_verdicts_match(self, ring):
+        rng = seeded(3600)
+        verdicts = set()
+        for _ in range(60):
+            g, p = self.instance(ring, rng)
+            balanced = {(u, v): p[u] - p[v] for u, v in g.edges}
+            perturbed = dict(balanced)
+            e = rng.choice(g.edges)
+            perturbed[e] = perturbed[e] + g.labels[e].canonical * random_generator_element(
+                ring, rng, nonzero=True)
+            for tree in (spanning_tree(g, rng.choice(g.vertices)),
+                         spanning_tree(redeclared(g, rng))):
+                for q in (balanced, perturbed):
+                    got = syzygy_check(g, tree, q)
+                    assert got == element_syzygy_check(g, tree, q)
+                    verdicts.add(got)
+        assert verdicts == {True, False}

@@ -6,10 +6,11 @@ process, interleaved, best of K, and asserts that the ratio stays under
 A ratio within one process cancels most of the host's drift, where an
 absolute time limit does not.
 """
+import json
 import random
 from time import perf_counter
 
-from gensplines import analysis, integers, poly_rational, verify
+from gensplines import analysis, integers, poly_rational, serialize, verify
 from gensplines.construct import flow_up_family, tree_generating_family, tree_membership
 from gensplines.gkm import build_gkm_matrix, syzygy_check
 from gensplines.graphs import spanning_tree
@@ -77,7 +78,7 @@ def test_a_sampled_certificate_grows_with_its_cover():
 
 
 def test_verify_is_linear():
-    """One division per edge on payloads, and a violated edge's
+    """One divisibility test per edge on payloads, and a violated edge's
     difference wrapped once (e = 1).  A random tuple violates most
     edges, so the wrapping is timed too."""
     runs = []
@@ -128,6 +129,46 @@ def test_tree_membership_is_linear_in_the_exponent():
         p = Spline(graph, {"a": QX.zero, "b": QX.zero, "c": QX.one})
         assert tree_membership(graph, p).failures == (("a", "c"), ("b", "c"))
         runs.append(lambda graph=graph, p=p: tree_membership(graph, p))
+    assert growth(runs) < 4 ** (1 + SLACK)
+
+
+def test_tree_membership_on_random_tuples_is_linear():
+    """A random Z tuple on a path labeled from {2, 3, 4, 6, 9, 12}: one
+    divisibility test per edge, then one union-find per base element and
+    level (e = 1).  On a path each level's components are runs of edges
+    of geometric length, so the failing pairs, which are output, are
+    linear in n too; on a random tree a giant component makes them
+    superlinear."""
+    runs = []
+    for n in (100, 400):
+        rng = random.Random(n)
+        verts = [f"v{i}" for i in range(n)]
+        graph = make_graph(integers(), verts, [(verts[i - 1], verts[i],
+                                                rng.choice([2, 3, 4, 6, 9, 12]))
+                                               for i in range(1, n)])
+        p = Spline(graph, {v: graph.ring.element(rng.randint(-10 ** 6, 10 ** 6))
+                           for v in verts})
+        assert tree_membership(graph, p).failures
+        runs.append(lambda graph=graph, p=p: tree_membership(graph, p))
+    assert growth(runs) < 4 ** (1 + SLACK)
+
+
+def test_a_serialize_round_trip_is_linear():
+    """A graph and a spline to JSON text and back: one conversion per
+    vertex and edge each way, and the edges sorted once (e = 1)."""
+    def round_trip(graph, p):
+        text = json.dumps({"graph": serialize.graph_to_json(graph),
+                           "spline": serialize.spline_to_json(p)})
+        doc = json.loads(text)
+        back = serialize.graph_from_json(doc["graph"])
+        return serialize.spline_from_json(back, doc["spline"])
+
+    runs = []
+    for n in (100, 400):
+        graph = sparse_z_graph(n, n)
+        p = lcm_spline(graph, random.Random(n))
+        assert round_trip(graph, p).as_tuple() == p.as_tuple()
+        runs.append(lambda graph=graph, p=p: round_trip(graph, p))
     assert growth(runs) < 4 ** (1 + SLACK)
 
 

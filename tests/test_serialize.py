@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gensplines import integers, integers_mod, poly_rational
+from gensplines import integers, integers_mod, poly_rational, serialize
+from gensplines.construct import flow_up_family, tree_generating_family
 from gensplines.serialize import (
     SchemaError,
     element_from_json,
     element_to_json,
+    family_to_json,
     graph_from_json,
     graph_to_json,
     report_to_json,
@@ -18,7 +20,8 @@ from gensplines.serialize import (
 )
 from gensplines.splines import verify
 
-from conftest import coefficients, load_fixture
+from conftest import (coefficients, load_fixture, random_connected_graph, random_tree,
+                      seeded)
 
 QX = poly_rational()
 
@@ -146,3 +149,25 @@ class TestReports:
         edges = [tuple(v["edge"]) for v in doc["violations"]]
         assert edges == [("v1", "v3"), ("v2", "v4")]
         assert all(isinstance(v["difference"], list) for v in doc["violations"])
+
+
+@pytest.mark.parametrize("ring", [integers(), integers_mod(12), QX], ids=str)
+def test_a_family_converts_each_value_object_once_per_member(ring, monkeypatch):
+    # a member holds one factor object on its support and the ring's zero
+    # elsewhere, so a member costs two conversions at most, not one per
+    # vertex; the document is the one spline_to_json writes for each
+    rng = seeded(3400)
+    for _ in range(10):
+        graph = random_connected_graph(ring, rng, n_max=9, e_max=14, nonzero=True)
+        for family in (flow_up_family(graph), tree_generating_family(random_tree(ring, rng, 9))):
+            expected = {"vertex_order": list(family.vertex_order),
+                        "members": [spline_to_json(p) for p in family.members],
+                        "scaling_factors": [element_to_json(x) for x in family.scaling_factors]}
+            calls = []
+            monkeypatch.setattr(serialize, "element_to_json",
+                                lambda x: calls.append(x) or element_to_json(x))
+            assert family_to_json(family) == expected
+            monkeypatch.undo()
+            per_member = calls[:len(calls) - len(family.scaling_factors)]
+            distinct = [len({id(x) for x in p.values.values()}) for p in family.members]
+            assert len(per_member) == sum(distinct) <= 2 * len(family.members)

@@ -1,10 +1,13 @@
 """Verification against the worked K4 examples, plus the ring/module
 structure of the spline set."""
+import math
+
 import pytest
 
 from gensplines import integers, integers_mod, poly_rational, verify
-from gensplines.graphs import GraphError, restrict
-from gensplines.rings import RingMismatchError
+from gensplines.construct import tree_membership
+from gensplines.graphs import GraphError, restrict, spanning_tree, tree_path
+from gensplines.rings import Ideal, RingMismatchError
 from gensplines.splines import (
     Spline,
     decompose_at_vertex,
@@ -19,7 +22,7 @@ from gensplines.splines import (
     transport,
 )
 
-from conftest import P, make_graph, triangle_z
+from conftest import P, make_graph, seeded, triangle_z
 
 Z = integers()
 QX = poly_rational()
@@ -226,3 +229,128 @@ class TestDirectSumAndScaling:
         g = triangle_z()
         assert is_nontrivial(zspline(g, 0, 10, 25))
         assert not is_nontrivial(zspline(g, 3, 3, 3))
+
+
+class TestEdgeTestAgreement:
+    """verify and tree_membership test each edge on payloads, with one
+    divisibility test and no difference built unless it fails.  Their
+    results must equal a reference that builds every difference
+    p[u] - p[v] on RingElements and asks Ideal.contains; contains is
+    checked in turn against integer remainders and sympy's, so a fault
+    in the shared long division shows here."""
+
+    RINGS = [Z, integers_mod(12), integers_mod(36), QX]
+    # Q[x] labels: leading entries above 1 (2x + 1, 3x^2 - 2, 3x + 6),
+    # units, zero, and the monic x - 1, x^2
+    QX_LABELS = [[1, 2], [-2, 0, 3], [6, 3], [1], ["-5/3"], [0], [-1, 1], [0, 0, 1]]
+
+    @classmethod
+    def label(cls, ring, rng):
+        if ring is QX:
+            return rng.choice(cls.QX_LABELS)
+        if ring.modulus is None:
+            return rng.choice([0, 1, -1, 2, 3, 4, 6, 9, 12])
+        return rng.randrange(ring.modulus)
+
+    @staticmethod
+    def poly(rng, degree):
+        """A Q[x] value whose coefficients have unrelated denominators."""
+        return QX.element([f"{rng.randint(-9, 9)}/{rng.choice([1, 2, 3, 5, 7, 9])}"
+                           for _ in range(degree + 1)])
+
+    @classmethod
+    def next_value(cls, ring, rng, x, gen):
+        """A value across an edge from x: equal, x plus a multiple of gen,
+        x plus a value of lower degree than gen, or unrelated."""
+        kind = rng.randrange(4)
+        if ring is QX:
+            other = [cls.poly(rng, rng.randint(0, 4)) for _ in range(2)]
+            lower = cls.poly(rng, max(len(gen.payload.prim) - 2, 0))
+            return [x, x + gen * other[0], x + lower, other[1]][kind]
+        if ring.modulus is None:
+            return [x, x + gen * ring.element(rng.randint(-50, 50)),
+                    x + ring.one, ring.element(rng.randint(-100, 100))][kind]
+        # residues: a multiple of gen that wraps past m, or any residue
+        return [x, x + gen * ring.element(rng.randrange(ring.modulus)),
+                x + ring.one, ring.element(rng.randrange(ring.modulus))][kind]
+
+    @classmethod
+    def instance(cls, ring, rng, chords):
+        """A random tree plus chords whose values follow the tree edges."""
+        n = rng.randint(2, 8)
+        verts = [f"v{i}" for i in range(n)]
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        values = {verts[0]: ring.element(rng.randrange(12)) if ring is not QX
+                  else cls.poly(rng, 2)}
+        labels = {}
+        for j, i in sorted(edges, key=lambda e: e[1]):
+            labels[(j, i)] = cls.label(ring, rng)
+            gen = ring.element(labels[(j, i)])
+            values[verts[i]] = cls.next_value(ring, rng, values[verts[j]], gen)
+        for _ in range(chords):
+            j, i = sorted(rng.sample(range(n), 2)) if n > 2 else (0, 1)
+            labels.setdefault((j, i), cls.label(ring, rng))
+        graph = make_graph(ring, verts, [(verts[j], verts[i], [g])
+                                         for (j, i), g in sorted(labels.items())])
+        return graph, Spline(graph, values)
+
+    @staticmethod
+    def oracle(ideal, x):
+        """Whether x lies in ideal, read off integer or sympy remainders."""
+        ring, gens = x.ring, [g.payload for g in ideal.generators]
+        if ring is QX:
+            sympy = pytest.importorskip("sympy")
+            t = sympy.Symbol("t")
+
+            def expr(p):
+                return sum(sympy.Rational(n, d) * t ** k for k, (n, d) in enumerate(p.ratios()))
+
+            g = sympy.gcd_list([expr(p) for p in gens]) if any(gens) else 0
+            if g == 0:
+                return not x.payload
+            return sympy.rem(expr(x.payload), g, t) == 0
+        d = math.gcd(*gens, *([ring.modulus] if ring.modulus else []))
+        return x.payload % d == 0 if d else not x.payload
+
+    @classmethod
+    def member(cls, ideal, x):
+        got = ideal.contains(x)
+        assert got == cls.oracle(ideal, x), (ideal, x)
+        if ideal.ring.modulus is None and len(ideal.generators) == 1:
+            assert ideal.canonical.divides(x) == got
+        return got
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_verify_matches_the_reference(self, ring):
+        rng = seeded(3500 + (ring.modulus or 0) + (ring is QX))
+        outcomes = set()
+        for _ in range(60):
+            graph, p = self.instance(ring, rng, chords=rng.randint(0, 3))
+            expected = tuple(((u, v), p[u] - p[v]) for u, v in graph.edges
+                             if not self.member(graph.labels[(u, v)], p[u] - p[v]))
+            report = verify(graph, p)
+            assert report.violations == expected
+            assert report.ok == (not expected)
+            outcomes.add(report.ok)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_tree_membership_matches_the_reference(self, ring):
+        rng = seeded(3600 + (ring.modulus or 0) + (ring is QX))
+        outcomes = set()
+        for _ in range(60):
+            graph, p = self.instance(ring, rng, chords=0)
+            tree = spanning_tree(graph)
+            verts = graph.vertices
+            expected = []
+            for i, u in enumerate(verts):
+                for v in verts[i + 1:]:
+                    path = tree_path(tree, u, v)
+                    ideal = Ideal([g for a, b in zip(path, path[1:])
+                                   for g in graph.label(a, b).generators])
+                    if not self.member(ideal, p[u] - p[v]):
+                        expected.append((u, v))
+            report = tree_membership(graph, p)
+            assert report.failures == tuple(expected)
+            outcomes.add(report.ok)
+        assert outcomes == {True, False}
