@@ -53,9 +53,6 @@ class SplineSet(Record):
 
     __slots__ = ("graph", "members")
 
-    def __init__(self, graph: EdgeLabeledGraph, members: tuple):
-        self._set(graph, members)
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -42,10 +42,6 @@ class GeneratingFamily(Record):
 
     __slots__ = ("graph", "members", "vertex_order", "scaling_factors")
 
-    def __init__(self, graph: EdgeLabeledGraph, members: tuple, vertex_order: tuple,
-                 scaling_factors: tuple):
-        self._set(graph, members, vertex_order, scaling_factors)
-
 
 def trivial_spline(graph: EdgeLabeledGraph, r: RingElement) -> Spline:
     return Spline(graph, {v: r for v in graph.vertices})
@@ -184,9 +180,6 @@ class TreeMembershipReport(Record):
 
     __slots__ = ("ok", "failures", "graph", "spline", "__dict__")  # __dict__ holds witnesses
     _unshown = ("graph", "spline")
-
-    def __init__(self, ok: bool, failures: tuple, graph: EdgeLabeledGraph, spline: Spline):
-        self._set(ok, failures, graph, spline)
 
     @cached_property
     def witnesses(self) -> dict:

@@ -16,9 +16,6 @@ from .splines import Spline, check_host
 class GkmMatrix(Record):
     __slots__ = ("graph", "rows")  # rows: directed edges (tail, head), one per graph edge
 
-    def __init__(self, graph: EdgeLabeledGraph, rows: tuple):
-        self._set(graph, rows)
-
     def terms_by_edge(self) -> dict:
         """Each edge's signed incidence row by its two nonzero entries, in
         row order: {tail slot: +1, head slot: -1}.  A step (a, b) along the
@@ -85,9 +82,6 @@ class SystemRow(Record):
 
     __slots__ = ("edge", "coeffs", "rhs")
 
-    def __init__(self, edge: tuple, coeffs: tuple, rhs: tuple):
-        self._set(edge, coeffs, rhs)
-
     def __eq__(self, other) -> bool:
         return type(other) is SystemRow and (self.edge, self.coeffs, self.rhs) == (
             other.edge, other.coeffs, other.rhs)
@@ -109,10 +103,6 @@ class SystemRow(Record):
 
 class ReducedSystem(Record):
     __slots__ = ("graph", "tree_rows", "cycle_rows", "transform_log")
-
-    def __init__(self, graph: EdgeLabeledGraph, tree_rows: tuple, cycle_rows: tuple,
-                 transform_log: tuple):
-        self._set(graph, tree_rows, cycle_rows, transform_log)
 
 
 def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:

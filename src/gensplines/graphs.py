@@ -147,10 +147,6 @@ class TreeSkeleton(Record):
 
     __slots__ = ("host", "root", "parent", "tree_edges", "depth")
 
-    def __init__(self, host: EdgeLabeledGraph, root, parent: dict, tree_edges: tuple,
-                 depth: dict):
-        self._set(host, root, parent, tree_edges, depth)
-
 
 def _skeleton(graph: EdgeLabeledGraph, adj, root) -> TreeSkeleton | None:
     """BFS tree of a spanning subgraph's adj from root; None if it misses a vertex."""
@@ -234,9 +230,6 @@ class CycleDescriptor(Record):
     """
 
     __slots__ = ("chord", "vertex_sequence")
-
-    def __init__(self, chord: tuple, vertex_sequence: tuple):
-        self._set(chord, vertex_sequence)
 
     def steps(self):
         """Consecutive (a, b) traversal steps around the cycle."""

@@ -36,7 +36,8 @@ Z/m refuses.
 
 The library's classes keep their fields immutable through Record, not
 @dataclass(frozen=True), whose module imports inspect, which nothing else
-in a CLI process loads.
+in a CLI process loads.  A record names its fields once, in __slots__;
+Record sets them, positionally, through setters bound once per class.
 """
 from __future__ import annotations
 
@@ -127,16 +128,34 @@ def _is_prime(n: int) -> bool:
 
 
 class Record:
-    """An immutable record: __init__ sets its fields once, through _set in
-    __slots__ order, and assigning or deleting a field raises.  repr shows
-    every field but the private ones and those named in _unshown."""
+    """An immutable record whose fields are named once, in __slots__.
+
+    Record(*values) checks that one value is given per field, then sets
+    the fields in __slots__ order through the slots' own setters, bound
+    once per class into _setters.  A class that validates or derives its
+    input calls _set, the same check and setters, from its own __init__.
+    __dict__, where a class caches derived values, is not a field.  The
+    setters come from the class's own __slots__, so a record class is
+    not subclassed again.  Assigning or deleting a field raises, and repr
+    shows every field but the private ones and those named in _unshown.
+    """
 
     __slots__ = ()
     _unshown = ()
 
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__
+                             if name != "__dict__")
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, "
+                            f"got {len(values)}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    __init__ = _set
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -468,8 +487,9 @@ class RingElement(Record):
     __slots__ = ("ring", "payload")
 
     def __init__(self, ring: RingSpec, payload):
-        _SET_RING(self, ring)
-        _SET_PAYLOAD(self, payload)
+        set_ring, set_payload = self._setters
+        set_ring(self, ring)
+        set_payload(self, payload)
 
     def _check(self, other: "RingElement") -> None:
         if not isinstance(other, RingElement):
@@ -537,11 +557,6 @@ class RingElement(Record):
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {self}>"
-
-
-# The slots' own setters, which __setattr__ does not reach.
-_SET_RING = RingElement.ring.__set__
-_SET_PAYLOAD = RingElement.payload.__set__
 
 
 def _element(ring: RingSpec, payload) -> RingElement:

@@ -72,9 +72,6 @@ def _spline(graph: EdgeLabeledGraph, values: dict) -> Spline:
 class VerificationReport(Record):
     __slots__ = ("ok", "violations")  # violations: (edge, difference) pairs
 
-    def __init__(self, ok: bool, violations: tuple):
-        self._set(ok, violations)
-
 
 def check_host(graph: EdgeLabeledGraph, spline: Spline) -> None:
     """Refuse a spline on another vertex set or over another ring."""

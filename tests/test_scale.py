@@ -153,6 +153,25 @@ def test_tree_membership_on_random_tuples_is_linear():
     assert growth(runs) < 4 ** (1 + SLACK)
 
 
+def test_tree_membership_on_a_path_declared_backwards_is_linear():
+    """A Z path v0 - v1 - ... declared from its far end, so each edge
+    names its new vertex first, every label 2, even values but an odd
+    middle vertex.  The middle's two edges fail, and the one level's
+    union-find grows one component edge by edge: merging the smaller
+    member list into the larger keeps it linear (e = 1), where merging
+    in argument order copies the whole component at every union."""
+    runs = []
+    for n in (2000, 8000):
+        verts = [f"v{i}" for i in range(n)]
+        graph = make_graph(integers(), verts[::-1],
+                           [(verts[i - 1], verts[i], 2) for i in range(1, n)])
+        p = Spline(graph, {v: graph.ring.element(2 * i + (i == n // 2))
+                           for i, v in enumerate(verts)})
+        assert len(tree_membership(graph, p).failures) == n - 1
+        runs.append(lambda graph=graph, p=p: tree_membership(graph, p))
+    assert growth(runs) < 4 ** (1 + SLACK)
+
+
 def test_a_serialize_round_trip_is_linear():
     """A graph and a spline to JSON text and back: one conversion per
     vertex and edge each way, and the edges sorted once (e = 1)."""

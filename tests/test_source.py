@@ -192,3 +192,23 @@ def test_edges_are_tested_in_one_place():
                             key=lambda f: f.lineno, default=None)
                 found.append(f"{path.name}:{inner.name if inner else '<module>'}")
     assert found == ["splines.py:_failing_edges"], found
+
+
+def test_records_do_not_forward_their_fields():
+    # a record names its fields once, in __slots__, and Record(*values)
+    # sets them; an own __init__ must do work: validate, derive or supply
+    # defaults, not only hand its parameters to _set
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(ast.unparse(base) == "Record" for base in cls.bases)):
+                continue
+            for init in cls.body:
+                if (isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                        and not init.args.defaults and len(init.body) == 1
+                        and isinstance(init.body[0], ast.Expr)
+                        and isinstance(init.body[0].value, ast.Call)
+                        and ast.unparse(init.body[0].value.func) == "self._set"):
+                    found.append(f"{path.name}:{cls.name}")
+    assert not found, f"forwarding __init__ in {found}"
