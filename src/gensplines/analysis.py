@@ -366,7 +366,7 @@ def reduced_solution_set(system: ReducedSystem,
     slots = {}  # edge -> q_edge as {vertex slot: coefficient}
     while ready:
         e = ready.pop()
-        form, own = {k: c for k, c in enumerate(rows[e].coeffs) if c}, 0
+        form, own = dict(rows[e].coeffs), 0
         for sign, f in rows[e].rhs:
             if f == e:
                 own += sign

@@ -91,13 +91,14 @@ def cmd_matrix(args, graph, spline):
         system = gkm.reduce_via_tree(matrix, spanning_tree(graph))
         rows = list(system.tree_rows) + list(system.cycle_rows)
     else:
-        rows = [gkm.SystemRow(edge, row, ((1, edge),))
-                for edge, row in matrix.rows_by_edge().items()]
+        rows = [gkm.SystemRow(edge, terms, ((1, edge),))
+                for edge, terms in matrix.terms_by_edge().items()]
+    n = len(graph.vertices)
     if args.format == "text":
         return "".join(
-            f"[{' '.join(f'{c:>2}' for c in row.coeffs)} | {row.rhs_text(graph)}]\n"
+            f"[{' '.join(f'{c:>2}' for c in row.dense(n))} | {row.rhs_text(graph)}]\n"
             for row in rows), True
-    return {"rows": [{"edge": list(row.edge), "coeffs": list(row.coeffs),
+    return {"rows": [{"edge": list(row.edge), "coeffs": list(row.dense(n)),
                       "rhs": row.rhs_text(graph)} for row in rows]}, True
 
 

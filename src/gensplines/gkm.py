@@ -1,9 +1,9 @@
 """The GKM matrix: signed incidence rows plus a symbolic last column.
 
 Each row of the matrix encodes one edge condition p_tail - p_head = q_e
-with q_e ranging over the edge's ideal.  The symbolic last column is
-kept as a list of signed (coefficient slot, edge) terms so that
-row reduction stays exact and reproducible.
+with q_e ranging over the edge's ideal, by its two nonzero entries.  The
+symbolic last column is kept as a list of signed (coefficient slot,
+edge) terms so that row reduction stays exact and reproducible.
 """
 from __future__ import annotations
 
@@ -24,28 +24,17 @@ class GkmMatrix(Record):
         return {graph.edge_key(tail, head): {graph.index(tail): 1, graph.index(head): -1}
                 for tail, head in self.rows}
 
-    def rows_by_edge(self) -> dict:
-        """The rows of terms_by_edge written out over every vertex slot."""
-        n = len(self.graph.vertices)
-        out = {}
-        for edge, terms in self.terms_by_edge().items():
-            row = [0] * n
-            for k, c in terms.items():
-                row[k] = c
-            out[edge] = tuple(row)
-        return out
-
 
 def build_gkm_matrix(graph: EdgeLabeledGraph, orientation: dict | None = None) -> GkmMatrix:
     """Rows in edge declaration order, earlier declared vertex -> later by
     default; an orientation key may name its edge either way round, but
     only one key may name it.  Re-orienting an edge only negates its row,
     which never changes the solution set."""
-    orientation = {e: tuple(ends) for e, ends in keyed_by_edge(graph, orientation).items()}
-    for (u, v), (tail, head) in orientation.items():
-        if {tail, head} != {u, v}:
+    orientation = keyed_by_edge(graph, orientation)
+    for (u, v), ends in orientation.items():
+        if not isinstance(ends, (tuple, list)) or tuple(ends) not in ((u, v), (v, u)):
             raise GraphError(f"orientation for edge {(u, v)} must use its endpoints")
-    return GkmMatrix(graph, tuple(orientation.get(e, e) for e in graph.edges))
+    return GkmMatrix(graph, tuple(tuple(orientation.get(e, e)) for e in graph.edges))
 
 
 def _check_last_column(graph: EdgeLabeledGraph, q: dict) -> dict:
@@ -76,8 +65,10 @@ def solves(matrix: GkmMatrix, p: Spline, q: dict) -> bool:
 class SystemRow(Record):
     """One row of a (reduced) extended system.
 
-    rhs is a sum of symbolic slots: (sign, edge) stands for
-    sign * q_edge with q_edge ranging over the ideal of that edge.
+    coeffs holds the row's nonzero entries, {vertex slot: coefficient},
+    so a cleared cycle row's is {}; dense(n) writes it out over n slots.
+    rhs is a sum of symbolic slots: (sign, edge) stands for sign * q_edge
+    with q_edge ranging over the ideal of that edge.
     """
 
     __slots__ = ("edge", "coeffs", "rhs")
@@ -87,7 +78,11 @@ class SystemRow(Record):
             other.edge, other.coeffs, other.rhs)
 
     def __hash__(self) -> int:
-        return hash((self.edge, self.coeffs, self.rhs))
+        return hash((self.edge, frozenset(self.coeffs.items()), self.rhs))
+
+    def dense(self, n: int) -> tuple:
+        """coeffs written out over the vertex slots 0..n-1."""
+        return tuple(map(self.coeffs.get, range(n), [0] * n))
 
     def rhs_text(self, graph: EdgeLabeledGraph) -> str:
         parts = []
@@ -112,7 +107,7 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
     a row reorder or an addition of a +-1 multiple, hence invertible.
     Each row is read as matrix.rows holds it, +1 at its tail and -1 at
     its head, and a chord row's sum is kept on its cycle's vertices."""
-    graph, n = matrix.graph, len(matrix.graph.vertices)
+    graph = matrix.graph
     cycles = fundamental_cycles(graph, tree)
     keys = {row: graph.edge_key(*row) for row in matrix.rows}  # (tail, head): edge
     tree_edges = tree_edge_keys(graph, tree)
@@ -120,10 +115,7 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
     tree_rows = []
     for e in tree_edges:
         tail, head = e if e in keys else e[::-1]
-        row = [0] * n
-        row[graph.index(tail)], row[graph.index(head)] = 1, -1
-        tree_rows.append(SystemRow(e, tuple(row), ((1, e),)))
-    cleared = (0,) * n
+        tree_rows.append(SystemRow(e, {graph.index(tail): 1, graph.index(head): -1}, ((1, e),)))
     cycle_rows = []
     for cycle in cycles:
         chord = cycle.chord
@@ -141,7 +133,7 @@ def reduce_via_tree(matrix: GkmMatrix, tree: TreeSkeleton) -> ReducedSystem:
             log.append(("add", c, edge, chord))
         if any(coeffs.values()):
             raise AssertionError("cycle elimination failed to clear vertex columns")
-        cycle_rows.append(SystemRow(chord, cleared, tuple(rhs)))
+        cycle_rows.append(SystemRow(chord, {}, tuple(rhs)))
     return ReducedSystem(graph, tuple(tree_rows), tuple(cycle_rows), tuple(log))
 
 
@@ -169,14 +161,10 @@ def path_reduced_form(matrix: GkmMatrix) -> ReducedSystem:
     graph = matrix.graph
     order = path_order(graph)
     edges = path_edges(graph, order)
-    n = len(order)
     terms = matrix.terms_by_edge()
     slots = [(terms[e][graph.index(v)], e) for v, e in zip(order, edges)]
-    out = []
-    for i in range(n - 1):
-        coeffs = [0] * n
-        coeffs[graph.index(order[i])] = 1
-        coeffs[graph.index(order[-1])] = -1
-        out.append(SystemRow(edges[i], tuple(coeffs), tuple(slots[i:][::-1])))
+    last = graph.index(order[-1])
+    out = [SystemRow(edges[i], {graph.index(order[i]): 1, last: -1}, tuple(slots[i:][::-1]))
+           for i in range(len(order) - 1)]
     log = tuple(("add-suffix", row.edge) for row in out)
     return ReducedSystem(graph, tuple(out), (), log)

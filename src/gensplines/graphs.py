@@ -177,12 +177,12 @@ def spanning_tree(graph: EdgeLabeledGraph, root=None) -> TreeSkeleton:
 
 def tree_from_edges(graph: EdgeLabeledGraph, edges, root=None) -> TreeSkeleton:
     """Build a TreeSkeleton from an explicit spanning-edge set (repeats count once)."""
-    edges = [graph.edge_key(u, v) for u, v in edges]
-    if len(edges) != len(graph.vertices) - 1:
-        raise GraphError("edge set has the wrong size for a spanning tree")
-    tree = _skeleton(graph, spanning_subgraph(graph, set(edges))._adj, root)
+    edges = {graph.edge_key(u, v) for u, v in edges}
+    tree = _skeleton(graph, spanning_subgraph(graph, edges)._adj, root)
     if tree is None:
         raise GraphError("edge set does not span the graph")
+    if len(edges) != len(graph.vertices) - 1:
+        raise GraphError("edge set has the wrong size for a spanning tree")
     return tree
 
 

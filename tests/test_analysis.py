@@ -727,7 +727,7 @@ class TestCorruptedSystems:
         g = triangle_mod(5, (0, 1, 1))
         system = reduce_via_tree(build_gkm_matrix(g), spanning_tree(g))
         (row,) = [r for r in system.tree_rows if r.edge == ("v1", "v2")]
-        coeffs = tuple(2 * c if c == 1 else c for c in row.coeffs)
+        coeffs = {k: 2 * c if c == 1 else c for k, c in row.coeffs.items()}
         corrupted = with_rows(
             system, tree_rows=replace_row(system.tree_rows, row.edge, coeffs=coeffs))
         assert reduced_solution_set(system) == product_splines(g)
@@ -744,7 +744,7 @@ class TestCorruptedSystems:
         looped = replace_row(system.tree_rows, row.edge, rhs=((1, row.edge), (1, chord)))
         with pytest.raises(ValueError, match="exactly one row"):
             reduced_solution_set(with_rows(system, tree_rows=looped))
-        twice = system.tree_rows + (SystemRow(row.edge, (1, 0, -1), row.rhs),)
+        twice = system.tree_rows + (SystemRow(row.edge, {0: 1, 2: -1}, row.rhs),)
         with pytest.raises(ValueError, match="exactly one row"):
             reduced_solution_set(with_rows(system, tree_rows=twice))
 

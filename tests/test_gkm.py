@@ -31,12 +31,12 @@ class TestBuild:
         g = path_z([2, 3])
         m = build_gkm_matrix(g)
         assert m.rows == (("v1", "v2"), ("v2", "v3"))
-        assert m.rows_by_edge() == {("v1", "v2"): (1, -1, 0), ("v2", "v3"): (0, 1, -1)}
+        assert m.terms_by_edge() == {("v1", "v2"): {0: 1, 1: -1}, ("v2", "v3"): {1: 1, 2: -1}}
 
     def test_orientation_override_negates_row(self):
         g = path_z([2, 3])
         m = build_gkm_matrix(g, orientation={("v1", "v2"): ("v2", "v1")})
-        assert list(m.rows_by_edge().items())[0] == (("v1", "v2"), (-1, 1, 0))
+        assert list(m.terms_by_edge().items())[0] == (("v1", "v2"), {0: -1, 1: 1})
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dense_rows_write_out_the_terms(self, seed):
@@ -45,14 +45,18 @@ class TestBuild:
         m = build_gkm_matrix(g, orientation=random_flips(g, rng))
         terms = m.terms_by_edge()
         assert list(terms) == list(g.edges)
-        for (tail, head), (edge, row) in zip(m.rows, m.rows_by_edge().items()):
+        n = len(g.vertices)
+        for tail, head in m.rows:
+            edge = g.edge_key(tail, head)
             assert terms[edge] == {g.index(tail): 1, g.index(head): -1}
+            row = gkm.SystemRow(edge, terms[edge], ((1, edge),)).dense(n)
+            assert len(row) == n
             assert {k: c for k, c in enumerate(row) if c} == terms[edge]
 
     def test_orientation_keyed_by_the_reversed_edge(self):
         g = path_z([2, 3])
         m = build_gkm_matrix(g, orientation={("v2", "v1"): ("v2", "v1")})
-        assert m.rows_by_edge()[("v1", "v2")] == (-1, 1, 0)
+        assert m.terms_by_edge()[("v1", "v2")] == {0: -1, 1: 1}
 
     def test_orientation_key_must_be_an_edge(self):
         with pytest.raises(GraphError, match="no edge"):
@@ -62,6 +66,17 @@ class TestBuild:
         g = path_z([2, 3])
         with pytest.raises(GraphError):
             build_gkm_matrix(g, orientation={("v1", "v2"): ("v1", "v3")})
+
+    @pytest.mark.parametrize("ends", [("a", "b", "c"), 5, "ab", ("a", "a"), ["b"]],
+                             ids=["3-tuple", "int", "str", "loop", "1-list"])
+    def test_orientation_that_is_not_a_pair_of_endpoints(self, ends):
+        g = make_graph(Z, ["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])
+        with pytest.raises(GraphError, match="must use its endpoints"):
+            build_gkm_matrix(g, orientation={("a", "b"): ends})
+
+    def test_orientation_as_a_list(self):
+        m = build_gkm_matrix(path_z([2, 3]), orientation={("v1", "v2"): ["v2", "v1"]})
+        assert m.rows == (("v2", "v1"), ("v2", "v3"))
 
     @pytest.mark.parametrize("keys", [[("v1", "v2"), ("v2", "v1")],
                                       [("v2", "v1"), ("v1", "v2")]], ids=["12-21", "21-12"])
@@ -155,7 +170,8 @@ class TestReduceViaTree:
         assert [r.edge for r in system.tree_rows] == [("v1", "v2"), ("v1", "v3")]
         (row,) = system.cycle_rows
         assert row.edge == ("v2", "v3")
-        assert row.coeffs == (0, 0, 0)
+        assert row.coeffs == {}
+        assert row.dense(3) == (0, 0, 0)
         assert dict(((e, s) for s, e in row.rhs)) == {
             ("v2", "v3"): 1, ("v1", "v3"): -1, ("v1", "v2"): 1,
         }
@@ -164,7 +180,8 @@ class TestReduceViaTree:
         g = triangle_z()
         system = reduce_via_tree(build_gkm_matrix(g), spanning_tree(g))
         for row in system.tree_rows:
-            assert sum(abs(c) for c in row.coeffs) == 2
+            assert sum(abs(c) for c in row.dense(3)) == 2
+            assert sorted(row.coeffs.values()) == [-1, 1]
             assert row.rhs == ((1, row.edge),)
         assert system.transform_log[0][0] == "reorder"
         assert any(op[0] == "add" for op in system.transform_log)
@@ -173,7 +190,8 @@ class TestReduceViaTree:
         star = tree_from_edges(
             k4_graph, [("v1", "v4"), ("v2", "v4"), ("v3", "v4")], root="v4")
         system = reduce_via_tree(build_gkm_matrix(k4_graph), star)
-        assert all(row.coeffs == (0, 0, 0, 0) for row in system.cycle_rows)
+        assert all(row.coeffs == {} for row in system.cycle_rows)
+        assert all(row.dense(4) == (0, 0, 0, 0) for row in system.cycle_rows)
         got = {row.edge: {(s, e) for s, e in row.rhs}
                for row in system.cycle_rows}
         assert got == {
@@ -350,9 +368,9 @@ class TestPathReducedForm:
         system = path_reduced_form(build_gkm_matrix(g))
         rows = system.tree_rows
         assert len(rows) == 2
-        assert rows[0].coeffs == (1, 0, -1)
+        assert rows[0].dense(3) == (1, 0, -1)
         assert rows[0].rhs == ((1, ("v2", "v3")), (1, ("v1", "v2")))
-        assert rows[1].coeffs == (0, 1, -1)
+        assert rows[1].dense(3) == (0, 1, -1)
         assert rows[1].rhs == ((1, ("v2", "v3")),)
 
     def test_p5_pattern(self):
@@ -362,7 +380,8 @@ class TestPathReducedForm:
         for i, row in enumerate(system.tree_rows):
             coeffs = [0] * n
             coeffs[i], coeffs[-1] = 1, -1
-            assert row.coeffs == tuple(coeffs)
+            assert row.dense(n) == tuple(coeffs)
+            assert row.coeffs == {i: 1, n - 1: -1}
             expect = [(1, (f"v{k + 1}", f"v{k + 2}"))
                       for k in range(n - 2, i - 1, -1)]
             assert list(row.rhs) == expect
@@ -430,8 +449,9 @@ def random_flips(graph, rng):
     return {(u, v): (v, u) for u, v in graph.edges if rng.random() < 0.5}
 
 
-def as_tuples(rows):
-    return [(r.edge, r.coeffs, r.rhs) for r in rows]
+def as_tuples(rows, n):
+    """Each row with its coeffs written out over n vertex slots."""
+    return [(r.edge, r.dense(n), r.rhs) for r in rows]
 
 
 class TestReorientedMatrices:
@@ -443,8 +463,9 @@ class TestReorientedMatrices:
         tree = spanning_tree(g, rng.choice(g.vertices))
         system = reduce_via_tree(matrix, tree)
         tree_rows, cycle_rows, log = reference_reduce_via_tree(matrix, tree)
-        assert as_tuples(system.tree_rows) == tree_rows
-        assert as_tuples(system.cycle_rows) == cycle_rows
+        n = len(g.vertices)
+        assert as_tuples(system.tree_rows, n) == tree_rows
+        assert as_tuples(system.cycle_rows, n) == cycle_rows
         assert list(system.transform_log) == log
 
     @pytest.mark.parametrize("seed", range(20))
@@ -454,7 +475,7 @@ class TestReorientedMatrices:
         matrix = build_gkm_matrix(g, orientation=random_flips(g, rng))
         system = path_reduced_form(matrix)
         rows = reference_path_rows(matrix)
-        assert as_tuples(system.tree_rows) == rows
+        assert as_tuples(system.tree_rows, len(g.vertices)) == rows
         assert system.cycle_rows == ()
         assert list(system.transform_log) == [("add-suffix", r[0]) for r in rows]
 
@@ -463,11 +484,16 @@ class TestReorientedMatrices:
 
 def dense_reduce_via_tree(matrix, tree):
     """The tree reduction as it ran on dense rows: every row written out
-    over all vertex slots (rows_by_edge), a chord row copied and summed
-    slot by slot, each step's sign read off its dense row."""
+    over all vertex slots, a chord row copied and summed slot by slot,
+    each step's sign read off its dense row."""
     graph = matrix.graph
     cycles = fundamental_cycles(graph, tree)
-    rows = matrix.rows_by_edge()
+    rows = {}
+    for edge, terms in matrix.terms_by_edge().items():
+        row = [0] * len(graph.vertices)
+        for k, c in terms.items():
+            row[k] = c
+        rows[edge] = tuple(row)
     tree_edges = tuple(graph.edge_key(u, v) for u, v in tree.tree_edges)
     log = [("reorder", tree_edges)]
     tree_rows = [(e, rows[e], ((1, e),)) for e in tree_edges]
@@ -527,10 +553,11 @@ class TestAgainstTheDenseReduction:
         tree = spanning_tree(host, rng.choice(g.vertices))
         system = reduce_via_tree(matrix, tree)
         tree_rows, cycle_rows, log = dense_reduce_via_tree(matrix, tree)
-        assert as_tuples(system.tree_rows) == tree_rows
-        assert as_tuples(system.cycle_rows) == cycle_rows
+        n = len(g.vertices)
+        assert as_tuples(system.tree_rows, n) == tree_rows
+        assert as_tuples(system.cycle_rows, n) == cycle_rows
         assert list(system.transform_log) == log
-        assert len({id(r.coeffs) for r in system.cycle_rows}) <= 1
+        assert all(r.coeffs == {} for r in system.cycle_rows)
 
 
 class TestAgainstTheElementSyzygy:

@@ -187,6 +187,21 @@ class TestSpanningTree:
         with pytest.raises(GraphError, match="does not span"):
             tree_from_edges(k4_graph, [("v1", "v2"), ("v2", "v1"), ("v1", "v3")])
 
+    @pytest.mark.parametrize("edges", [[("v1", "v2"), ("v2", "v3"), ("v1", "v2")],
+                                       [("v1", "v2"), ("v2", "v1"), ("v2", "v3")]],
+                             ids=["repeated", "both-ways-round"])
+    def test_tree_from_edges_counts_a_repeat_once(self, edges):
+        t = tree_from_edges(triangle_z(), edges)
+        assert set(t.tree_edges) == {("v1", "v2"), ("v2", "v3")}
+        assert t.depth == {"v1": 0, "v2": 1, "v3": 2}
+
+    def test_tree_from_edges_refuses_a_cycle_by_its_size(self):
+        g = triangle_z()
+        with pytest.raises(GraphError, match="wrong size"):
+            tree_from_edges(g, g.edges)
+        with pytest.raises(GraphError, match="wrong size"):
+            tree_from_edges(g, list(g.edges) + [("v2", "v1")])
+
     def test_tree_from_edges_rejects_nonspanning(self, k4_graph):
         with pytest.raises(GraphError):
             tree_from_edges(k4_graph, [("v1", "v2"), ("v1", "v3")])

@@ -4,7 +4,8 @@ Scaling an edge's generator by a unit names the same ideal, so every
 command on the k4 fixture prints the same bytes after its labels are
 scaled by a nonzero rational.  An edge labeled by a unit imposes no
 condition, so erasing it leaves the spline module and every verdict as
-they were.
+they were.  Declaring the vertices and edges in another order permutes
+every solution tuple and renames no violated edge.
 """
 import hashlib
 import json
@@ -13,9 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from gensplines import erase_unit_edges, integers, integers_mod, poly_rational, verify
-from gensplines.analysis import enumerate_splines
+from gensplines import (build_graph, erase_unit_edges, integers, integers_mod, poly_rational,
+                        spanning_tree, verify)
+from gensplines.analysis import enumerate_splines, matrix_solution_set, reduced_solution_set
 from gensplines.cli import main
+from gensplines.gkm import build_gkm_matrix, reduce_via_tree, syzygy_check
 from gensplines.splines import Spline
 
 from conftest import FIXTURES, load_fixture, random_connected_graph
@@ -89,3 +92,97 @@ def test_erasing_unit_edges_keeps_every_verdict(ring):
             assert (other.ok, other.violations) == (report.ok, report.violations)
             verdicts.add(report.ok)
     assert verdicts == {True, False} and erased >= 10
+
+
+def redeclared(graph, rng):
+    """graph with its vertices and edges declared in shuffled orders, each
+    edge named either way round."""
+    vertices, edges = list(graph.vertices), [e if rng.random() < 0.5 else e[::-1]
+                                             for e in graph.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return build_graph(graph.ring, vertices,
+                       [(u, v, graph.labels[graph.edge_key(u, v)]) for u, v in edges])
+
+
+def moved(graph, other, tuples):
+    """Residue tuples in graph's vertex order, each rewritten in other's,
+    sorted."""
+    slots = [graph.index(v) for v in other.vertices]
+    return sorted(tuple(t[k] for k in slots) for t in tuples)
+
+
+def renamed(graph, other, by_edge):
+    """{edge of graph: p_tail - p_head} keyed by other's edges: a value
+    whose edge other names the other way round changes sign."""
+    return {other.edge_key(*e): x if other.edge_key(*e) == e else -x
+            for e, x in by_edge.items()}
+
+
+def zm_graphs(count):
+    """Seeded connected Z/m graphs with n <= 6, and each redeclared."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        graph = random_connected_graph(integers_mod(rng.choice([2, 3, 4, 6])), rng,
+                                       n_max=6, e_max=8)
+        yield graph, redeclared(graph, rng), rng
+
+
+def reduced_set(graph, root):
+    return reduced_solution_set(reduce_via_tree(build_gkm_matrix(graph),
+                                                spanning_tree(graph, root)))
+
+
+def test_redeclaring_a_zm_graph_permutes_every_solution_set():
+    for graph, other, rng in zm_graphs(60):
+        splines = enumerate_splines(graph).members
+        assert list(enumerate_splines(other).members) == moved(graph, other, splines)
+        assert sorted(matrix_solution_set(build_gkm_matrix(graph))) == list(splines)
+        assert sorted(matrix_solution_set(build_gkm_matrix(other))) == moved(
+            graph, other, splines)
+        root = rng.choice(graph.vertices)
+        assert sorted(reduced_set(graph, root)) == list(splines)
+        assert sorted(reduced_set(other, root)) == moved(graph, other, splines)
+
+
+def test_redeclaring_a_zm_graph_keeps_the_syzygy_verdict_at_every_root():
+    """The last column is a spline's differences, or each edge's
+    generator times a random residue, which most often has no solution."""
+    verdicts = []
+    for graph, other, rng in zm_graphs(60):
+        ring = graph.ring
+        if rng.random() < 0.5:
+            x = dict(zip(graph.vertices, rng.choice(enumerate_splines(graph).members)))
+            q = {(u, v): ring.element(x[u] - x[v]) for u, v in graph.edges}
+        else:
+            q = {e: graph.labels[e].canonical * ring.element(rng.randrange(ring.modulus))
+                 for e in graph.edges}
+        seen = {syzygy_check(graph, spanning_tree(graph, r), q) for r in graph.vertices}
+        seen |= {syzygy_check(other, spanning_tree(other, r), renamed(graph, other, q))
+                 for r in other.vertices}
+        assert len(seen) == 1
+        verdicts += seen
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("ring", [integers(), poly_rational()], ids=str)
+def test_redeclaring_a_graph_renames_no_violated_edge(ring):
+    """Splines c + L * r, L the product of the labels, with one vertex
+    bumped by one half the time."""
+    violated = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        graph = random_connected_graph(ring, rng, nonzero=True)
+        other = redeclared(graph, rng)
+        product = ring.one
+        for label in graph.labels.values():
+            product = product * label.canonical
+        values = {v: ring.element(rng.randint(-3, 3)) * product for v in graph.vertices}
+        if rng.random() < 0.5:
+            values[rng.choice(graph.vertices)] += ring.one
+        report = verify(graph, Spline(graph, values))
+        again = verify(other, Spline(other, values))
+        assert again.ok == report.ok
+        assert dict(again.violations) == renamed(graph, other, dict(report.violations))
+        violated += len(report.violations)
+    assert violated >= 10

@@ -12,7 +12,7 @@ from time import perf_counter
 
 from gensplines import analysis, integers, poly_rational, serialize, verify
 from gensplines.construct import flow_up_family, tree_generating_family, tree_membership
-from gensplines.gkm import build_gkm_matrix, syzygy_check
+from gensplines.gkm import build_gkm_matrix, reduce_via_tree, syzygy_check
 from gensplines.graphs import spanning_tree
 from gensplines.splines import Spline, decompose_at_vertex
 
@@ -103,6 +103,18 @@ def test_gkm_matrix_and_syzygy_check_are_linear():
         assert syzygy_check(graph, tree, q)
         runs.append(lambda graph=graph, tree=tree, q=q:
                     (build_gkm_matrix(graph), syzygy_check(graph, tree, q)))
+    assert growth(runs) < 4 ** (1 + SLACK)
+
+
+def test_reduce_via_tree_is_linear():
+    """A tree row holds its two nonzero entries and a cleared cycle row
+    none, so the reduction reads each fundamental cycle once and writes
+    no row over all n vertex slots (e = 1)."""
+    runs = []
+    for n in (250, 1000):
+        graph = sparse_z_graph(n, n)
+        matrix, tree = build_gkm_matrix(graph), spanning_tree(graph)
+        runs.append(lambda matrix=matrix, tree=tree: reduce_via_tree(matrix, tree))
     assert growth(runs) < 4 ** (1 + SLACK)
 
 
