@@ -3,8 +3,9 @@ zero, and flow-up families.
 
 Every constructor returns splines that verify on their host graph;
 "arbitrary" ideal elements default to the canonical generators so that
-outputs are deterministic.  Flow-up factors and extensions compute on
-payloads, wrap each value once and build splines with splines._spline.
+outputs are deterministic.  The families, the extension factor and the
+tree witnesses compute on payloads, wrap each value once and build
+splines with splines._spline.
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ from .rings import (
     RingElement,
     UnsupportedRingError,
     _element,
-    ext_gcd,
-    integers,
+    _ext_gcd,
     lcm,
 )
 from .splines import Spline, _failing_edges, _spline, check_host, verify
@@ -83,15 +83,15 @@ def cycle_spline(graph: EdgeLabeledGraph, base: RingElement,
                  chord_choice: RingElement, step_choices) -> Spline:
     """The cycle construction: vertex k gets
     base + chord_choice * (step_1 + ... + step_{k-1})."""
-    order = _cycle_order(graph)
-    _checked_choice(graph, graph.edge_key(order[0], order[-1]), chord_choice)
+    order, ring = _cycle_order(graph), graph.ring
+    chord = _checked_choice(graph, graph.edge_key(order[0], order[-1]), chord_choice).payload
     step_choices = _step_choices(graph, path_edges(graph, order), step_choices)
-    values = {order[0]: base}
-    acc = graph.ring.zero
-    for i in range(1, len(order)):
-        acc = acc + step_choices[i - 1]
-        values[order[i]] = base + chord_choice * acc
-    return Spline(graph, values)
+    ring.zero._check(base)
+    values, acc = {order[0]: base}, ring.zero.payload
+    for v, step in zip(order[1:], step_choices):
+        acc += step.payload
+        values[v] = _element(ring, base.payload + chord * acc)
+    return _spline(graph, values)
 
 
 def cycle_generating_family(graph: EdgeLabeledGraph,
@@ -110,9 +110,9 @@ def cycle_generating_family(graph: EdgeLabeledGraph,
     zero_choice = chord_choice.is_zero or any(c.is_zero for c in step_choices)
     if zero_choice and graph.ring.is_integral_domain:
         raise ValueError("zero choices cannot give a nontrivial independent family")
-    order = order[::-1]
-    return _nested_family(graph, order, dict(zip(order, order[1:])),
-                          [chord_choice * c for c in reversed(step_choices)])
+    chord, order = chord_choice.payload, order[::-1]
+    factors = [_element(graph.ring, chord * c.payload) for c in reversed(step_choices)]
+    return _nested_family(graph, order, dict(zip(order, order[1:])), factors)
 
 
 def tree_generating_family(graph: EdgeLabeledGraph, choices=None) -> GeneratingFamily:
@@ -184,29 +184,28 @@ class TreeMembershipReport(Record):
     @cached_property
     def witnesses(self) -> dict:
         """(u, v) -> {edge: summand} for every pair not in failures, built
-        on first read.  Each grown path holds its edges, the gcd d of their
-        generators g_i and the Bezout terms t_i = x_i * g_i, which sum to
-        d: one ext_gcd(d, g) = (d', a, b) step gives the child's terms
-        (a * t_1, ..., a * t_k, b * g).  The witness is t_i * diff / d."""
-        graph, p = self.graph, self.spline
-        lift = graph.ring if graph.ring.is_euclidean else integers()  # Z/m: lifts to Z
-        gens = {e: lift.element(graph.labels[e].canonical.payload) for e in graph.edges}
+        on first read, on payloads.  Each grown path holds its edges, the
+        gcd d of their generators g_i and the Bezout terms t_i = x_i * g_i,
+        which sum to d: one _ext_gcd(d, g) = (d', a, b) step gives the
+        child's terms (a * t_1, ..., a * t_k, b * g).  The witness is
+        t_i * (p_v - p_u) / d, each summand wrapped once.  Over Z/m each
+        g_i divides m or is 0, so d | m and the residues' difference will do."""
+        graph, p, ring = self.graph, self.spline, self.graph.ring
+        quotient, zero = ring.ops.quotient, ring.zero.payload
+        gens = {e: graph.labels[e].canonical.payload for e in graph.edges}
 
         def grow(state, edge):
             edges, d, terms = state
-            d, a, b = ext_gcd(d, gens[edge])
-            return (edges + (edge,), d,
-                    tuple(a * t for t in terms) + (b * gens[edge],))
+            d, a, b = _ext_gcd(ring, d, gens[edge])
+            return edges + (edge,), d, tuple(a * t for t in terms) + (b * gens[edge],)
 
         failed = set(self.failures)
         witnesses = {}
         rooted = _bfs(graph._adj, graph.vertices[0])
-        for u, v, (edges, d, terms) in _grown_pairs(graph, rooted, ((), lift.zero, ()), grow):
+        for u, v, (edges, d, terms) in _grown_pairs(graph, rooted, ((), zero, ()), grow):
             if (u, v) not in failed:
-                diff = lift.element((p[v] - p[u]).payload)
-                scale = lift.zero if d.is_zero else diff.exact_div(d)
-                witnesses[(u, v)] = {e: graph.ring.element(t * scale)
-                                     for e, t in zip(edges, terms)}
+                scale = quotient(p[v].payload - p[u].payload, d) if d else zero
+                witnesses[(u, v)] = {e: _element(ring, t * scale) for e, t in zip(edges, terms)}
         return witnesses
 
 
@@ -282,8 +281,8 @@ def _excluded_product(graph, edges, element_choices=None):
             choice = graph.labels[edge].canonical
         if choice.is_zero:
             warnings.warn(_ZERO_FACTOR.format(edge), stacklevel=3)
-        factors.append(choice)
-    return _product(factors, graph.ring.one)
+        factors.append(choice.payload)
+    return _element(graph.ring, _product(factors, graph.ring.one.payload))
 
 
 def _product(factors: list, one):
@@ -301,13 +300,13 @@ def _product(factors: list, one):
 
 
 def lcm_scaling_factor(graph: EdgeLabeledGraph, subgraph: EdgeLabeledGraph) -> RingElement:
-    """lcm of the excluded edges' canonical generators (1 for none)."""
+    """lcm of the excluded edges' canonical generators (1 for none, 0 if one is 0)."""
     ring = graph.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError("lcm scaling needs a UFD (Z or Q[x])")
     acc = ring.one
     for edge in excluded_edges(graph, subgraph):
-        acc = lcm(acc, graph.labels[edge].canonical)
+        acc = acc if acc.is_zero else lcm(acc, graph.labels[edge].canonical)
     return acc
 
 

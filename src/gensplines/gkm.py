@@ -55,11 +55,9 @@ def solves(matrix: GkmMatrix, p: Spline, q: dict) -> bool:
     graph = matrix.graph
     check_host(graph, p)
     q = _check_last_column(graph, q)
-    for tail, head in matrix.rows:
-        edge = graph.edge_key(tail, head)
-        if p[tail] - p[head] != q[edge]:
-            return False
-    return True
+    return all(graph.ring.same(p[tail].payload - p[head].payload,
+                               q[graph.edge_key(tail, head)].payload)
+               for tail, head in matrix.rows)
 
 
 class SystemRow(Record):

@@ -10,9 +10,9 @@ generators are collapsed to a single normal gcd generator.
 RingElement has one arithmetic path for every ring: it combines payloads
 with +, -, *, divmod and % and wraps the result through _element, which
 only reduces mod m; RingSpec.element, which validates and converts
-input, is for values from outside the ring layer.  Flow-up families and
-spline arithmetic also loop on payloads and wrap each value once, with
-_element, into splines built by splines._spline.  int supplies the
+input, is for values from outside the ring layer.  That arithmetic is
+for API callers: the library computes on payloads and wraps each value
+it returns once, with _element.  int supplies the
 payload arithmetic for Z and Z/m, and the private _Poly supplies it for
 Q[x]: it is born and computed in its one form, with ints and math.gcd
 alone, and its == and hash read those ints.  ratios() reads its
@@ -29,10 +29,10 @@ form, the normal associate (nonnegative for Z, monic for Q[x]) and the
 unit test.  Z/m uses Z's table on its divisors d = gcd(x, m) and on lifts
 to [0, m): its units, divisibility and ideals are read mod m through d,
 and it refuses exact division, gcd and lcm.  RingElement, gcd, lcm,
-ext_gcd, Ideal and gensplines.levels all read this table.  The ring kind
-is read only by RingSpec: to validate it, pick the table, build canonical
-input, compare payloads mod m, print the ring and say which operations
-Z/m refuses.
+_ext_gcd (Euclid on payloads; ext_gcd wraps it), Ideal and
+gensplines.levels all read this table.  The ring kind is read only by
+RingSpec: to validate it, pick the table, build canonical input, compare
+payloads mod m, print the ring and say which operations Z/m refuses.
 
 The library's classes keep their fields immutable through Record, not
 @dataclass(frozen=True), whose module imports inspect, which nothing else
@@ -594,8 +594,13 @@ def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, R
     ring = a.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError("extended gcd needs a Euclidean ring")
+    return tuple(RingElement(ring, x) for x in _ext_gcd(ring, a.payload, b.payload))
+
+
+def _ext_gcd(ring: RingSpec, r0, r1) -> tuple:
+    """Payloads (g, x, y) with x*r0 + y*r1 = g, g the normal gcd: Euclid
+    on the payloads r0 and r1, over Z/m on their lifts to Z."""
     zero, one = ring.zero.payload, ring.one.payload
-    r0, r1 = a.payload, b.payload
     x0, x1 = one, zero
     y0, y1 = zero, one
     while r1:
@@ -609,7 +614,7 @@ def ext_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, R
         # normal gcd
         unit = ring.ops.quotient(g, r0)
         x0, y0 = unit * x0, unit * y0
-    return RingElement(ring, g), RingElement(ring, x0), RingElement(ring, y0)
+    return g, x0, y0
 
 
 class Ideal(Record):

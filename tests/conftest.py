@@ -2,12 +2,14 @@
 
 The fixtures directory holds the golden JSON documents; the helpers here
 build small graphs programmatically and generate seeded random instances
-for the property batteries.
+for the property batteries.  Every test runs under TIME_LIMIT, so a
+fault that loops fails its test and the suite goes on.
 """
 import itertools
 import json
 import pathlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,30 @@ from gensplines import build_graph, integers, integers_mod, poly_rational
 from gensplines.rings import Ideal
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# seconds a test may run, far above the slowest test (about 4 s): a fault
+# that makes a loop run without end fails its test instead of hanging the suite
+TIME_LIMIT = 20
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Raise TimeoutError in a test that runs past TIME_LIMIT, where the
+    platform has SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expired(signum, frame):
+        raise TimeoutError(f"test ran past its {TIME_LIMIT} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def load_fixture(name):

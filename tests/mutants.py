@@ -71,6 +71,22 @@ MUTANTS = [
      "return level if back == sorted(back) else sorted(tuple(x[i] for i in back) for x in level)",
      "return sorted(level)",
      ["tests/test_metamorphic.py::test_redeclaring_a_zm_graph_permutes_every_solution_set"]),
+    ("witnesses-scale-by-the-reversed-difference", "src/gensplines/construct.py",
+     "quotient(p[v].payload - p[u].payload, d)", "quotient(p[u].payload - p[v].payload, d)",
+     ["tests/test_construct.py::TestTreeMembershipIncremental"]),
+    ("ext-gcd-skips-the-scaling-to-the-normal-gcd", "src/gensplines/rings.py",
+     "        x0, y0 = unit * x0, unit * y0\n", "",
+     ["tests/test_rings.py::TestGcdLcm::test_ext_gcd_polys"]),
+    ("solves-compares-without-mod-m", "src/gensplines/gkm.py",
+     "all(graph.ring.same(p[tail].payload - p[head].payload,",
+     "all((lambda a, b: a == b)(p[tail].payload - p[head].payload,",
+     ["tests/test_gkm.py::TestSolves::test_compares_mod_m_when_the_tail_is_below_the_head"]),
+    ("cycle-spline-drops-the-base-check", "src/gensplines/construct.py",
+     "    ring.zero._check(base)\n", "",
+     ["tests/test_construct.py::TestCycleSpline::test_refuses_a_base_over_another_ring"]),
+    ("lcm-scaling-takes-lcm-past-a-zero", "src/gensplines/construct.py",
+     "acc = acc if acc.is_zero else lcm(", "acc = lcm(",
+     ["tests/test_construct.py::TestLcmScaling::test_two_zero_labels_give_zero"]),
 ]
 
 

@@ -24,6 +24,7 @@ from gensplines.construct import (
     tree_membership,
     trivial_spline,
 )
+from gensplines.gkm import build_gkm_matrix, reduce_via_tree, solves, syzygy_check
 from gensplines.graphs import (
     GraphError,
     _bfs,
@@ -96,6 +97,12 @@ class TestCycleSpline:
                          [Z.element(2), Z.element(3)])
         with pytest.raises(ValueError, match="step choices"):
             cycle_spline(g, Z.element(0), Z.element(5), [Z.element(2)])
+
+    def test_refuses_a_base_over_another_ring(self):
+        g = triangle_z()
+        with pytest.raises(RingMismatchError):
+            cycle_spline(g, integers_mod(7).element(1), Z.element(5),
+                         [Z.element(2), Z.element(3)])
 
     def test_requires_cycle(self):
         g = path_z([2, 3])
@@ -412,6 +419,13 @@ class TestLcmScaling:
                        [("a", "b", 2), ("b", "c", 4), ("a", "c", 6)])
         sub = restrict(g, ["a", "b"], [("a", "b")])
         assert lcm_scaling_factor(g, sub) == Z.element(12)
+
+    def test_two_zero_labels_give_zero(self):
+        # the lcm of a family that holds 0 is 0, however many zeros
+        g = make_graph(Z, ["a", "b", "c"],
+                       [("a", "b", 2), ("b", "c", 0), ("a", "c", 0)])
+        sub = restrict(g, ["a", "b"], [("a", "b")])
+        assert lcm_scaling_factor(g, sub) == Z.zero
 
     def test_no_excluded_edges(self):
         g = triangle_z()
@@ -1035,7 +1049,8 @@ class TestWorkCounts:
         # the decision's gcds are the coprime base's, taken on payloads
         for ops in (Z.ops, poly_rational().ops):
             monkeypatch.setattr(ops, "gcd", staticmethod(counted("gcd", ops.gcd)))
-        monkeypatch.setattr(construct, "ext_gcd", counted("ext_gcd", construct.ext_gcd))
+        # the Bezout steps run on payloads, each one _ext_gcd call
+        monkeypatch.setattr(construct, "_ext_gcd", counted("ext_gcd", construct._ext_gcd))
         return counts
 
     def test_flow_up_divides_once_per_member(self, monkeypatch):
@@ -1189,17 +1204,24 @@ class TestWorkCounts:
             assert walks == ["gensplines.construct"]
 
     @pytest.mark.parametrize("n", [3, 6, 12])
-    def test_tree_membership_one_multiplication_per_summand(self, monkeypatch, n):
-        # each grown path's terms cost one product per edge, and each
-        # witness summand one more: 2W in all on a path
+    def test_tree_membership_one_element_per_summand(self, monkeypatch, n):
+        # the Bezout terms and the scale stay payloads: a witness read
+        # wraps each summand once and builds no other RingElement, once
+        # the ring's cached zero and one exist
         rng = random.Random(83)
         tree = path_z([rng.randint(2, 30) for _ in range(n - 1)])
         p = trivial_spline(tree, Z.element(7))
         counts = self.counting(monkeypatch)
         report = tree_membership(tree, p)
+        tree.ring.zero, tree.ring.one
+        built = []
+        init = RingElement.__init__
+        monkeypatch.setattr(RingElement, "__init__",
+                            lambda x, *args: built.append(args) or init(x, *args))
         summands = sum(len(w) for w in report.witnesses.values())
         assert report.ok and summands == (n + 1) * n * (n - 1) // 6
-        assert counts["mul"] == 2 * summands
+        assert len(built) == summands
+        assert counts["mul"] == counts["exact_div"] == 0
 
 
 class TestNontrivialExistence:
@@ -1231,3 +1253,56 @@ class TestNontrivialExistence:
         g = make_graph(R, ["a", "b"], [("a", "b", 2)])
         with pytest.raises(UnsupportedRingError):
             is_nontrivial_exists(g)
+
+
+class TestNoElementArithmetic:
+    """The library computes on payloads and wraps each value it returns
+    once: RingElement's + - * neg exact_div divides are left to API
+    callers, so none of these calls makes one."""
+
+    @staticmethod
+    def refuse(monkeypatch):
+        def refused(*args):
+            raise AssertionError("RingElement arithmetic inside the library")
+
+        for name in ("__add__", "__sub__", "__mul__", "__neg__", "exact_div", "divides"):
+            monkeypatch.setattr(RingElement, name, refused)
+
+    @pytest.mark.parametrize("ring", [Z, integers_mod(12), poly_rational()], ids=str)
+    def test_library_calls_make_none(self, monkeypatch, ring):
+        rng = random.Random(94)
+        tree = random_tree(ring, rng, n_max=8)
+        while len(tree.vertices) < 4:
+            tree = random_tree(ring, rng, n_max=8)
+        member = tree_family_spline(tree, lambda: random_generator_element(ring, rng))
+        bumped = Spline(tree, {**member.values, tree.vertices[1]: member[tree.vertices[1]]
+                               + ring.one})
+        cycle = random_cycle(ring, rng)
+        chord = cycle.labels[cycle.edge_key(cycle.vertices[0], cycle.vertices[-1])].canonical
+        graph = random_connected_graph(ring, rng, nonzero=True)
+        members = flow_up_family(graph).members
+        p = Spline(graph, {v: sum((ring.element(k + 2) * m[v] for k, m in enumerate(members)),
+                                  ring.zero) for v in graph.vertices})
+        q = {(u, v): p[u] - p[v] for u, v in graph.edges}
+        off = Spline(graph, {**p.values, graph.vertices[0]: p[graph.vertices[0]] + ring.one})
+        sub = restrict(graph, graph.vertices[:1], [])
+        one_vertex, three = trivial_spline(sub, ring.element(5)), ring.element(3)
+        matrix, skeleton = build_gkm_matrix(graph), spanning_tree(graph)
+
+        self.refuse(monkeypatch)
+        for r in (member, bumped):
+            assert tree_membership(tree, r).witnesses
+        assert verify(cycle, cycle_spline(cycle, three, chord, None)).ok
+        cycle_generating_family(cycle)
+        tree_generating_family(tree)
+        flow_up_family(graph)
+        extend_by_zero(graph, sub, one_vertex)
+        if ring.is_integral_domain:
+            assert is_nontrivial_exists(graph)[0]
+        if ring.is_euclidean:
+            lcm_scaling_factor(graph, sub)
+        assert solves(matrix, p, q) and syzygy_check(graph, skeleton, q)
+        reduce_via_tree(matrix, skeleton)
+        assert verify(graph, p).ok and not verify(graph, off).ok
+        decompose_at_vertex(graph, p, graph.vertices[-1])
+        spline_add(p, off), spline_mul(p, off), spline_neg(p), scalar_mul(three, p)

@@ -147,6 +147,14 @@ class TestSolves:
         with pytest.raises(GraphError, match="is not a vertex"):
             solves(build_gkm_matrix(g), zspline(g, 0, 0, 0), {**q, ("v1", "zz"): Z.zero})
 
+    @pytest.mark.parametrize("q, verdict", [(4, True), (2, False)])
+    def test_compares_mod_m_when_the_tail_is_below_the_head(self, q, verdict):
+        # p_tail - p_head = 1 - 3 = -2, the residue 4 mod 6
+        R = integers_mod(6)
+        g = make_graph(R, ["a", "b"], [("a", "b", 2)])
+        p = Spline(g, {"a": R.element(1), "b": R.element(3)})
+        assert solves(build_gkm_matrix(g), p, {("a", "b"): R.element(q)}) is verdict
+
     def test_refuses_a_spline_over_another_ring(self):
         g = triangle_z()
         R = integers_mod(6)

@@ -5,11 +5,15 @@ command on the k4 fixture prints the same bytes after its labels are
 scaled by a nonzero rational.  An edge labeled by a unit imposes no
 condition, so erasing it leaves the spline module and every verdict as
 they were.  Declaring the vertices and edges in another order permutes
-every solution tuple and renames no violated edge.
+every solution tuple and renames no violated edge.  Substituting x + a
+for x is an automorphism of Q[x] that keeps degrees and leading
+coefficients, so it maps every tree verdict, witness and family of a
+Q[x] graph to those of the substituted graph.
 """
 import hashlib
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -18,10 +22,14 @@ from gensplines import (build_graph, erase_unit_edges, integers, integers_mod, p
                         spanning_tree, verify)
 from gensplines.analysis import enumerate_splines, matrix_solution_set, reduced_solution_set
 from gensplines.cli import main
+from gensplines.construct import (cycle_generating_family, flow_up_family,
+                                  tree_generating_family, tree_membership)
 from gensplines.gkm import build_gkm_matrix, reduce_via_tree, syzygy_check
+from gensplines.rings import Ideal
 from gensplines.splines import Spline
 
-from conftest import FIXTURES, load_fixture, random_connected_graph
+from conftest import (FIXTURES, coefficients, load_fixture, random_connected_graph,
+                      random_cycle, random_generator_element, random_tree)
 
 ROOT = FIXTURES.parent.parent
 K4 = "tests/fixtures/k4.json"
@@ -186,3 +194,84 @@ def test_redeclaring_a_graph_renames_no_violated_edge(ring):
         assert dict(again.violations) == renamed(graph, other, dict(report.violations))
         violated += len(report.violations)
     assert violated >= 10
+
+
+def shifted(x, a):
+    """x(t + a) for a Q[x] element x, by Horner's rule in t."""
+    out = []
+    for c in reversed(coefficients(x)):
+        out = [a * y + z for y, z in zip(out + [0], [0] + out)]  # out * (t + a)
+        out[0] += c
+    return x.ring.element(out)
+
+
+def shifted_graph(graph, a):
+    return build_graph(graph.ring, graph.vertices,
+                       [(u, v, Ideal([shifted(g, a) for g in graph.labels[u, v].generators]))
+                        for u, v in graph.edges])
+
+
+def shifted_values(spline, a):
+    return {v: shifted(x, a) for v, x in spline.values.items()}
+
+
+def shifted_graphs(count):
+    """Seeded Q[x] trees and cycles, each with its substituted graph and
+    a = k/d, k in {-2, -1, 1, 2, 3} and d in {1, 2, 4}."""
+    ring = poly_rational()
+    for seed in range(count):
+        rng = random.Random(seed)
+        a = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
+        graph = (random_tree if seed % 2 else random_cycle)(ring, rng)
+        yield graph, shifted_graph(graph, a), a, rng
+
+
+def test_shifted_x_maps_the_substitution():
+    ring, a = poly_rational(), Fraction(-3, 2)
+    x = ring.element([Fraction(1, 3), 0, 2])  # 2t^2 + 1/3
+    assert shifted(x, a) == ring.element([Fraction(9, 2) + Fraction(1, 3), -6, 2])
+    assert shifted(shifted(x, a), -a) == x and shifted(ring.zero, a) == ring.zero
+
+
+def families(graph):
+    """The flow-up family at every root, and the tree or cycle family, with
+    the warnings each flow-up family gave."""
+    out = []
+    for root in graph.vertices:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out.append((flow_up_family(graph, root), [str(w.message) for w in caught]))
+    family = tree_generating_family if graph.is_tree else cycle_generating_family
+    return out + [(family(graph), [])]
+
+
+def test_shifting_x_maps_every_family_member_by_member():
+    for graph, other, a, _ in shifted_graphs(30):
+        for (family, caught), (image, again) in zip(families(graph), families(other)):
+            assert image.vertex_order == family.vertex_order and again == caught
+            assert [m.values for m in image.members] == [
+                shifted_values(m, a) for m in family.members]
+            assert image.scaling_factors == tuple(shifted(x, a) for x in family.scaling_factors)
+
+
+def test_shifting_x_maps_tree_failures_and_witnesses():
+    """Tree family combinations, the same with one vertex bumped by one,
+    and random labelings."""
+    ring, failed, witnessed = poly_rational(), 0, 0
+    for graph, other, a, rng in shifted_graphs(30):
+        if not graph.is_tree:
+            continue
+        members = tree_generating_family(graph).members
+        valid = {v: sum((random_generator_element(ring, rng) * m[v] for m in members),
+                        ring.zero) for v in graph.vertices}
+        bumped = {**valid, graph.vertices[-1]: valid[graph.vertices[-1]] + ring.one}
+        drawn = {v: random_generator_element(ring, rng) for v in graph.vertices}
+        for values in (valid, bumped, drawn):
+            report = tree_membership(graph, Spline(graph, values))
+            image = tree_membership(other, Spline(other, shifted_values(Spline(graph, values), a)))
+            assert image.failures == report.failures
+            assert image.witnesses == {pair: {e: shifted(x, a) for e, x in summands.items()}
+                                       for pair, summands in report.witnesses.items()}
+            failed += len(report.failures)
+            witnessed += len(report.witnesses)
+    assert failed >= 100 and witnessed >= 200
