@@ -72,8 +72,8 @@ def read_decimal(text: str) -> int:
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected a decimal integer, got {text[:40]!r}")
-    n, limit = len(digits), sys.get_int_max_str_digits()
-    if 0 < limit < n:
+    n = len(digits)  # CPython refuses an int <-> str limit below 640, but 0 (none)
+    if n > 640 and 0 < (limit := sys.get_int_max_str_digits()) < n:
         raise ValueError(f"integer of {n} digits is past the input bound of {limit} digits")
     return int(text)
 
@@ -579,12 +579,10 @@ def gcd(a: RingElement, b: RingElement) -> RingElement:
 
 def lcm(a: RingElement, b: RingElement) -> RingElement:
     """The normal lcm: nonnegative for integers, monic for polynomials."""
-    if a.is_zero and b.is_zero:
+    g = gcd(a, b).payload  # gcd checks the rings and refuses Z/m first
+    if not g:
         raise ValueError("lcm(0, 0) is undefined")
-    if a.is_zero or b.is_zero:
-        return a.ring.zero
-    ops = a.ring.ops
-    g = gcd(a, b).payload
+    ops = a.ring.ops  # a zero operand gives a zero quotient or product
     return RingElement(a.ring, ops.normal(ops.quotient(a.payload, g) * b.payload))
 
 

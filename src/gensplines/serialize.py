@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .graphs import EdgeLabeledGraph, GraphError
 from .rings import (
-    INTEGERS_MOD,
     POLY_RATIONAL,
     Ideal,
     RingElement,
@@ -17,7 +16,7 @@ from .rings import (
     _coefficient_text,
     read_decimal,
 )
-from .splines import Spline, VerificationReport
+from .splines import Spline, VerificationReport, _spline
 
 
 class SchemaError(ValueError):
@@ -57,34 +56,32 @@ def element_to_json(x: RingElement):
 
 def element_from_json(ring: RingSpec, data, where: str = "element") -> RingElement:
     try:
-        if ring.kind == POLY_RATIONAL:
-            if isinstance(data, (str, int)):
-                data = [data]
-            if not isinstance(data, list):
-                raise SchemaError(
-                    f"{where}: polynomial must be an array of coefficients"
-                )
-            if not all(_is_int(c) or isinstance(c, str) for c in data):
-                raise SchemaError(
-                    f"{where}: expected an integer or a 'p/q' coefficient string")
-            return ring.element(data)
-        if isinstance(data, str):
-            data = read_decimal(data)
-        if not _is_int(data):
-            raise SchemaError(f"{where}: expected a decimal string")
-        if ring.kind == INTEGERS_MOD and not 0 <= data < ring.modulus:
-            raise SchemaError(
-                f"{where}: residue {data} outside [0, {ring.modulus})"
-            )
-        return ring.element(data)
+        return _read_element(ring, data)
     except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _read_element(ring: RingSpec, data) -> RingElement:
+    """element_from_json's reader; its errors name no location, which callers add."""
+    if ring.kind == POLY_RATIONAL:
+        if isinstance(data, (str, int)):
+            data = [data]
+        if not isinstance(data, list):
+            raise ValueError("polynomial must be an array of coefficients")
+        if not all(_is_int(c) or isinstance(c, str) for c in data):
+            raise ValueError("expected an integer or a 'p/q' coefficient string")
+        return ring.element(data)
+    if isinstance(data, str):
+        data = read_decimal(data)
+    elif type(data) is not int:
+        raise ValueError("expected a decimal string")
+    if ring.modulus is not None and not 0 <= data < ring.modulus:
+        raise ValueError(f"residue {data} outside [0, {ring.modulus})")
+    return RingElement(ring, data)
+
+
 def graph_to_json(graph: EdgeLabeledGraph) -> dict:
-    edges = sorted(graph.edges, key=lambda e: (graph.index(e[0]), graph.index(e[1])))
+    edges = sorted(graph.edges, key=lambda e: (graph._index[e[0]], graph._index[e[1]]))
     return {
         "ring": ring_to_json(graph.ring),
         "vertices": list(graph.vertices),
@@ -99,6 +96,19 @@ def graph_to_json(graph: EdgeLabeledGraph) -> dict:
     }
 
 
+def _text_key(gens) -> tuple | None:
+    """An ideal array as a tuple, its arrays as tuples, if every leaf is a str:
+    a key that tells "1", 1, true and 1.0 apart and turns no long int into text."""
+    key = []
+    for g in gens:
+        if type(g) is list and {*map(type, g)} <= {str}:
+            g = tuple(g)
+        elif type(g) is not str:
+            return None
+        key.append(g)
+    return tuple(key)
+
+
 def graph_from_json(data) -> EdgeLabeledGraph:
     if not isinstance(data, dict):
         raise SchemaError("graph: expected an object")
@@ -111,21 +121,29 @@ def graph_from_json(data) -> EdgeLabeledGraph:
         raise SchemaError("graph.vertices: expected an array of id strings")
     if not isinstance(data["edges"], list):
         raise SchemaError("graph.edges: expected an array")
-    labeled = []
+    # ideals are immutable: one per distinct array of strings, as graph_to_json writes
+    labeled, ideals = [], {}
     for k, entry in enumerate(data["edges"]):
-        where = f"graph.edges[{k}]"
         if not isinstance(entry, dict) or not {"u", "v", "ideal"} <= set(entry):
-            raise SchemaError(f"{where}: expected an object with u, v, ideal")
+            raise SchemaError(f"graph.edges[{k}]: expected an object with u, v, ideal")
         if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
-            raise SchemaError(f"{where}: u and v must be id strings")
+            raise SchemaError(f"graph.edges[{k}]: u and v must be id strings")
         gens = entry["ideal"]
         if not isinstance(gens, list) or not gens:
-            raise SchemaError(f"{where}.ideal: expected a nonempty array")
-        elements = [
-            element_from_json(ring, g, f"{where}.ideal[{i}]")
-            for i, g in enumerate(gens)
-        ]
-        labeled.append((entry["u"], entry["v"], Ideal(elements)))
+            raise SchemaError(f"graph.edges[{k}].ideal: expected a nonempty array")
+        key = _text_key(gens)
+        ideal = ideals.get(key)
+        if ideal is None:
+            elements = []
+            try:
+                for g in gens:
+                    elements.append(_read_element(ring, g))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SchemaError(f"graph.edges[{k}].ideal[{len(elements)}]: {exc}") from exc
+            ideal = Ideal(elements)
+            if key is not None:
+                ideals[key] = ideal
+        labeled.append((entry["u"], entry["v"], ideal))
     try:
         return EdgeLabeledGraph(ring, vertices, labeled)
     except (GraphError, ValueError) as exc:
@@ -144,10 +162,14 @@ def spline_from_json(graph: EdgeLabeledGraph, data) -> Spline:
     values = data["values"]
     if not isinstance(values, dict):
         raise SchemaError("spline.values: expected an object keyed by vertex id")
-    parsed = {
-        v: element_from_json(graph.ring, x, f"spline.values[{v}]")
-        for v, x in values.items()
-    }
+    ring, parsed = graph.ring, {}
+    try:
+        for v, x in values.items():
+            parsed[v] = _read_element(ring, x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"spline.values[{v}]: {exc}") from exc
+    if parsed.keys() == graph._index.keys():
+        return _spline(graph, parsed)
     try:
         return Spline(graph, parsed)
     except (GraphError, ValueError) as exc:

@@ -87,6 +87,25 @@ MUTANTS = [
     ("lcm-scaling-takes-lcm-past-a-zero", "src/gensplines/construct.py",
      "acc = acc if acc.is_zero else lcm(", "acc = lcm(",
      ["tests/test_construct.py::TestLcmScaling::test_two_zero_labels_give_zero"]),
+    ("lcm-decides-a-zero-operand-first", "src/gensplines/rings.py",
+     "    g = gcd(a, b).payload  # gcd checks the rings and refuses Z/m first\n",
+     "    if a.is_zero or b.is_zero:\n        return a.ring.zero\n"
+     "    g = gcd(a, b).payload  # gcd checks the rings and refuses Z/m first\n",
+     ["tests/test_rings.py::TestGcdLcm::test_lcm_checks_rings_before_zero_operands"]),
+    ("read-decimal-asks-for-the-limit-one-digit-late", "src/gensplines/rings.py",
+     "    if n > 640 and 0 < (limit", "    if n > 641 and 0 < (limit",
+     ["tests/test_rings.py::test_read_decimal_refuses_only_past_the_limit"]),
+    ("ideal-cache-keys-every-array", "src/gensplines/serialize.py",
+     "        elif type(g) is not str:\n            return None\n", "",
+     ["tests/test_serialize.py::test_each_loader_error_names_its_location[graph-z-true-after-1]"]),
+    ("spline-reader-skips-its-key-comparison", "src/gensplines/serialize.py",
+     "    if parsed.keys() == graph._index.keys():\n", "    if True:\n",
+     ["tests/test_serialize.py::test_each_loader_error_names_its_location[spline-missing-vertex]",
+      "tests/test_serialize.py::test_each_loader_error_names_its_location[spline-extra-vertex]"]),
+    ("element-failure-names-the-next-edge", "src/gensplines/serialize.py",
+     'raise SchemaError(f"graph.edges[{k}].ideal[{len(elements)}]: {exc}")',
+     'raise SchemaError(f"graph.edges[{k + 1}].ideal[{len(elements)}]: {exc}")',
+     ["tests/test_serialize.py::test_each_loader_error_names_its_location"]),
 ]
 
 

@@ -23,7 +23,7 @@ from gensplines import (build_graph, erase_unit_edges, integers, integers_mod, p
 from gensplines.analysis import enumerate_splines, matrix_solution_set, reduced_solution_set
 from gensplines.cli import main
 from gensplines.construct import (cycle_generating_family, flow_up_family,
-                                  tree_generating_family, tree_membership)
+                                  is_nontrivial_exists, tree_generating_family, tree_membership)
 from gensplines.gkm import build_gkm_matrix, reduce_via_tree, syzygy_check
 from gensplines.rings import Ideal
 from gensplines.splines import Spline
@@ -275,3 +275,32 @@ def test_shifting_x_maps_tree_failures_and_witnesses():
             failed += len(report.failures)
             witnessed += len(report.witnesses)
     assert failed >= 100 and witnessed >= 200
+
+
+def test_shifting_x_maps_violated_edges_and_nontrivial_witnesses():
+    """Combinations of the tree or cycle family, the same with the last
+    vertex bumped by one, and random labelings: each violated edge keeps
+    its name and its difference is substituted.  The extension-by-zero
+    witness is a product of labels, so it is substituted too."""
+    ring, violated, verdicts, witnesses = poly_rational(), 0, set(), 0
+    for graph, other, a, rng in shifted_graphs(30):
+        flag, witness = is_nontrivial_exists(graph)
+        image_flag, image = is_nontrivial_exists(other)
+        assert image_flag == flag and (image is None) == (witness is None)
+        if witness is not None:
+            assert image.values == shifted_values(witness, a)
+            witnesses += 1
+        family = tree_generating_family if graph.is_tree else cycle_generating_family
+        members = family(graph).members
+        valid = {v: sum((random_generator_element(ring, rng) * m[v] for m in members),
+                        ring.zero) for v in graph.vertices}
+        bumped = {**valid, graph.vertices[-1]: valid[graph.vertices[-1]] + ring.one}
+        drawn = {v: random_generator_element(ring, rng) for v in graph.vertices}
+        for values in (valid, bumped, drawn):
+            report = verify(graph, Spline(graph, values))
+            again = verify(other, Spline(other, shifted_values(Spline(graph, values), a)))
+            assert again.ok == report.ok
+            assert again.violations == tuple((e, shifted(x, a)) for e, x in report.violations)
+            violated += len(report.violations)
+            verdicts.add(report.ok)
+    assert verdicts == {True, False} and violated >= 100 and witnesses >= 20

@@ -23,6 +23,7 @@ from gensplines.rings import (
     UnsupportedRingError,
     _Poly,
     ext_gcd,
+    read_decimal,
 )
 from gensplines.serialize import element_to_json
 
@@ -318,8 +319,21 @@ class TestGcdLcm:
 
     def test_lcm_with_zero(self):
         assert lcm(Z.element(0), Z.element(5)) == Z.element(0)
-        with pytest.raises(ValueError):
+        assert lcm(Z.element(-5), Z.element(0)) == Z.element(0)
+        assert lcm(QX.zero, P(1, 1)) == QX.zero
+        with pytest.raises(ValueError, match="lcm\\(0, 0\\) is undefined"):
             lcm(Z.element(0), Z.element(0))
+
+    def test_lcm_checks_rings_before_zero_operands(self):
+        """A zero operand decides no lcm before the rings are checked and
+        Z/m is refused, as for gcd and ext_gcd."""
+        Z6 = integers_mod(6)
+        for a, b in ((Z.zero, Z6.one), (Z.element(2), Z6.element(3)), (Z6.zero, Z.element(5))):
+            with pytest.raises(RingMismatchError):
+                lcm(a, b)
+        for a, b in ((Z6.zero, Z6.element(2)), (Z6.element(2), Z6.element(3)), (Z6.zero, Z6.zero)):
+            with pytest.raises(UnsupportedRingError):
+                lcm(a, b)
 
     def test_gcd_unsupported_mod(self):
         R = integers_mod(6)
@@ -675,3 +689,23 @@ class TestPolynomialsAgainstSympy:
         for a in polys:
             for b in polys:
                 self.check_pair(sympy_qq, a, b, gcds=len(coefficients(b)) <= 4)
+
+
+def test_read_decimal_refuses_only_past_the_limit():
+    """CPython refuses an int <-> str limit below 640 digits, but 0, which
+    sets none: a decimal of up to 640 digits is read without asking for
+    the limit, and at the lowest limit one more digit is refused."""
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError):
+        sys.set_int_max_str_digits(639)
+    try:
+        sys.set_int_max_str_digits(640)
+        assert read_decimal("-" + "9" * 640) == 1 - 10 ** 640
+        assert read_decimal("+" + "0" * 639 + "7") == 7
+        with pytest.raises(ValueError, match="^integer of 641 digits is past the input bound "
+                                             "of 640 digits$"):
+            read_decimal("-" + "1" * 641)
+        sys.set_int_max_str_digits(0)
+        assert read_decimal("1" + "0" * 5000) == 10 ** 5000
+    finally:
+        sys.set_int_max_str_digits(limit)

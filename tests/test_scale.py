@@ -14,6 +14,7 @@ from gensplines import analysis, integers, poly_rational, serialize, verify
 from gensplines.construct import flow_up_family, tree_generating_family, tree_membership
 from gensplines.gkm import build_gkm_matrix, reduce_via_tree, syzygy_check
 from gensplines.graphs import spanning_tree
+from gensplines.rings import Ideal
 from gensplines.splines import Spline, decompose_at_vertex
 
 from conftest import make_graph
@@ -201,6 +202,27 @@ def test_a_serialize_round_trip_is_linear():
         assert round_trip(graph, p).as_tuple() == p.as_tuple()
         runs.append(lambda graph=graph, p=p: round_trip(graph, p))
     assert growth(runs) < 4 ** (1 + SLACK)
+
+
+def test_graph_from_json_is_linear():
+    """One check per edge, an Ideal per distinct ideal array and a sort of
+    each vertex's neighbours: the degrees stay small, so e = 1."""
+    docs = [serialize.graph_to_json(sparse_z_graph(n, n)) for n in (500, 2000)]
+    assert growth([lambda doc=doc: serialize.graph_from_json(doc) for doc in docs]) \
+        < 4 ** (1 + SLACK)
+
+
+def test_a_document_builds_one_ideal_per_distinct_array(monkeypatch):
+    """S9's Z graph at n = 2,000 has 2,499 edges labeled from six arrays:
+    ["2"], ["3"], ["4"], ["6"], ["9"] and ["12"].  Equal arrays share one
+    Ideal, so the document builds six."""
+    doc = serialize.graph_to_json(sparse_z_graph(2000, 2000))
+    built = []
+    monkeypatch.setattr(serialize, "Ideal", lambda gens: built.append(gens) or Ideal(gens))
+    graph = serialize.graph_from_json(doc)
+    assert len(doc["edges"]) == 2499 and len(built) == 6
+    assert len({id(ideal) for ideal in graph.labels.values()}) == 6
+    assert serialize.graph_to_json(graph) == doc
 
 
 def test_tree_generating_family_grows_with_its_output():

@@ -1,4 +1,5 @@
 """JSON round-trips and schema diagnostics."""
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,3 +172,177 @@ def test_a_family_converts_each_value_object_once_per_member(ring, monkeypatch):
             per_member = calls[:len(calls) - len(family.scaling_factors)]
             distinct = [len({id(x) for x in p.values.values()}) for p in family.members]
             assert len(per_member) == sum(distinct) <= 2 * len(family.members)
+
+
+Z_RING, Z5_RING, QX_RING = ({"kind": "integers"}, {"kind": "integers-mod", "modulus": 5},
+                            {"kind": "poly-rational"})
+
+
+def star(ring, *ideals):
+    """A graph document whose edge k joins v0 and v{k + 1}, labeled ideals[k]."""
+    return {"ring": ring, "vertices": [f"v{i}" for i in range(len(ideals) + 1)],
+            "edges": [{"u": "v0", "v": f"v{k + 1}", "ideal": ideal}
+                      for k, ideal in enumerate(ideals)]}
+
+
+def graph_case(doc, message, id):
+    return pytest.param(graph_from_json, (doc,), message, id="graph-" + id)
+
+
+def spline_case(ring, values, message, id):
+    return pytest.param(lambda doc: spline_from_json(graph_from_json(star(ring, ["2"], ["3"])),
+                                                     doc),
+                        (values,), message, id="spline-" + id)
+
+
+def element_case(ring, data, message, id, *where):
+    return pytest.param(element_from_json, (ring, data, *where), message, id="element-" + id)
+
+
+Z, Z5 = integers(), integers_mod(5)
+LONG = "1" * 1001  # past the 1,000-digit limit the battery runs under
+
+# every SchemaError branch of the three readers, with its exact message; the
+# star cases repeat equal and look-alike ideal arrays, so a reader that
+# shares one ideal per distinct array must still refuse each bad entry where
+# it stands: "2", 2, true and 1.0 are four different JSON values
+LOADER_ERRORS = [
+    graph_case([], "graph: expected an object", "not-an-object"),
+    graph_case({"vertices": [], "edges": []}, "graph: missing field 'ring'", "no-ring"),
+    graph_case({"ring": Z_RING, "edges": []}, "graph: missing field 'vertices'", "no-vertices"),
+    graph_case({"ring": Z_RING, "vertices": []}, "graph: missing field 'edges'", "no-edges"),
+    graph_case({**star(Z_RING), "ring": "integers"},
+               "ring: expected an object with a 'kind' field", "ring-not-an-object"),
+    graph_case({**star(Z_RING), "ring": {"kind": "integers-mod", "modulus": "4"}},
+               "ring.modulus: expected an integer", "modulus-a-string"),
+    graph_case({**star(Z_RING), "ring": {"kind": "integers-mod", "modulus": 1}},
+               "ring: integers-mod requires a modulus >= 2", "modulus-one"),
+    graph_case({**star(Z_RING), "ring": {"kind": "bogus"}},
+               "ring: unknown ring kind: 'bogus'", "unknown-kind"),
+    graph_case({**star(Z_RING), "ring": {"kind": "integers", "modulus": 4}},
+               "ring: integers does not take a modulus", "modulus-over-z"),
+    graph_case({**star(Z_RING), "vertices": "ab"},
+               "graph.vertices: expected an array of id strings", "vertices-a-string"),
+    graph_case({**star(Z_RING), "vertices": ["a", 2]},
+               "graph.vertices: expected an array of id strings", "vertex-an-int"),
+    graph_case({**star(Z_RING), "edges": {}}, "graph.edges: expected an array", "edges-an-object"),
+    graph_case({**star(Z_RING, ["2"]), "edges": [["v0", "v1"]]},
+               "graph.edges[0]: expected an object with u, v, ideal", "edge-an-array"),
+    graph_case({**star(Z_RING, ["2"], ["2"]),
+                "edges": [{"u": "v0", "v": "v1", "ideal": ["2"]}, {"u": "v0", "v": "v2"}]},
+               "graph.edges[1]: expected an object with u, v, ideal", "edge-without-ideal"),
+    graph_case({**star(Z_RING, ["2"]), "edges": [{"u": 0, "v": "v1", "ideal": ["2"]}]},
+               "graph.edges[0]: u and v must be id strings", "endpoint-an-int"),
+    graph_case(star(Z_RING, ["2"], []), "graph.edges[1].ideal: expected a nonempty array",
+               "ideal-empty"),
+    graph_case(star(Z_RING, ["2"], "2"), "graph.edges[1].ideal: expected a nonempty array",
+               "ideal-a-string"),
+    graph_case(star(Z_RING, ["2", "x"]),
+               "graph.edges[0].ideal[1]: expected a decimal integer, got 'x'", "z-not-decimal"),
+    graph_case(star(Z_RING, ["2"], ["2", LONG]),
+               "graph.edges[1].ideal[1]: integer of 1001 digits is past the input bound of "
+               "1000 digits", "z-past-the-limit"),
+    graph_case(star(Z5_RING, ["2"], ["2"], ["5"]),
+               "graph.edges[2].ideal[0]: residue 5 outside [0, 5)", "zm-residue-m"),
+    graph_case(star(Z5_RING, ["2"], [2], [-1]),
+               "graph.edges[2].ideal[0]: residue -1 outside [0, 5)", "zm-negative-int"),
+    graph_case(star(QX_RING, [["1", "1"]], [1.5]),
+               "graph.edges[1].ideal[0]: polynomial must be an array of coefficients",
+               "qx-float"),
+    graph_case(star(QX_RING, [["1", None]]),
+               "graph.edges[0].ideal[0]: expected an integer or a 'p/q' coefficient string",
+               "qx-null-coefficient"),
+    graph_case(star(QX_RING, [["1"]], [["1/0"]]),
+               "graph.edges[1].ideal[0]: zero denominator in '1/0'", "qx-zero-denominator"),
+    graph_case(star(QX_RING, [["0.5"]]),
+               "graph.edges[0].ideal[0]: expected a decimal integer, got '0.5'", "qx-decimal-point"),
+    graph_case({**star(Z_RING, ["2"]), "vertices": ["v0", "v1", "v0"]},
+               "graph: duplicate vertex id 'v0'", "duplicate-vertex"),
+    graph_case({**star(Z_RING, ["2"]), "vertices": ["v0"]},
+               "graph: edge endpoint 'v1' is not a declared vertex", "undeclared-endpoint"),
+    graph_case({**star(Z_RING, ["2"]), "edges": [{"u": "v0", "v": "v0", "ideal": ["2"]}]},
+               "graph: self-loop at 'v0'", "self-loop"),
+    graph_case({**star(Z_RING, ["2"], ["2"]),
+                "edges": [{"u": "v0", "v": "v1", "ideal": ["2"]},
+                          {"u": "v1", "v": "v0", "ideal": ["2"]}]},
+               "graph: duplicate edge 'v0'-'v1'", "duplicate-edge"),
+    graph_case(star(Z_RING, ["2"], [2], [True]),
+               "graph.edges[2].ideal[0]: expected a decimal string", "z-true-after-2"),
+    graph_case(star(Z_RING, ["2"], [2], [1.0]),
+               "graph.edges[2].ideal[0]: expected a decimal string", "z-float-after-2"),
+    graph_case(star(Z_RING, [True], ["2"], [2]),
+               "graph.edges[0].ideal[0]: expected a decimal string", "z-true-first"),
+    graph_case(star(Z_RING, [1], [True]),
+               "graph.edges[1].ideal[0]: expected a decimal string", "z-true-after-1"),
+    graph_case(star(Z_RING, ["1"], [True]),
+               "graph.edges[1].ideal[0]: expected a decimal string", "z-true-after-str-1"),
+    graph_case(star(Z_RING, ["2"], ["2"], ["2", True]),
+               "graph.edges[2].ideal[1]: expected a decimal string", "z-true-after-equal-arrays"),
+    graph_case(star(Z_RING, ["2"], ["2"], [LONG]),
+               "graph.edges[2].ideal[0]: integer of 1001 digits is past the input bound of "
+               "1000 digits", "z-past-the-limit-after-equal-arrays"),
+    graph_case(star(QX_RING, [[1]], [[True]]),
+               "graph.edges[1].ideal[0]: expected an integer or a 'p/q' coefficient string",
+               "qx-true-after-1"),
+    graph_case(star(QX_RING, [["1"]], [[True]]),
+               "graph.edges[1].ideal[0]: expected an integer or a 'p/q' coefficient string",
+               "qx-true-after-str-1"),
+    graph_case(star(QX_RING, [["1", "1"]], [("1", "1")]),
+               "graph.edges[1].ideal[0]: polynomial must be an array of coefficients",
+               "qx-tuple-after-equal-array"),
+    graph_case(star(QX_RING, ["1"], [True]),
+               "graph.edges[1].ideal[0]: expected an integer or a 'p/q' coefficient string",
+               "qx-bare-true-after-bare-1"),
+    spline_case(Z_RING, [], "spline: expected an object with a 'values' field", "not-an-object"),
+    spline_case(Z_RING, {"value": {}}, "spline: expected an object with a 'values' field",
+                "no-values"),
+    spline_case(Z_RING, {"values": [["0"]] * 3},
+                "spline.values: expected an object keyed by vertex id", "values-an-array"),
+    spline_case(Z_RING, {"values": {"v0": "0", "v1": "x", "v2": "0"}},
+                "spline.values[v1]: expected a decimal integer, got 'x'", "z-not-decimal"),
+    spline_case(Z_RING, {"values": {"v0": "0", "v1": True}},
+                "spline.values[v1]: expected a decimal string", "z-true-before-missing"),
+    spline_case(Z5_RING, {"values": {"v0": "0", "v1": "4", "v2": "5"}},
+                "spline.values[v2]: residue 5 outside [0, 5)", "zm-residue-m"),
+    spline_case(QX_RING, {"values": {"v0": ["1/0"], "v1": "0", "v2": "0"}},
+                "spline.values[v0]: zero denominator in '1/0'", "qx-zero-denominator"),
+    spline_case(Z_RING, {"values": {"v0": "0", "v1": "0"}},
+                "spline: spline does not match vertex set (missing ['v2'], extra [])",
+                "missing-vertex"),
+    spline_case(Z_RING, {"values": {"v0": "0", "v1": "0", "v2": "0", "w": "0"}},
+                "spline: spline does not match vertex set (missing [], extra ['w'])",
+                "extra-vertex"),
+    spline_case(QX_RING, {"values": {"v2": [], "v1": [], "w": []}},
+                "spline: spline does not match vertex set (missing ['v0'], extra ['w'])",
+                "missing-and-extra-vertex"),
+    element_case(Z, "x", "element: expected a decimal integer, got 'x'", "z-not-decimal"),
+    element_case(Z, LONG, "element: integer of 1001 digits is past the input bound of 1000 "
+                 "digits", "z-past-the-limit"),
+    element_case(Z, True, "element: expected a decimal string", "z-true"),
+    element_case(Z, 1.5, "element: expected a decimal string", "z-float"),
+    element_case(Z, ["1"], "element: expected a decimal string", "z-array"),
+    element_case(Z5, "5", "element: residue 5 outside [0, 5)", "zm-residue-m"),
+    element_case(Z5, -1, "element: residue -1 outside [0, 5)", "zm-negative-int"),
+    element_case(QX, 1.5, "element: polynomial must be an array of coefficients", "qx-float"),
+    element_case(QX, None, "element: polynomial must be an array of coefficients", "qx-null"),
+    element_case(QX, True, "element: expected an integer or a 'p/q' coefficient string",
+                 "qx-true"),
+    element_case(QX, [["nested"]], "element: expected an integer or a 'p/q' coefficient string",
+                 "qx-nested"),
+    element_case(QX, ["1/0"], "element: zero denominator in '1/0'", "qx-zero-denominator"),
+    element_case(QX, ["1/2/3"], "element: expected a decimal integer, got '2/3'", "qx-two-slashes"),
+    element_case(QX, ["0.5"], "spline.values[v1]: expected a decimal integer, got '0.5'",
+                 "qx-decimal-point-at-a-location", "spline.values[v1]"),
+]
+
+
+@pytest.mark.parametrize("read, args, message", LOADER_ERRORS)
+def test_each_loader_error_names_its_location(read, args, message):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        with pytest.raises(SchemaError) as caught:
+            read(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(caught.value) == message
