@@ -16,6 +16,10 @@ verifies on every part exactly when it verifies on G, so over Z and
 Q[x] the draws are taken on G and verified on G, and only the cover
 check reads the parts.  check_decompositions takes that side, and the
 Z/m search over G's own conditions, once for all claims.
+
+construct and gkm are imported where they run: construct by the draws
+over Z and Q[x], gkm by the Z/m searches, so a command loads only what
+its ring uses.
 """
 from __future__ import annotations
 
@@ -24,8 +28,6 @@ import random
 from itertools import islice
 from operator import itemgetter
 
-from .construct import GeneratingFamily, _flow_up_factors
-from .gkm import GkmMatrix, ReducedSystem, build_gkm_matrix
 from .graphs import (
     DisconnectedGraphError,
     EdgeLabeledGraph,
@@ -152,6 +154,7 @@ def enumerate_splines(graph: EdgeLabeledGraph,
                       budget: int = DEFAULT_BUDGET) -> SplineSet:
     """All verified residue tuples: x_u - x_v must lie in the ideal of
     each edge uv, read from the graph itself."""
+    from .gkm import build_gkm_matrix
     divisors = _edge_divisors(graph, budget)
     return SplineSet(graph, tuple(_row_search(build_gkm_matrix(graph), divisors, graph.edges)))
 
@@ -209,6 +212,7 @@ def _random_members(graph: EdgeLabeledGraph, rng: random.Random):
     BFS from each component's first declared vertex finds the component
     and gives its induced subgraph's tree; it and the N_v are taken once,
     at the first draw.  The sums run on payloads; each value is wrapped once."""
+    from .construct import _flow_up_factors
     ring = graph.ring
     walks, edges = [], {}  # each component's BFS and edges; each vertex's edges
     for v in graph.vertices:
@@ -258,6 +262,7 @@ def check_decompositions(graph: EdgeLabeledGraph, covers: dict, *,
     covers = {claim: list(parts) for claim, parts in covers.items()}
     keys = [_check_cover(graph, parts) for parts in covers.values()]
     if graph.ring.kind == INTEGERS_MOD:
+        from .gkm import build_gkm_matrix
         matrix, divisors = build_gkm_matrix(graph), _edge_divisors(graph, budget)
         whole = _row_search(matrix, divisors, graph.edges)
         bad = [_least_difference(whole, _row_search(matrix, divisors, k)) for k in keys]

@@ -273,11 +273,18 @@ class _Poly:
     exactly, with no scaling.  divmod and %, which gcd and ext_gcd need,
     pseudo-divide them: with L the divisor's last entry, the dividend's
     is scaled once by L^k, k = deg a - deg b + 1, so that every quotient
-    step divides exactly.  Both run _long_division, the one division loop,
-    as does the edge test.  The contents are combined with ints and
-    math.gcd alone.  A payload is a plain value: == and hash read num,
-    den and prim, it is true when nonzero, and ratios() is the one reader
-    of its coefficients."""
+    step divides exactly.  Both run _long_division, as does the edge test.
+    Schoolbook division and multiplication are the right algorithms at
+    the library's sizes, but every edge label x - a, and most factors of
+    a flow-up product tree, has at most three entries, where the general
+    loops spend each step building an enumerate for one or two inner
+    iterations.  So both take a one-pass form, chosen by operand length
+    alone, for an operand of degree at most 2: division carries its two
+    pending subtractions in locals, and * writes each product entry from
+    the longer operand's entry and its two previous ones.  The contents
+    are combined with ints and math.gcd alone.  A payload is a plain
+    value: == and hash read num, den and prim, it is true when nonzero,
+    and ratios() is the one reader of its coefficients."""
 
     __slots__ = ("num", "den", "prim")
 
@@ -341,11 +348,21 @@ class _Poly:
             return self if not a else other
         if len(a) < len(b):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(b):
-            if y:
-                for i, x in enumerate(a, j):
-                    out[i] += x * y
+        if len(b) == 1:  # a nonzero constant's primitive part is (1,)
+            out = a
+        elif len(b) < 4:  # one pass over a, its two previous entries in locals
+            b0, b1, b2 = (*b, 0)[:3]
+            out, p1, p2 = [], 0, 0
+            for x in a:
+                out.append(x * b0 + p1 * b1 + p2 * b2)
+                p1, p2 = x, p1
+            out += (p1 * b1 + p2 * b2, p1 * b2)[:len(b) - 1]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for j, y in enumerate(b):
+                if y:
+                    for i, x in enumerate(a, j):
+                        out[i] += x * y
         num, den = _ratio(self.num * other.num, self.den * other.den)
         return _Poly(num, den, tuple(out))
 
@@ -408,9 +425,31 @@ class _Poly:
 def _long_division(rem: list, b: tuple) -> list | None:
     """Long division of the integer list rem by b in place: the quotient,
     the remainder left in rem[:len(b) - 1], or None at the first step that
-    b's last entry does not divide.  If b divides rem over Z, every step
-    divides and the remainder is zero."""
-    nb, lead, low = len(b) - 1, b[-1], b[:-1]
+    b's last entry does not divide; rem[len(b) - 1:] is unspecified
+    afterwards.  If b divides rem over Z, every step divides and the
+    remainder is zero.
+
+    A divisor of degree 1 or 2 takes the one-pass form (see _Poly): a
+    step's subtractions from the next entry and the one after wait in c1
+    and c0.  Longer divisors, such as Euclid's remainders, take the
+    general loop."""
+    nb, lead = len(b) - 1, b[-1]
+    if 0 < nb < 3 and len(rem) > nb:
+        b1, b0 = b[-2], b[0] if nb == 2 else 0
+        quot, c1, c0 = [], 0, 0
+        for x in rem[:nb - 1:-1]:  # rem[-1], ..., rem[nb]
+            x -= c1
+            f = x // lead
+            if f * lead != x:
+                return None
+            quot.append(f)
+            c1, c0 = c0 + f * b1, f * b0
+        rem[nb - 1] -= c1
+        if nb == 2:
+            rem[0] -= c0
+        quot.reverse()
+        return quot
+    low = b[:-1]
     quot = [0] * max(len(rem) - nb, 0)
     for i in range(len(rem) - 1, nb - 1, -1):
         x = rem[i]

@@ -162,10 +162,16 @@ def spline_from_json(graph: EdgeLabeledGraph, data) -> Spline:
     values = data["values"]
     if not isinstance(values, dict):
         raise SchemaError("spline.values: expected an object keyed by vertex id")
-    ring, parsed = graph.ring, {}
+    # elements are immutable: one read per distinct string, which is what
+    # spline_to_json writes over Z and Z/m
+    ring, parsed, read = graph.ring, {}, {}
     try:
         for v, x in values.items():
-            parsed[v] = _read_element(ring, x)
+            if type(x) is not str:
+                element = _read_element(ring, x)
+            elif (element := read.get(x)) is None:
+                element = read[x] = _read_element(ring, x)
+            parsed[v] = element
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"spline.values[{v}]: {exc}") from exc
     if parsed.keys() == graph._index.keys():

@@ -28,8 +28,19 @@ TIMEOUT = 60  # seconds per pytest run; an entry whose tests hang is an error
 # (name, file, old text, new text, the test ids that must fail)
 MUTANTS = [
     ("long-division-lets-a-non-exact-step-through", "src/gensplines/rings.py",
-     "            if f * lead != x:\n                return None\n", "",
+     "            if f * lead != x:\n                return None\n            quot[i - nb] = f\n",
+     "            quot[i - nb] = f\n",
      ["tests/test_rings.py::TestPolynomialsAgainstSympy::test_matches_sympy"]),
+    ("short-division-lets-a-non-exact-step-through", "src/gensplines/rings.py",
+     "            if f * lead != x:\n                return None\n            quot.append(f)\n",
+     "            quot.append(f)\n",
+     ["tests/test_rings.py"]),
+    ("short-division-drops-the-older-carry", "src/gensplines/rings.py",
+     "c1, c0 = c0 + f * b1, f * b0", "c1, c0 = f * b1, f * b0",
+     ["tests/test_rings.py"]),
+    ("short-product-drops-the-x2-term", "src/gensplines/rings.py",
+     "out.append(x * b0 + p1 * b1 + p2 * b2)", "out.append(x * b0 + p1 * b1)",
+     ["tests/test_rings.py"]),
     ("element-skips-mod-m", "src/gensplines/rings.py",
      "        payload %= ring.modulus\n", "        pass\n",
      ["tests/test_rings.py"]),
@@ -102,6 +113,9 @@ MUTANTS = [
      "    if parsed.keys() == graph._index.keys():\n", "    if True:\n",
      ["tests/test_serialize.py::test_each_loader_error_names_its_location[spline-missing-vertex]",
       "tests/test_serialize.py::test_each_loader_error_names_its_location[spline-extra-vertex]"]),
+    ("spline-reader-reads-every-string", "src/gensplines/serialize.py",
+     "            elif (element := read.get(x)) is None:\n", "            elif True:\n",
+     ["tests/test_serialize.py::test_a_spline_reads_each_distinct_string_once"]),
     ("element-failure-names-the-next-edge", "src/gensplines/serialize.py",
      'raise SchemaError(f"graph.edges[{k}].ideal[{len(elements)}]: {exc}")',
      'raise SchemaError(f"graph.edges[{k + 1}].ideal[{len(elements)}]: {exc}")',

@@ -10,6 +10,7 @@ import pytest
 from gensplines import (
     analysis,
     build_graph,
+    construct,
     graphs,
     integers,
     integers_mod,
@@ -775,13 +776,13 @@ class TestRandomMember:
 class TestSampledFamilies:
     def test_one_flow_up_build_per_graph_component(self, k4_graph, monkeypatch):
         built = []
-        factors = analysis._flow_up_factors
+        factors = construct._flow_up_factors
 
         def counting(graph, edges, depth, parent):
             built.append(tuple(depth))
             return factors(graph, edges, depth, parent)
 
-        monkeypatch.setattr(analysis, "_flow_up_factors", counting)
+        monkeypatch.setattr(construct, "_flow_up_factors", counting)
         per_edge = [spanning_subgraph(k4_graph, [e]) for e in k4_graph.edges]
         for subgraphs in (per_edge, spanning_tree_cover(k4_graph)):
             built.clear()

@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from gensplines import VerificationReport, analysis, cli, graphs, serialize
+from gensplines import VerificationReport, analysis, cli, construct, graphs, serialize
 from gensplines.cli import main
 
 from conftest import FIXTURES
@@ -622,11 +622,11 @@ class TestOneCertificatePerGraph:
 
     def test_one_flow_up_and_one_verify_per_draw(self, capsys, monkeypatch):
         counts = {"_flow_up_factors": 0, "verify": 0}
-        for name in counts:
-            def counted(*args, original=getattr(analysis, name), name=name):
+        for module, name in ((construct, "_flow_up_factors"), (analysis, "verify")):
+            def counted(*args, original=getattr(module, name), name=name):
                 counts[name] += 1
                 return original(*args)
-            monkeypatch.setattr(analysis, name, counted)
+            monkeypatch.setattr(module, name, counted)
         code, out, _ = run(capsys, "selfcheck", K4, "--samples", "5")
         assert code == 0 and len(json.loads(out)) == 3
         assert counts == {"_flow_up_factors": 1, "verify": 5}
@@ -653,11 +653,18 @@ finally:
 # the modules that main leaves to the cmd_* that run them
 # levels loads only inside tree_membership, which no command calls
 DEFERRED = {"analysis", "construct", "gkm", "levels"}
-DEFERRED_LOADED = {
-    "check": set(), "dot": set(), "decompose": set(),
-    "flowup": {"construct"}, "treefam": {"construct"}, "cyclefam": {"construct"},
-    "matrix": {"gkm"}, "enumerate": {"analysis", "construct", "gkm"},
-    "selfcheck": {"analysis", "construct", "gkm"},
+DEFERRED_LOADED = {  # by golden entry: a command loads what its inputs run
+    "check tests/fixtures/k4.json tests/fixtures/k4-spline.json": set(),
+    "check tests/fixtures/k4.json tests/fixtures/k4-path-tuple.json": set(),
+    "flowup tests/fixtures/k4.json": {"construct"},
+    "cyclefam tests/fixtures/c3-z4.json": {"construct"},
+    "matrix tests/fixtures/k4.json --reduced": {"gkm"},
+    "enumerate tests/fixtures/c3-z4.json": {"analysis", "gkm"},
+    "decompose tests/fixtures/k4.json tests/fixtures/k4-spline.json": set(),
+    "selfcheck tests/fixtures/c3-z4.json": {"analysis", "gkm"},  # Z/m: the GKM search
+    "dot tests/fixtures/k4.json tests/fixtures/k4-spline.json": set(),
+    "selfcheck tests/fixtures/k4.json --samples 5": {"analysis", "construct"},  # Z: draws
+    "treefam TREE": {"construct"},
 }
 TREE = {"ring": {"kind": "integers"}, "vertices": ["a", "b", "c"],
         "edges": [{"u": "a", "v": "b", "ideal": ["2"]},
@@ -674,6 +681,7 @@ class TestFreshProcess:
     @pytest.mark.parametrize("entry", FRESH, ids=[" ".join(e["argv"]) for e in FRESH])
     def test_loads_only_what_it_runs(self, tmp_path, entry):
         argv = entry["argv"]
+        expected = DEFERRED_LOADED[" ".join(argv)]
         if argv[0] == "treefam":
             tree = tmp_path / "tree.json"
             tree.write_text(json.dumps(TREE))
@@ -687,7 +695,7 @@ class TestFreshProcess:
         loaded = {name.removeprefix("gensplines.") for name in modules
                   if name.startswith("gensplines.")}
         assert {"rings", "graphs", "splines", "serialize"} <= loaded
-        assert loaded & DEFERRED == DEFERRED_LOADED[argv[0]]
+        assert loaded & DEFERRED == expected
         # the records are plain classes: dataclasses would load inspect.  A
         # Q[x] content is an int pair: only a Fraction read loads fractions
         # and, through it, decimal

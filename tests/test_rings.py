@@ -648,6 +648,12 @@ class TestPolynomialsAgainstSympy:
         for a, b in self.near_multiples(rng, 40):
             assert not b.divides(a)
             self.check_pair(sympy_qq, a, b)
+        # divisors of four and five entries whose top step does not divide
+        # (x^3 by 2x^3 + x^2 + x + 1, x^5 + x^4 by 3x^4 + x^2 + 1): the
+        # general loop, which divisors of degree 3 or more take, must refuse
+        for a, b in ((P(0, 0, 0, 1), P(1, 1, 1, 2)), (P(0, 0, 0, 0, 1, 1), P(1, 0, 1, 0, 3))):
+            assert a.payload.exact_quotient(b.payload) is None and not b.divides(a)
+            self.check_pair(sympy_qq, a, b)
 
     def test_division_by_constants(self, sympy_qq):
         """A nonzero constant's primitive part is (1,): the quotient keeps

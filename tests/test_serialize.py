@@ -16,10 +16,11 @@ from gensplines.serialize import (
     report_to_json,
     ring_from_json,
     ring_to_json,
+    _read_element as read_element,
     spline_from_json,
     spline_to_json,
 )
-from gensplines.splines import verify
+from gensplines.splines import Spline, verify
 
 from conftest import (coefficients, load_fixture, random_connected_graph, random_tree,
                       seeded)
@@ -174,6 +175,23 @@ def test_a_family_converts_each_value_object_once_per_member(ring, monkeypatch):
             assert len(per_member) == sum(distinct) <= 2 * len(family.members)
 
 
+@pytest.mark.parametrize("ring", [integers(), integers_mod(12), QX], ids=str)
+def test_a_spline_reads_each_distinct_string_once(ring, monkeypatch):
+    # elements are immutable, so equal strings share one read; any other
+    # value (a Q[x] array, a JSON number) is read where it stands
+    graph = graph_from_json(star(ring_to_json(ring), *[["2"]] * 7))
+    strings = ["0", "5", "0", "11", "5", "0", "3", ["0", "1"] if ring is QX else 3]
+    values = dict(zip(graph.vertices, strings))
+    reads = []
+    monkeypatch.setattr(serialize, "_read_element",
+                        lambda r, x: reads.append(x) or read_element(r, x))
+    spline = spline_from_json(graph, {"values": values})
+    monkeypatch.undo()
+    assert reads == ["0", "5", "11", "3", strings[-1]]
+    assert spline == Spline(graph, {v: element_from_json(ring, x) for v, x in values.items()})
+    assert spline["v0"] is spline["v2"] is spline["v5"]
+
+
 Z_RING, Z5_RING, QX_RING = ({"kind": "integers"}, {"kind": "integers-mod", "modulus": 5},
                             {"kind": "poly-rational"})
 
@@ -304,6 +322,10 @@ LOADER_ERRORS = [
                 "spline.values[v1]: expected a decimal string", "z-true-before-missing"),
     spline_case(Z5_RING, {"values": {"v0": "0", "v1": "4", "v2": "5"}},
                 "spline.values[v2]: residue 5 outside [0, 5)", "zm-residue-m"),
+    spline_case(Z5_RING, {"values": {"v0": "7", "v1": "7", "v2": "0"}},
+                "spline.values[v0]: residue 7 outside [0, 5)", "zm-repeated-residue-m"),
+    spline_case(Z_RING, {"values": {"v0": "0", "v1": "0", "v2": 0.0}},
+                "spline.values[v2]: expected a decimal string", "z-float-after-equal-strings"),
     spline_case(QX_RING, {"values": {"v0": ["1/0"], "v1": "0", "v2": "0"}},
                 "spline.values[v0]: zero denominator in '1/0'", "qx-zero-denominator"),
     spline_case(Z_RING, {"values": {"v0": "0", "v1": "0"}},
